@@ -17,7 +17,7 @@ cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
 cmake -B build-sanitize -S . -DSSQL_SANITIZE=address >/dev/null
-cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder >/dev/null
+cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_aggregate >/dev/null
 ./build-sanitize/tests/test_fault_tolerance
 ./build-sanitize/tests/test_memory
 ./build-sanitize/tests/test_observability
@@ -32,6 +32,9 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 ./build-sanitize/tests/test_vectorized
 ./build-sanitize/tests/test_columnar
 ./build-sanitize/tests/test_property_end_to_end
+# The aggregation sweep under ASan: the group table's open-addressing
+# index, arena-backed string keys and spill drain are raw-memory surface.
+./build-sanitize/tests/test_aggregate
 # Flight recorder under ASan: the journal's fixed-size slots and detail
 # truncation are raw-buffer surface; bundle writing walks directories.
 ./build-sanitize/tests/test_flight_recorder
@@ -48,7 +51,7 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # re-registration and the copy-on-write staleness swap are its TSan
 # surface, and the HLL/histogram buffers its ASan surface.
 cmake -B build-tsan -S . -DSSQL_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder >/dev/null
+cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate >/dev/null
 ./build-tsan/tests/test_concurrency
 ./build-tsan/tests/test_system_tables
 ./build-tsan/tests/test_fault_tolerance
@@ -62,6 +65,9 @@ cmake --build build-tsan -j --target test_concurrency --target test_system_table
 # Flight recorder under TSan: emitters on every engine thread race
 # snapshot readers, the sampler thread, and a mid-flight reconfigure.
 ./build-tsan/tests/test_flight_recorder
+# Aggregation sweep under TSan: partition tasks fill group tables against
+# one shared memory budget and spill under it.
+./build-tsan/tests/test_aggregate
 
 # Chaos harness: seeded rounds of concurrent queries with random fault
 # injection at every I/O boundary — speculation, the watchdog and corrupt

@@ -735,4 +735,12 @@ double CompiledExpression::Evaluator::EvaluateDouble(const Row& row,
   return f64_[r];
 }
 
+std::string_view CompiledExpression::Evaluator::EvaluateString(const Row& row,
+                                                               bool* is_null) {
+  Run(row);
+  uint16_t r = program_->result_reg_;
+  *is_null = null_[r] != 0;
+  return *is_null ? std::string_view() : std::string_view(*str_[r]);
+}
+
 }  // namespace ssql

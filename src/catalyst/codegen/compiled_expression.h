@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalyst/expr/expression.h"
@@ -52,6 +53,9 @@ class CompiledExpression {
     bool EvaluateBool(const Row& row, bool* is_null);
     int64_t EvaluateInt64(const Row& row, bool* is_null);
     double EvaluateDouble(const Row& row, bool* is_null);
+    /// String result without a copy: the view points into `row` or this
+    /// evaluator's scratch and stays valid until the next evaluation.
+    std::string_view EvaluateString(const Row& row, bool* is_null);
 
    private:
     friend class CompiledExpression;

@@ -77,20 +77,6 @@ void ColumnVector::Append(const Value& v) {
 
 void ColumnVector::AppendNull() { Append(Value::Null()); }
 
-void ColumnVector::AppendInt64(int64_t v) {
-  assert(bank_ == Bank::kInt && "AppendInt64 on a non-int bank");
-  nulls_.push_back(0);
-  ints_.push_back(v);
-  ++size_;
-}
-
-void ColumnVector::AppendDouble(double v) {
-  assert(bank_ == Bank::kDouble && "AppendDouble on a non-double bank");
-  nulls_.push_back(0);
-  doubles_.push_back(v);
-  ++size_;
-}
-
 void ColumnVector::AppendString(const std::string& v) {
   assert(bank_ == Bank::kString && "AppendString on a non-string bank");
   nulls_.push_back(0);

@@ -34,8 +34,18 @@ class ColumnVector {
   /// The caller must match the column's bank: int-like types (bool, int32,
   /// int64, date, timestamp, decimal-unscaled) take AppendInt64.
   void AppendNull();
-  void AppendInt64(int64_t v);
-  void AppendDouble(double v);
+  void AppendInt64(int64_t v) {
+    assert(bank_ == Bank::kInt && "AppendInt64 on a non-int bank");
+    nulls_.push_back(0);
+    ints_.push_back(v);
+    ++size_;
+  }
+  void AppendDouble(double v) {
+    assert(bank_ == Bank::kDouble && "AppendDouble on a non-double bank");
+    nulls_.push_back(0);
+    doubles_.push_back(v);
+    ++size_;
+  }
   void AppendString(const std::string& v);
   void AppendString(std::string&& v);
 

@@ -1,208 +1,168 @@
 #include "exec/aggregate_exec.h"
 
 #include <optional>
-#include <unordered_map>
 
 #include "catalyst/codegen/compiled_expression.h"
-#include "catalyst/expr/literal.h"
-#include "util/spill_file.h"
+#include "columnar/row_batch.h"
+#include "exec/scan_exec.h"
 
 namespace ssql {
 
 namespace {
 
-/// Hashable grouping key.
-struct GroupKey {
-  std::vector<Value> values;
+std::vector<DataTypePtr> KeyTypes(const ExprVector& groupings) {
+  std::vector<DataTypePtr> types;
+  for (const auto& g : groupings) types.push_back(g->data_type());
+  return types;
+}
 
-  bool operator==(const GroupKey& other) const {
-    if (values.size() != other.values.size()) return false;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (!values[i].Equals(other.values[i])) return false;
+/// Rows per chunk the row paths hand to the group table.
+constexpr size_t kChunkRows = 1024;
+
+/// The partial stage's inputs (grouping keys, then every aggregate's
+/// arguments in slot order) bound to the child's output, compiled when
+/// codegen is on.
+std::vector<BoundCompiled> BindInputs(const ExprVector& groupings,
+                                      const std::vector<AggSlot>& slots,
+                                      const AttributeVector& child_out,
+                                      bool codegen) {
+  std::vector<BoundCompiled> inputs;
+  for (const auto& g : groupings) {
+    inputs.push_back(BindAndCompile(g, child_out, codegen));
+  }
+  for (const AggSlot& slot : slots) {
+    for (const auto& a : slot.args) {
+      inputs.push_back(BindAndCompile(a, child_out, codegen));
     }
-    return true;
   }
-};
+  return inputs;
+}
 
-struct GroupKeyHash {
-  size_t operator()(const GroupKey& k) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (const auto& v : k.values) h = h * 1099511628211ULL + v.Hash();
-    return static_cast<size_t>(h);
-  }
-};
-
-using GroupMap = std::unordered_map<GroupKey, std::vector<Value>, GroupKeyHash>;
-
-/// Number of hash buckets a spilled group map is scattered into; the drain
-/// phase needs only one bucket's groups in memory at a time.
-constexpr size_t kAggSpillFanout = 16;
-
-/// Map node + bucket-array overhead per group beyond the boxed values.
-constexpr int64_t kGroupEntryOverhead = 64;
-
-/// The hash-aggregation working set of one partition task, with Grace-style
-/// spilling: group banks live in an in-memory map charged against a
-/// MemoryReservation; when a grant is denied the map is scattered into
-/// kAggSpillFanout spill files by (mixed) key hash as [key..., accumulator
-/// ...] rows and the map restarts empty. Drain() then re-aggregates each
-/// bucket separately — all rows of a group share a bucket — merging partial
-/// accumulators with AggregateFunction::Merge, which is exactly how the
-/// Final stage combines shuffled accumulators. Used by both the Partial and
-/// Final generic paths; callers choose how a new group's bank is built and
-/// how rows fold into an existing bank.
-class SpillingGroupMap {
+/// Per-task evaluation of the partial stage's inputs into one ColumnVector
+/// each, over a chunk of rows or the live rows of a batch. Compiled
+/// programs read rows through typed register reads, without boxing;
+/// interpreted expressions (codegen off) evaluate boxed, row by row.
+class InputReader {
  public:
-  SpillingGroupMap(QueryContext& ctx, std::string consumer, size_t key_width,
-                   const std::vector<AggregatePtr>& aggs)
-      : ctx_(ctx),
-        consumer_(std::move(consumer)),
-        key_width_(key_width),
-        aggs_(aggs),
-        reservation_(ctx.memory().CreateReservation()) {}
-
-  /// Returns the accumulator bank for `key`, inserting the bank built by
-  /// `init` when the key is new (spilling first if over budget). The
-  /// pointer is valid until the next FindOrInsert call.
-  std::vector<Value>* FindOrInsert(
-      GroupKey key, const std::function<std::vector<Value>()>& init) {
-    auto it = groups_.find(key);
-    if (it != groups_.end()) return &it->second;
-    std::vector<Value> accs = init();
-    int64_t entry_bytes = kGroupEntryOverhead;
-    for (const Value& v : key.values) entry_bytes += EstimateValueBytes(v);
-    for (const Value& v : accs) entry_bytes += EstimateValueBytes(v);
-    Charge(entry_bytes);
-    it = groups_.emplace(std::move(key), std::move(accs)).first;
-    return &it->second;
-  }
-
-  /// Emits every surviving group exactly once via `sink`, merging spilled
-  /// buckets back through a (smaller) in-memory map. Leaves the map empty
-  /// and the reservation released; spill files are deleted as each bucket
-  /// finishes (and by RAII on any unwind).
-  void Drain(const std::function<void(GroupKey, std::vector<Value>)>& sink) {
-    if (spill_buckets_.empty()) {
-      for (auto& [key, accs] : groups_) {
-        sink(GroupKey{key.values}, std::move(accs));
-      }
-      groups_.clear();
-      used_bytes_ = 0;
-      reservation_.Release();
-      return;
-    }
-    // Uniform handling: push the in-memory remainder to disk too, then
-    // re-aggregate bucket by bucket.
-    SpillMap();
-    for (auto& bucket : spill_buckets_) {
-      if (!bucket) continue;
-      bucket->FinishWrites();
-      GroupMap merged;
-      int64_t used = 0;
-      size_t cancel_check = 0;
-      SpillFile::Reader reader(*bucket);
-      Row row;
-      while (reader.Next(&row)) {
-        ctx_.CheckCancelledEvery(&cancel_check);
-        GroupKey key;
-        key.values.assign(row.values().begin(),
-                          row.values().begin() + key_width_);
-        auto it = merged.find(key);
-        if (it == merged.end()) {
-          int64_t entry_bytes = kGroupEntryOverhead;
-          for (const Value& v : row.values()) {
-            entry_bytes += EstimateValueBytes(v);
-          }
-          // A bucket that still exceeds the budget is processed anyway
-          // (single-level recursion); the overshoot is 1/kAggSpillFanout
-          // of the original working set.
-          if (!reservation_.EnsureReserved(used + entry_bytes)) {
-            reservation_.ForceGrow(entry_bytes);
-          }
-          used += entry_bytes;
-          std::vector<Value> accs(row.values().begin() + key_width_,
-                                  row.values().end());
-          merged.emplace(std::move(key), std::move(accs));
-          continue;
-        }
-        for (size_t j = 0; j < aggs_.size(); ++j) {
-          aggs_[j]->Merge(&it->second[j], row.Get(key_width_ + j));
-        }
-      }
-      for (auto& [key, accs] : merged) {
-        sink(GroupKey{key.values}, std::move(accs));
-      }
-      reservation_.Release();
-      bucket.reset();  // deletes the file as soon as its bucket is done
+  InputReader(const std::vector<BoundCompiled>& inputs, bool batched)
+      : inputs_(inputs),
+        row_evals_(inputs.size()),
+        vec_evals_(inputs.size()),
+        cols_(inputs.size()),
+        views_(inputs.size()) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const auto& compiled = inputs[i].compiled;
+      if (!compiled) continue;
+      if (batched) vec_evals_[i].emplace(compiled->NewVectorEvaluator());
+      if (!batched) row_evals_[i].emplace(compiled->NewEvaluator());
     }
   }
 
-  bool spilled() const { return !spill_buckets_.empty(); }
+  const GroupTable::Columns& Read(const Row* rows, size_t n) {
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      ColumnVector& col = Fresh(i, n);
+      auto& eval = row_evals_[i];
+      // One loop per lane, each a typed register read per row.
+      auto fill = [&](auto&& read) {
+        for (size_t r = 0; r < n; ++r) {
+          bool null = false;
+          read(rows[r], &null);
+          if (null) col.AppendNull();
+        }
+      };
+      // A compiled bare column is a typed load: read the row's value in
+      // place instead of running the one-instruction program.
+      const auto* ref = eval ? As<BoundReference>(inputs_[i].bound) : nullptr;
+      auto column = [&](const Row& row, bool* null) -> const Value& {
+        const Value& v = row.Get(ref->ordinal());
+        *null = v.is_null();
+        return v;
+      };
+      switch (eval ? LaneFor(col.type()->id()) : Lane::kBoxed) {
+        case Lane::kInt:
+          fill([&](const Row& row, bool* null) {
+            int64_t v = ref ? column(row, null).AsInt64()
+                            : eval->EvaluateInt64(row, null);
+            if (!*null) col.AppendInt64(v);
+          });
+          break;
+        case Lane::kDouble:
+          fill([&](const Row& row, bool* null) {
+            double v = ref ? column(row, null).AsDouble()
+                           : eval->EvaluateDouble(row, null);
+            if (!*null) col.AppendDouble(v);
+          });
+          break;
+        case Lane::kString:
+          fill([&](const Row& row, bool* null) {
+            std::string_view v = ref ? Text(column(row, null))
+                                     : eval->EvaluateString(row, null);
+            if (!*null) col.AppendString(std::string(v));
+          });
+          break;
+        case Lane::kBoxed:
+          fill([&](const Row& row, bool*) {
+            col.Append(eval ? eval->Evaluate(row)
+                            : inputs_[i].bound->Eval(row));
+          });
+          break;
+      }
+    }
+    return views_;
+  }
+
+  const GroupTable::Columns& Read(const RowBatch& batch) {
+    const size_t n = batch.ActiveRows();
+    bool interpreted = false;
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      ColumnVector& col = Fresh(i, n);
+      if (vec_evals_[i]) vec_evals_[i]->EvaluateColumn(batch, &col);
+      interpreted = interpreted || !vec_evals_[i];
+    }
+    for (size_t k = 0; interpreted && k < n; ++k) {
+      Row row = batch.BoxRow(batch.ActiveIndex(k));
+      for (size_t i = 0; i < cols_.size(); ++i) {
+        if (!vec_evals_[i]) cols_[i]->Append(inputs_[i].bound->Eval(row));
+      }
+    }
+    return views_;
+  }
 
  private:
-  /// Reserves `entry_bytes` more, spilling the current map when denied.
-  void Charge(int64_t entry_bytes) {
-    if (reservation_.EnsureReserved(used_bytes_ + entry_bytes)) {
-      used_bytes_ += entry_bytes;
-      return;
-    }
-    if (!ctx_.memory().spill_enabled()) {
-      throw ExecutionError(ctx_.memory().OverBudgetMessage(consumer_));
-    }
-    SpillMap();
-    // The new group is the irreducible working set: admit it even if the
-    // budget (shared with concurrent partitions) is still exhausted.
-    if (!reservation_.EnsureReserved(entry_bytes)) {
-      reservation_.ForceGrow(entry_bytes);
-    }
-    used_bytes_ = entry_bytes;
+  static std::string_view Text(const Value& v) {
+    return v.is_null() ? std::string_view() : std::string_view(v.str());
   }
 
-  /// Scatters the in-memory map into the bucket files and restarts empty.
-  void SpillMap() {
-    if (spill_buckets_.empty()) spill_buckets_.resize(kAggSpillFanout);
-    int64_t wrote = 0;
-    size_t cancel_check = 0;
-    size_t files_created = 0;
-    for (auto& [key, accs] : groups_) {
-      ctx_.CheckCancelledEvery(&cancel_check);
-      size_t b = MixHash64(GroupKeyHash{}(key)) % kAggSpillFanout;
-      if (!spill_buckets_[b]) {
-        spill_buckets_[b].emplace(ctx_.MakeSpillFile(consumer_));
-        ++files_created;
-      }
-      Row row;
-      row.Reserve(key.values.size() + accs.size());
-      for (const Value& v : key.values) row.Append(v);
-      for (const Value& v : accs) row.Append(v);
-      wrote += spill_buckets_[b]->Append(row);
-    }
-    if (files_created > 0) {
-      ctx_.profile().Add(nullptr, ProfileCounter::kSpillFiles,
-                         static_cast<int64_t>(files_created));
-    }
-    if (wrote > 0) {
-      ctx_.profile().Add(nullptr, ProfileCounter::kSpillBytes, wrote);
-      ctx_.engine()
-          .registry()
-          .Histogram("ssql_spill_write_bytes",
-                     "Bytes written per spill event")
-          .Record(wrote);
-    }
-    groups_.clear();
-    used_bytes_ = 0;
-    reservation_.Release();
+  /// An empty column of input i's type for the next chunk.
+  ColumnVector& Fresh(size_t i, size_t n) {
+    cols_[i].emplace(inputs_[i].bound->data_type());
+    cols_[i]->Reserve(n);
+    views_[i] = &*cols_[i];
+    return *cols_[i];
   }
 
-  QueryContext& ctx_;
-  std::string consumer_;
-  size_t key_width_;
-  const std::vector<AggregatePtr>& aggs_;
-  GroupMap groups_;
-  int64_t used_bytes_ = 0;
-  MemoryReservation reservation_;
-  std::vector<std::optional<SpillFile>> spill_buckets_;
+  const std::vector<BoundCompiled>& inputs_;
+  std::vector<std::optional<CompiledExpression::Evaluator>> row_evals_;
+  std::vector<std::optional<CompiledExpression::VectorEvaluator>> vec_evals_;
+  std::vector<std::optional<ColumnVector>> cols_;
+  GroupTable::Columns views_;
 };
+
+/// Column types for packing the *partial* stage's output into batches.
+/// Grouping columns are honestly typed, but accumulator columns carry
+/// whatever Value shape the aggregate's accumulator uses at runtime (e.g.
+/// Average's {sum, count} struct, CountDistinct's set) — not the finished
+/// type partial_output_ declares — so they must pack into the boxed bank,
+/// which round-trips any Value verbatim.
+std::vector<DataTypePtr> PartialPackTypes(const ExprVector& groupings,
+                                          size_t num_aggs) {
+  std::vector<DataTypePtr> types;
+  types.reserve(groupings.size() + num_aggs);
+  for (const auto& g : groupings) types.push_back(g->data_type());
+  DataTypePtr boxed = StructType::Make({});
+  for (size_t j = 0; j < num_aggs; ++j) types.push_back(boxed);
+  return types;
+}
 
 }  // namespace
 
@@ -228,6 +188,7 @@ HashAggregateExec::HashAggregateExec(ExprVector groupings,
           std::static_pointer_cast<const AggregateFunction>(agg->self()));
     });
   }
+  for (const auto& fn : agg_functions_) slots_.push_back(MakeAggSlot(fn));
   // Synthesized partial output attributes.
   for (size_t i = 0; i < groupings_.size(); ++i) {
     partial_output_.push_back(AttributeReference::Make(
@@ -254,626 +215,46 @@ RowDataset HashAggregateExec::ExecuteImpl(QueryContext& ctx) const {
 
 RowDataset HashAggregateExec::ExecutePartial(QueryContext& ctx) const {
   RowDataset input = child_->Execute(ctx);
-  AttributeVector child_out = child_->Output();
-
-  // The typed fast path keeps its whole working set in unaccounted flat
-  // arrays, so it only runs when no memory budget is in force.
-  if (ctx.config().codegen_enabled && !ctx.memory().limited()) {
-    RowDataset fast;
-    if (TryExecutePartialFast(ctx, input, child_out, &fast)) return fast;
-  }
-
-  // Bind grouping exprs and aggregate-function children to the child row.
-  ExprVector bound_groupings;
-  bound_groupings.reserve(groupings_.size());
-  for (const auto& g : groupings_) {
-    bound_groupings.push_back(BindReferences(g, child_out));
-  }
-  std::vector<AggregatePtr> bound_aggs;
-  bound_aggs.reserve(agg_functions_.size());
-  for (const auto& agg : agg_functions_) {
-    ExprPtr bound = BindReferences(agg, child_out);
-    bound_aggs.push_back(
-        std::static_pointer_cast<const AggregateFunction>(bound));
-  }
-
+  const std::vector<BoundCompiled> inputs = BindInputs(
+      groupings_, slots_, child_->Output(), ctx.config().codegen_enabled);
+  const std::vector<DataTypePtr> key_types = KeyTypes(groupings_);
   return input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-    SpillingGroupMap groups(ctx, "aggregate.partial", bound_groupings.size(),
-                            bound_aggs);
-    size_t cancel_check = 0;
-    for (const Row& row : part.rows) {
-      ctx.CheckCancelledEvery(&cancel_check);
-      GroupKey key;
-      key.values.reserve(bound_groupings.size());
-      for (const auto& g : bound_groupings) key.values.push_back(g->Eval(row));
-      std::vector<Value>* accs =
-          groups.FindOrInsert(std::move(key), [&] {
-            std::vector<Value> init;
-            init.reserve(bound_aggs.size());
-            for (const auto& agg : bound_aggs) {
-              init.push_back(agg->InitAccumulator());
-            }
-            return init;
-          });
-      for (size_t j = 0; j < bound_aggs.size(); ++j) {
-        bound_aggs[j]->Update(&(*accs)[j], row);
-      }
+    GroupTable table(ctx, "aggregate.partial", key_types, slots_);
+    InputReader reader(inputs, /*batched=*/false);
+    size_t cancel_rows = 0;
+    for (size_t start = 0; start < part.rows.size(); start += kChunkRows) {
+      const size_t n = std::min(kChunkRows, part.rows.size() - start);
+      ctx.CheckCancelledEveryRows(&cancel_rows, n);
+      table.Update(reader.Read(&part.rows[start], n), n);
     }
     auto out = std::make_shared<RowPartition>();
-    groups.Drain([&](GroupKey key, std::vector<Value> accs) {
-      Row row;
-      row.Reserve(key.values.size() + accs.size());
-      for (auto& v : key.values) row.Append(std::move(v));
-      for (auto& a : accs) row.Append(std::move(a));
-      out->rows.push_back(std::move(row));
-    });
+    table.Drain(false, [&](Row&& row) { out->rows.push_back(std::move(row)); });
     return out;
   }, "aggregate.partial");
-}
-
-
-namespace {
-
-/// Categorized simple aggregate for the typed fast path.
-struct FastAggSpec {
-  enum class Kind {
-    kCountStar,
-    kCount,    // skips nulls
-    kSumI64,
-    kSumF64,
-    kAvg,
-    kMinMaxI64,
-    kMinMaxF64,
-  };
-  Kind kind;
-  bool is_min = false;                              // for kMinMax*
-  TypeId box_type = TypeId::kInt64;                 // result boxing for min/max
-  std::optional<CompiledExpression> compiled;       // child program
-};
-
-/// Typed per-group accumulator bank (one entry per aggregate function).
-struct FastAcc {
-  int64_t count = 0;
-  int64_t i64 = 0;
-  double f64 = 0;
-  bool has = false;
-};
-
-bool IsIntLikeType(TypeId id) {
-  return id == TypeId::kInt32 || id == TypeId::kInt64 || id == TypeId::kDate ||
-         id == TypeId::kTimestamp || id == TypeId::kBoolean;
-}
-
-/// Boxes an int64 back into its logical type.
-Value BoxIntLike(int64_t v, TypeId id) {
-  switch (id) {
-    case TypeId::kInt32:
-      return Value(static_cast<int32_t>(v));
-    case TypeId::kDate:
-      return Value(DateValue{static_cast<int32_t>(v)});
-    case TypeId::kTimestamp:
-      return Value(TimestampValue{v});
-    case TypeId::kBoolean:
-      return Value(v != 0);
-    default:
-      return Value(v);
-  }
-}
-
-}  // namespace
-
-namespace {
-
-/// Categorizes the aggregate functions for the typed fast path. When
-/// `child_out` is non-null the children are also compiled (the partial
-/// stage evaluates them per row; the final stage only merges).
-bool CategorizeFastAggs(const std::vector<AggregatePtr>& agg_functions,
-                        const AttributeVector* child_out,
-                        std::vector<FastAggSpec>* specs) {
-  specs->reserve(agg_functions.size());
-  for (const auto& agg : agg_functions) {
-    FastAggSpec spec;
-    ExprPtr child;
-    if (const auto* count = dynamic_cast<const Count*>(agg.get())) {
-      if (count->is_star()) {
-        spec.kind = FastAggSpec::Kind::kCountStar;
-        specs->push_back(std::move(spec));
-        continue;
-      }
-      spec.kind = FastAggSpec::Kind::kCount;
-      child = count->Children()[0];
-    } else if (const auto* sum = dynamic_cast<const Sum*>(agg.get())) {
-      TypeId rt = sum->data_type()->id();
-      if (rt == TypeId::kInt64) {
-        spec.kind = FastAggSpec::Kind::kSumI64;
-      } else if (rt == TypeId::kDouble) {
-        spec.kind = FastAggSpec::Kind::kSumF64;
-      } else {
-        return false;  // decimal sums use the generic path
-      }
-      child = sum->child();
-    } else if (const auto* avg = dynamic_cast<const Average*>(agg.get())) {
-      spec.kind = FastAggSpec::Kind::kAvg;
-      child = avg->child();
-    } else if (const auto* mm = dynamic_cast<const MinMax*>(agg.get())) {
-      TypeId ct = mm->child()->data_type()->id();
-      if (IsIntLikeType(ct)) {
-        spec.kind = FastAggSpec::Kind::kMinMaxI64;
-      } else if (ct == TypeId::kDouble) {
-        spec.kind = FastAggSpec::Kind::kMinMaxF64;
-      } else {
-        return false;  // string min/max stays generic
-      }
-      spec.is_min = mm->is_min();
-      spec.box_type = ct;
-      child = mm->child();
-    } else {
-      return false;  // CountDistinct, UDAFs: generic path
-    }
-    if (child) {
-      TypeId ct = child->data_type()->id();
-      if (!IsIntLikeType(ct) && ct != TypeId::kDouble) return false;
-      if (child_out != nullptr) {
-        spec.compiled =
-            CompiledExpression::Compile(BindReferences(child, *child_out));
-        if (!spec.compiled) return false;
-      }
-    }
-    specs->push_back(std::move(spec));
-  }
-  return !specs->empty();
-}
-
-/// Column types for packing the *partial* stage's output into batches.
-/// Grouping columns are honestly typed, but accumulator columns carry
-/// whatever Value shape the aggregate's accumulator uses at runtime (e.g.
-/// Average's {sum, count} struct, CountDistinct's set) — not the finished
-/// type partial_output_ declares — so they must pack into the boxed bank,
-/// which round-trips any Value verbatim.
-std::vector<DataTypePtr> PartialPackTypes(const ExprVector& groupings,
-                                          size_t num_aggs) {
-  std::vector<DataTypePtr> types;
-  types.reserve(groupings.size() + num_aggs);
-  for (const auto& g : groupings) types.push_back(g->data_type());
-  DataTypePtr boxed = StructType::Make({});
-  for (size_t j = 0; j < num_aggs; ++j) types.push_back(boxed);
-  return types;
-}
-
-/// Shared group-index machinery of the typed fast paths: int64 key → bank
-/// index, null keys in their own slot, banks laid out group-major (m
-/// accumulators per group). Keys appear in `keys` in first-seen order.
-struct FastGroupTable {
-  explicit FastGroupTable(size_t m) : m(m) {}
-
-  FastAcc* SlotFor(int64_t key, bool key_null) {
-    uint32_t idx;
-    if (key_null) {
-      if (null_slot < 0) {
-        null_slot = static_cast<int32_t>(banks.size() / m);
-        banks.resize(banks.size() + m);
-        keys.push_back(0);
-      }
-      idx = static_cast<uint32_t>(null_slot);
-    } else {
-      auto it = index.find(key);
-      if (it == index.end()) {
-        idx = static_cast<uint32_t>(banks.size() / m);
-        index.emplace(key, idx);
-        banks.resize(banks.size() + m);
-        keys.push_back(key);
-      } else {
-        idx = it->second;
-      }
-    }
-    return &banks[static_cast<size_t>(idx) * m];
-  }
-
-  size_t m;
-  std::unordered_map<int64_t, uint32_t> index;
-  std::vector<FastAcc> banks;
-  std::vector<int64_t> keys;
-  int32_t null_slot = -1;
-};
-
-/// Boxes each group of a partial-stage fast table once, into exactly the
-/// accumulator layout the generic Final stage expects: [key?][acc...].
-void AppendPartialGroupRows(const std::vector<FastAggSpec>& specs,
-                            const FastGroupTable& table, bool has_key,
-                            TypeId key_type, std::vector<Row>* out) {
-  const size_t m = specs.size();
-  const size_t num_groups = table.banks.size() / m;
-  out->reserve(out->size() + num_groups);
-  for (size_t g = 0; g < num_groups; ++g) {
-    Row row;
-    row.Reserve((has_key ? 1 : 0) + m);
-    if (has_key) {
-      bool is_null_group =
-          table.null_slot >= 0 && g == static_cast<size_t>(table.null_slot);
-      row.Append(is_null_group ? Value::Null()
-                               : BoxIntLike(table.keys[g], key_type));
-    }
-    for (size_t j = 0; j < m; ++j) {
-      const FastAcc& acc = table.banks[g * m + j];
-      const FastAggSpec& spec = specs[j];
-      switch (spec.kind) {
-        case FastAggSpec::Kind::kCountStar:
-        case FastAggSpec::Kind::kCount:
-          row.Append(Value(acc.count));
-          break;
-        case FastAggSpec::Kind::kSumI64:
-          row.Append(acc.has ? Value(acc.i64) : Value::Null());
-          break;
-        case FastAggSpec::Kind::kSumF64:
-          row.Append(acc.has ? Value(acc.f64) : Value::Null());
-          break;
-        case FastAggSpec::Kind::kAvg:
-          row.Append(Value::Struct({Value(acc.f64), Value(acc.count)}));
-          break;
-        case FastAggSpec::Kind::kMinMaxI64:
-          row.Append(acc.has ? BoxIntLike(acc.i64, spec.box_type)
-                             : Value::Null());
-          break;
-        case FastAggSpec::Kind::kMinMaxF64:
-          row.Append(acc.has ? Value(acc.f64) : Value::Null());
-          break;
-      }
-    }
-    out->push_back(std::move(row));
-  }
-}
-
-}  // namespace
-
-bool HashAggregateExec::TryExecutePartialFast(QueryContext& ctx,
-                                              const RowDataset& input,
-                                              const AttributeVector& child_out,
-                                              RowDataset* out) const {
-  // Shape check: at most one integer-like grouping key.
-  if (groupings_.size() > 1) return false;
-  std::optional<CompiledExpression> key_program;
-  if (groupings_.size() == 1) {
-    TypeId kt = groupings_[0]->data_type()->id();
-    if (!IsIntLikeType(kt)) return false;
-    key_program =
-        CompiledExpression::Compile(BindReferences(groupings_[0], child_out));
-    if (!key_program) return false;
-  }
-
-  std::vector<FastAggSpec> specs;
-  if (!CategorizeFastAggs(agg_functions_, &child_out, &specs)) return false;
-
-  size_t m = specs.size();
-  bool has_key = key_program.has_value();
-  const CompiledExpression* key_prog_ptr =
-      has_key ? &*key_program : nullptr;
-  TypeId key_type =
-      has_key ? groupings_[0]->data_type()->id() : TypeId::kNull;
-
-  *out = input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-    // Per-task evaluators (register scratch is not shareable).
-    std::optional<CompiledExpression::Evaluator> key_eval;
-    if (key_prog_ptr != nullptr) key_eval.emplace(key_prog_ptr->NewEvaluator());
-    std::vector<std::optional<CompiledExpression::Evaluator>> arg_evals(m);
-    for (size_t j = 0; j < m; ++j) {
-      if (specs[j].compiled) arg_evals[j].emplace(specs[j].compiled->NewEvaluator());
-    }
-
-    // Null keys get their own slot. Without groupings there is exactly one
-    // bank.
-    FastGroupTable table(m);
-    if (!has_key) {
-      table.banks.resize(m);
-      table.keys.push_back(0);
-    }
-
-    size_t cancel_check = 0;
-    for (const Row& row : part.rows) {
-      ctx.CheckCancelledEvery(&cancel_check);
-      FastAcc* bank;
-      if (has_key) {
-        bool key_null = false;
-        int64_t key = key_eval->EvaluateInt64(row, &key_null);
-        bank = table.SlotFor(key, key_null);
-      } else {
-        bank = table.banks.data();
-      }
-      for (size_t j = 0; j < m; ++j) {
-        FastAcc& acc = bank[j];
-        const FastAggSpec& spec = specs[j];
-        if (spec.kind == FastAggSpec::Kind::kCountStar) {
-          acc.count += 1;
-          continue;
-        }
-        bool is_null = false;
-        switch (spec.kind) {
-          case FastAggSpec::Kind::kCount: {
-            arg_evals[j]->Evaluate(row).is_null() ? void() : void(acc.count += 1);
-            break;
-          }
-          case FastAggSpec::Kind::kSumI64: {
-            int64_t v = arg_evals[j]->EvaluateInt64(row, &is_null);
-            if (!is_null) {
-              acc.i64 += v;
-              acc.has = true;
-            }
-            break;
-          }
-          case FastAggSpec::Kind::kSumF64: {
-            double v = arg_evals[j]->EvaluateDouble(row, &is_null);
-            if (!is_null) {
-              acc.f64 += v;
-              acc.has = true;
-            }
-            break;
-          }
-          case FastAggSpec::Kind::kAvg: {
-            // Average's accumulator sums as double regardless of input.
-            double v;
-            if (specs[j].compiled->result_kind() ==
-                CompiledExpression::Kind::kF64) {
-              v = arg_evals[j]->EvaluateDouble(row, &is_null);
-            } else {
-              v = static_cast<double>(arg_evals[j]->EvaluateInt64(row, &is_null));
-            }
-            if (!is_null) {
-              acc.f64 += v;
-              acc.count += 1;
-            }
-            break;
-          }
-          case FastAggSpec::Kind::kMinMaxI64: {
-            int64_t v = arg_evals[j]->EvaluateInt64(row, &is_null);
-            if (!is_null) {
-              if (!acc.has || (spec.is_min ? v < acc.i64 : v > acc.i64)) {
-                acc.i64 = v;
-              }
-              acc.has = true;
-            }
-            break;
-          }
-          case FastAggSpec::Kind::kMinMaxF64: {
-            double v = arg_evals[j]->EvaluateDouble(row, &is_null);
-            if (!is_null) {
-              if (!acc.has || (spec.is_min ? v < acc.f64 : v > acc.f64)) {
-                acc.f64 = v;
-              }
-              acc.has = true;
-            }
-            break;
-          }
-          default:
-            break;
-        }
-      }
-    }
-
-    auto result = std::make_shared<RowPartition>();
-    AppendPartialGroupRows(specs, table, has_key, key_type, &result->rows);
-    return result;
-  }, "aggregate.partial");
-  return true;
-}
-
-bool HashAggregateExec::TryExecutePartialFastBatched(
-    QueryContext& ctx, const BatchDataset& input,
-    const AttributeVector& child_out, BatchDataset* out) const {
-  // Same shape conditions as the row fast path.
-  if (groupings_.size() > 1) return false;
-  std::optional<CompiledExpression> key_program;
-  if (groupings_.size() == 1) {
-    TypeId kt = groupings_[0]->data_type()->id();
-    if (!IsIntLikeType(kt)) return false;
-    key_program =
-        CompiledExpression::Compile(BindReferences(groupings_[0], child_out));
-    if (!key_program) return false;
-  }
-  std::vector<FastAggSpec> specs;
-  if (!CategorizeFastAggs(agg_functions_, &child_out, &specs)) return false;
-
-  const size_t m = specs.size();
-  const bool has_key = key_program.has_value();
-  const CompiledExpression* key_prog_ptr = has_key ? &*key_program : nullptr;
-  const TypeId key_type =
-      has_key ? groupings_[0]->data_type()->id() : TypeId::kNull;
-  const std::vector<DataTypePtr> out_types =
-      PartialPackTypes(groupings_, agg_functions_.size());
-  const size_t batch_size = ctx.config().batch_size;
-
-  *out = input.MapPartitions(ctx, [&](size_t, const BatchPartition& part) {
-    std::optional<CompiledExpression::VectorEvaluator> key_eval;
-    if (key_prog_ptr != nullptr) {
-      key_eval.emplace(key_prog_ptr->NewVectorEvaluator());
-    }
-    std::vector<std::optional<CompiledExpression::VectorEvaluator>> arg_evals(
-        m);
-    for (size_t j = 0; j < m; ++j) {
-      if (specs[j].compiled) {
-        arg_evals[j].emplace(specs[j].compiled->NewVectorEvaluator());
-      }
-    }
-    FastGroupTable table(m);
-    if (!has_key) {
-      table.banks.resize(m);
-      table.keys.push_back(0);
-    }
-
-    // Lanes of one evaluated argument column (i64 xor f64, plus nulls).
-    struct ArgLanes {
-      const int64_t* i64 = nullptr;
-      const double* f64 = nullptr;
-      const uint8_t* nulls = nullptr;
-    };
-
-    size_t cancel_rows = 0;
-    for (const RowBatchPtr& batch : part.batches) {
-      const size_t n = batch->ActiveRows();
-      if (n == 0) continue;
-      ctx.CheckCancelledEveryRows(&cancel_rows, n);
-
-      // Evaluate the grouping key and every aggregate argument as whole
-      // columns, then fold them with one tight lane loop.
-      std::optional<ColumnVector> key_col;
-      const int64_t* key_vals = nullptr;
-      const uint8_t* key_nulls = nullptr;
-      if (has_key) {
-        key_col.emplace(key_prog_ptr->result_type());
-        key_col->Reserve(n);
-        key_eval->EvaluateColumn(*batch, &*key_col);
-        key_vals = key_col->ints().data();
-        key_nulls = key_col->nulls().data();
-      }
-      std::vector<std::optional<ColumnVector>> arg_cols(m);
-      std::vector<ArgLanes> lanes(m);
-      for (size_t j = 0; j < m; ++j) {
-        if (!specs[j].compiled) continue;  // count(*): no argument
-        arg_cols[j].emplace(specs[j].compiled->result_type());
-        arg_cols[j]->Reserve(n);
-        arg_evals[j]->EvaluateColumn(*batch, &*arg_cols[j]);
-        lanes[j].nulls = arg_cols[j]->nulls().data();
-        if (specs[j].compiled->result_kind() ==
-            CompiledExpression::Kind::kF64) {
-          lanes[j].f64 = arg_cols[j]->doubles().data();
-        } else {
-          lanes[j].i64 = arg_cols[j]->ints().data();
-        }
-      }
-
-      for (size_t k = 0; k < n; ++k) {
-        FastAcc* bank = has_key
-                            ? table.SlotFor(key_vals[k], key_nulls[k] != 0)
-                            : table.banks.data();
-        for (size_t j = 0; j < m; ++j) {
-          FastAcc& acc = bank[j];
-          const ArgLanes& lane = lanes[j];
-          switch (specs[j].kind) {
-            case FastAggSpec::Kind::kCountStar:
-              acc.count += 1;
-              break;
-            case FastAggSpec::Kind::kCount:
-              if (!lane.nulls[k]) acc.count += 1;
-              break;
-            case FastAggSpec::Kind::kSumI64:
-              if (!lane.nulls[k]) {
-                acc.i64 += lane.i64[k];
-                acc.has = true;
-              }
-              break;
-            case FastAggSpec::Kind::kSumF64:
-              if (!lane.nulls[k]) {
-                acc.f64 += lane.f64[k];
-                acc.has = true;
-              }
-              break;
-            case FastAggSpec::Kind::kAvg:
-              // Average's accumulator sums as double regardless of input.
-              if (!lane.nulls[k]) {
-                acc.f64 += lane.f64 != nullptr
-                               ? lane.f64[k]
-                               : static_cast<double>(lane.i64[k]);
-                acc.count += 1;
-              }
-              break;
-            case FastAggSpec::Kind::kMinMaxI64:
-              if (!lane.nulls[k]) {
-                int64_t v = lane.i64[k];
-                if (!acc.has ||
-                    (specs[j].is_min ? v < acc.i64 : v > acc.i64)) {
-                  acc.i64 = v;
-                }
-                acc.has = true;
-              }
-              break;
-            case FastAggSpec::Kind::kMinMaxF64:
-              if (!lane.nulls[k]) {
-                double v = lane.f64[k];
-                if (!acc.has ||
-                    (specs[j].is_min ? v < acc.f64 : v > acc.f64)) {
-                  acc.f64 = v;
-                }
-                acc.has = true;
-              }
-              break;
-          }
-        }
-      }
-    }
-
-    std::vector<Row> rows;
-    AppendPartialGroupRows(specs, table, has_key, key_type, &rows);
-    auto result = std::make_shared<BatchPartition>();
-    PackRowsIntoBatches(rows, out_types, batch_size, &result->batches);
-    return result;
-  }, "aggregate.partial");
-  return true;
 }
 
 BatchDataset HashAggregateExec::ExecuteBatchesImpl(QueryContext& ctx) const {
   // Only the partial stage is batched (see SupportsBatches()): it consumes
   // the columnar scan→filter→project pipeline directly.
   BatchDataset input = child_->ExecuteBatches(ctx);
-  AttributeVector child_out = child_->Output();
-
-  if (ctx.config().codegen_enabled && !ctx.memory().limited()) {
-    BatchDataset fast;
-    if (TryExecutePartialFastBatched(ctx, input, child_out, &fast)) {
-      return fast;
-    }
-  }
-
-  // Generic shape: box each batch's live rows and fold them into the same
-  // spilling group map as the row path — results are identical; the win is
-  // that the pipeline below stayed columnar.
-  ExprVector bound_groupings;
-  bound_groupings.reserve(groupings_.size());
-  for (const auto& g : groupings_) {
-    bound_groupings.push_back(BindReferences(g, child_out));
-  }
-  std::vector<AggregatePtr> bound_aggs;
-  bound_aggs.reserve(agg_functions_.size());
-  for (const auto& agg : agg_functions_) {
-    ExprPtr bound = BindReferences(agg, child_out);
-    bound_aggs.push_back(
-        std::static_pointer_cast<const AggregateFunction>(bound));
-  }
+  const std::vector<BoundCompiled> inputs = BindInputs(
+      groupings_, slots_, child_->Output(), ctx.config().codegen_enabled);
+  const std::vector<DataTypePtr> key_types = KeyTypes(groupings_);
   const std::vector<DataTypePtr> out_types =
       PartialPackTypes(groupings_, agg_functions_.size());
   const size_t batch_size = ctx.config().batch_size;
-
   return input.MapPartitions(ctx, [&](size_t, const BatchPartition& part) {
-    SpillingGroupMap groups(ctx, "aggregate.partial", bound_groupings.size(),
-                            bound_aggs);
-    size_t cancel_check = 0;
+    GroupTable table(ctx, "aggregate.partial", key_types, slots_);
+    InputReader reader(inputs, /*batched=*/true);
+    size_t cancel_rows = 0;
     for (const RowBatchPtr& batch : part.batches) {
-      for (size_t r = 0; r < batch->ActiveRows(); ++r) {
-        ctx.CheckCancelledEvery(&cancel_check);
-        Row row = batch->BoxRow(batch->ActiveIndex(r));
-        GroupKey key;
-        key.values.reserve(bound_groupings.size());
-        for (const auto& g : bound_groupings) {
-          key.values.push_back(g->Eval(row));
-        }
-        std::vector<Value>* accs = groups.FindOrInsert(std::move(key), [&] {
-          std::vector<Value> init;
-          init.reserve(bound_aggs.size());
-          for (const auto& agg : bound_aggs) {
-            init.push_back(agg->InitAccumulator());
-          }
-          return init;
-        });
-        for (size_t j = 0; j < bound_aggs.size(); ++j) {
-          bound_aggs[j]->Update(&(*accs)[j], row);
-        }
-      }
+      const size_t n = batch->ActiveRows();
+      if (n == 0) continue;
+      ctx.CheckCancelledEveryRows(&cancel_rows, n);
+      table.Update(reader.Read(*batch), n);
     }
     std::vector<Row> rows;
-    groups.Drain([&](GroupKey key, std::vector<Value> accs) {
-      Row row;
-      row.Reserve(key.values.size() + accs.size());
-      for (auto& v : key.values) row.Append(std::move(v));
-      for (auto& a : accs) row.Append(std::move(a));
-      rows.push_back(std::move(row));
-    });
+    table.Drain(false, [&](Row&& row) { rows.push_back(std::move(row)); });
     auto out = std::make_shared<BatchPartition>();
     PackRowsIntoBatches(rows, out_types, batch_size, &out->batches);
     return out;
@@ -920,44 +301,19 @@ RowDataset HashAggregateExec::ExecuteFinal(QueryContext& ctx) const {
     result_exprs.push_back(std::move(rewritten));
   }
 
-  bool global = k == 0;
-
-  if (ctx.config().codegen_enabled && !global && !ctx.memory().limited()) {
-    RowDataset fast;
-    if (TryExecuteFinalFast(ctx, input, result_exprs, &fast)) return fast;
-  }
-
+  const bool global = k == 0;
+  const std::vector<DataTypePtr> key_types = KeyTypes(groupings_);
   RowDataset merged = input.MapPartitions(ctx, [&](size_t, const RowPartition&
                                                                 part) {
-    SpillingGroupMap groups(ctx, "aggregate.final", k, agg_functions_);
-    size_t cancel_check = 0;
-    for (const Row& row : part.rows) {
-      ctx.CheckCancelledEvery(&cancel_check);
-      GroupKey key;
-      key.values.reserve(k);
-      for (size_t i = 0; i < k; ++i) key.values.push_back(row.Get(i));
-      bool inserted = false;
-      std::vector<Value>* accs = groups.FindOrInsert(std::move(key), [&] {
-        inserted = true;
-        std::vector<Value> init;
-        init.reserve(m);
-        for (size_t j = 0; j < m; ++j) init.push_back(row.Get(k + j));
-        return init;
-      });
-      if (!inserted) {
-        for (size_t j = 0; j < m; ++j) {
-          agg_functions_[j]->Merge(&(*accs)[j], row.Get(k + j));
-        }
-      }
+    GroupTable table(ctx, "aggregate.final", key_types, slots_);
+    size_t cancel_rows = 0;
+    for (size_t start = 0; start < part.rows.size(); start += kChunkRows) {
+      const size_t n = std::min(kChunkRows, part.rows.size() - start);
+      ctx.CheckCancelledEveryRows(&cancel_rows, n);
+      table.Merge(&part.rows[start], n);
     }
     auto out = std::make_shared<RowPartition>();
-    groups.Drain([&](GroupKey key, std::vector<Value> accs) {
-      Row base;
-      base.Reserve(k + m);
-      for (const auto& v : key.values) base.Append(v);
-      for (size_t j = 0; j < m; ++j) {
-        base.Append(agg_functions_[j]->Finish(accs[j]));
-      }
+    table.Drain(true, [&](Row&& base) {
       Row result;
       result.Reserve(result_exprs.size());
       for (const auto& e : result_exprs) result.Append(e->Eval(base));
@@ -977,146 +333,6 @@ RowDataset HashAggregateExec::ExecuteFinal(QueryContext& ctx) const {
     return RowDataset::SinglePartition({std::move(result)});
   }
   return merged;
-}
-
-
-bool HashAggregateExec::TryExecuteFinalFast(QueryContext& ctx,
-                                            const RowDataset& input,
-                                            const ExprVector& result_exprs,
-                                            RowDataset* out) const {
-  if (groupings_.size() != 1) return false;
-  TypeId key_type = groupings_[0]->data_type()->id();
-  if (!IsIntLikeType(key_type)) return false;
-  std::vector<FastAggSpec> specs;
-  if (!CategorizeFastAggs(agg_functions_, nullptr, &specs)) return false;
-  size_t m = specs.size();
-
-  *out = input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-    std::unordered_map<int64_t, uint32_t> index;
-    std::vector<FastAcc> banks;
-    std::vector<int64_t> keys;
-    int32_t null_slot = -1;
-
-    size_t cancel_check = 0;
-    for (const Row& row : part.rows) {
-      ctx.CheckCancelledEvery(&cancel_check);
-      const Value& kv = row.Get(0);
-      uint32_t idx;
-      if (kv.is_null()) {
-        if (null_slot < 0) {
-          null_slot = static_cast<int32_t>(banks.size() / m);
-          banks.resize(banks.size() + m);
-          keys.push_back(0);
-        }
-        idx = static_cast<uint32_t>(null_slot);
-      } else {
-        int64_t key = kv.AsInt64();
-        auto it = index.find(key);
-        if (it == index.end()) {
-          idx = static_cast<uint32_t>(banks.size() / m);
-          index.emplace(key, idx);
-          banks.resize(banks.size() + m);
-          keys.push_back(key);
-        } else {
-          idx = it->second;
-        }
-      }
-      FastAcc* bank = &banks[static_cast<size_t>(idx) * m];
-      for (size_t j = 0; j < m; ++j) {
-        FastAcc& acc = bank[j];
-        const Value& v = row.Get(1 + j);
-        switch (specs[j].kind) {
-          case FastAggSpec::Kind::kCountStar:
-          case FastAggSpec::Kind::kCount:
-            acc.count += v.i64();
-            break;
-          case FastAggSpec::Kind::kSumI64:
-            if (!v.is_null()) {
-              acc.i64 += v.AsInt64();
-              acc.has = true;
-            }
-            break;
-          case FastAggSpec::Kind::kSumF64:
-            if (!v.is_null()) {
-              acc.f64 += v.f64();
-              acc.has = true;
-            }
-            break;
-          case FastAggSpec::Kind::kAvg: {
-            const auto& fields = v.struct_data().fields;
-            acc.f64 += fields[0].f64();
-            acc.count += fields[1].i64();
-            break;
-          }
-          case FastAggSpec::Kind::kMinMaxI64:
-            if (!v.is_null()) {
-              int64_t x = v.AsInt64();
-              if (!acc.has || (specs[j].is_min ? x < acc.i64 : x > acc.i64)) {
-                acc.i64 = x;
-              }
-              acc.has = true;
-            }
-            break;
-          case FastAggSpec::Kind::kMinMaxF64:
-            if (!v.is_null()) {
-              double x = v.f64();
-              if (!acc.has || (specs[j].is_min ? x < acc.f64 : x > acc.f64)) {
-                acc.f64 = x;
-              }
-              acc.has = true;
-            }
-            break;
-        }
-      }
-    }
-
-    // Finish + evaluate the result expressions per group.
-    auto result = std::make_shared<RowPartition>();
-    size_t num_groups = banks.size() / m;
-    result->rows.reserve(num_groups);
-    Row base;
-    for (size_t g = 0; g < num_groups; ++g) {
-      base.values().clear();
-      base.Reserve(1 + m);
-      bool is_null_group =
-          null_slot >= 0 && g == static_cast<size_t>(null_slot);
-      base.Append(is_null_group ? Value::Null()
-                                : BoxIntLike(keys[g], key_type));
-      for (size_t j = 0; j < m; ++j) {
-        const FastAcc& acc = banks[g * m + j];
-        switch (specs[j].kind) {
-          case FastAggSpec::Kind::kCountStar:
-          case FastAggSpec::Kind::kCount:
-            base.Append(Value(acc.count));
-            break;
-          case FastAggSpec::Kind::kSumI64:
-            base.Append(acc.has ? Value(acc.i64) : Value::Null());
-            break;
-          case FastAggSpec::Kind::kSumF64:
-            base.Append(acc.has ? Value(acc.f64) : Value::Null());
-            break;
-          case FastAggSpec::Kind::kAvg:
-            base.Append(acc.count > 0
-                            ? Value(acc.f64 / static_cast<double>(acc.count))
-                            : Value::Null());
-            break;
-          case FastAggSpec::Kind::kMinMaxI64:
-            base.Append(acc.has ? BoxIntLike(acc.i64, specs[j].box_type)
-                                : Value::Null());
-            break;
-          case FastAggSpec::Kind::kMinMaxF64:
-            base.Append(acc.has ? Value(acc.f64) : Value::Null());
-            break;
-        }
-      }
-      Row produced;
-      produced.Reserve(result_exprs.size());
-      for (const auto& e : result_exprs) produced.Append(e->Eval(base));
-      result->rows.push_back(std::move(produced));
-    }
-    return result;
-  }, "aggregate.final");
-  return true;
 }
 
 std::string HashAggregateExec::Describe() const {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "catalyst/expr/aggregates.h"
+#include "exec/group_table.h"
 #include "exec/physical_plan.h"
 
 namespace ssql {
@@ -16,9 +17,21 @@ namespace ssql {
 ///
 /// Partial computes per-partition accumulators keyed by the grouping
 /// values (map-side combine); accumulators travel the shuffle as plain
-/// Values; Final merges them, finishes each aggregate function and
-/// evaluates the result expressions (which may nest aggregates inside
-/// arithmetic, e.g. sum(a)/count(b) + 1).
+/// Values, one [key..., acc...] row per group; Final merges them, finishes
+/// each aggregate function and evaluates the result expressions (which may
+/// nest aggregates inside arithmetic, e.g. sum(a)/count(b) + 1).
+///
+/// Both stages fold into one GroupTable (exec/group_table.h) per partition
+/// task, for every key shape and budget: typed key lanes and accumulators,
+/// all memory charged to the stage's reservation, Grace spilling when a
+/// grant is denied. Only the feeding differs:
+///   * Partial over rows: a chunk of rows at a time, keys and arguments are
+///     read into typed columns through each expression's compiled register
+///     program (bare columns in place), or through the tree interpreter
+///     when codegen is off (Shark mode);
+///   * Partial over batches: keys and arguments evaluate as whole columns
+///     per batch through the vector evaluator;
+///   * Final: keys and accumulators are read from the shuffled rows.
 enum class AggregateMode { kPartial, kFinal };
 
 class HashAggregateExec : public PhysicalPlan {
@@ -66,33 +79,6 @@ class HashAggregateExec : public PhysicalPlan {
   RowDataset ExecutePartial(QueryContext& ctx) const;
   RowDataset ExecuteFinal(QueryContext& ctx) const;
 
-  /// Codegen fast path for the map-side combine: when the grouping key is
-  /// a single integer-like column and every aggregate is a simple
-  /// count/sum/avg/min/max over a numeric column, per-row work runs on
-  /// typed accumulators keyed by int64 — no boxed keys, no Value
-  /// allocation per row. This is where Section 4.3.4's code generation
-  /// pays off for aggregation (the Figure 9 DataFrame bar). Returns false
-  /// when the shape is unsupported and the generic path must run.
-  bool TryExecutePartialFast(QueryContext& ctx, const RowDataset& input,
-                             const AttributeVector& child_out,
-                             RowDataset* out) const;
-
-  /// Batched form of the partial fast path: grouping key and aggregate
-  /// arguments evaluate as whole columns per batch (vector evaluator), then
-  /// a tight lane loop folds them into the typed accumulator banks. Same
-  /// shape conditions and bit-identical results as the row fast path.
-  bool TryExecutePartialFastBatched(QueryContext& ctx,
-                                    const BatchDataset& input,
-                                    const AttributeVector& child_out,
-                                    BatchDataset* out) const;
-
-  /// Matching fast path for the reduce side: merges the typed partial
-  /// accumulators without boxed group keys. Same shape conditions as the
-  /// partial fast path.
-  bool TryExecuteFinalFast(QueryContext& ctx, const RowDataset& input,
-                           const ExprVector& result_exprs,
-                           RowDataset* out) const;
-
   ExprVector groupings_;
   std::vector<NamedExprPtr> aggregates_;
   AggregateMode mode_;
@@ -101,6 +87,8 @@ class HashAggregateExec : public PhysicalPlan {
   /// Distinct aggregate functions appearing in `aggregates_`, in first-
   /// appearance order; shared layout between the two stages.
   std::vector<AggregatePtr> agg_functions_;
+  /// Their group-table slots, in the same order.
+  std::vector<AggSlot> slots_;
   AttributeVector partial_output_;
 };
 

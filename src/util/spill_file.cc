@@ -232,13 +232,6 @@ int64_t EstimateRowBytes(const Row& row) {
   return bytes;
 }
 
-uint64_t MixHash64(uint64_t h) {
-  h += 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
-
 void DiskQuota::Configure(int64_t limit_bytes, DiskQuota* parent) {
   limit_.store(limit_bytes < 0 ? -1 : limit_bytes, std::memory_order_relaxed);
   used_.store(0, std::memory_order_relaxed);

@@ -21,8 +21,14 @@ int64_t EstimateRowBytes(const Row& row);
 /// splitmix64 finalizer. Spill fan-out must not reuse the raw shuffle hash:
 /// rows inside a shuffled partition all satisfy `hash % num_partitions ==
 /// p`, so `hash % fanout` would collapse to a handful of buckets. Mixing
-/// decorrelates the two modular slices.
-uint64_t MixHash64(uint64_t h);
+/// decorrelates the two modular slices. Inline: hash aggregation also
+/// mixes every key column of every row with it.
+inline uint64_t MixHash64(uint64_t h) {
+  h += 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
 
 /// Byte budget for live spill files, the disk analogue of MemoryManager:
 /// two levels, an engine-wide pool (EngineConfig::spill_disk_limit_bytes)

@@ -104,6 +104,16 @@ TEST(MemoryManagerTest, UnlimitedGrantsEverything) {
   EXPECT_TRUE(r.TryGrow(int64_t{1} << 50));
 }
 
+TEST(MemoryManagerTest, LimitedWhenAnyAncestorPoolIsLimited) {
+  MemoryManager pool;
+  pool.Configure(256 * 1024, true, nullptr);
+  MemoryManager query;
+  query.Configure(-1, true, nullptr, &pool);
+  EXPECT_TRUE(query.limited());
+  pool.Configure(-1, true, nullptr);
+  EXPECT_FALSE(query.limited());
+}
+
 TEST(MemoryManagerTest, ReservationReleasesOnDestruction) {
   Metrics metrics;
   QueryProfile profile(&metrics);
@@ -317,6 +327,40 @@ TEST_F(SpillQueryTest, BudgetCapsPlannerBroadcastThreshold) {
   EXPECT_EQ(ctx_.exec().metrics().Get("broadcast.rows"), 0);
   EXPECT_GT(rows.size(), 0u);
   EXPECT_EQ(FilesIn(scratch_), 0u);
+}
+
+TEST(EnginePoolTest, OrderBySpillsAgainstThePoolAlone) {
+  // Only the engine-wide pool is limited: the query's own budget is
+  // unlimited, yet the sort must still see a limited manager, take its
+  // external path and spill rather than hold ~1 MiB unaccounted.
+  std::string scratch = UniqueScratchDir("pool");
+  std::filesystem::remove_all(scratch);
+  EngineConfig config;
+  config.spill_dir = scratch;
+  config.total_memory_limit_bytes = 256 * 1024;
+  config.query_memory_limit_bytes = -1;
+  SqlContext ctx(config);
+
+  auto schema = StructType::Make({
+      Field("k", DataType::Int32(), false),
+      Field("s", DataType::String(), false),
+  });
+  std::mt19937_64 rng(5);
+  std::vector<Row> rows;
+  for (int i = 0; i < 12000; ++i) {
+    rows.push_back(Row({Value(static_cast<int32_t>(rng() % 100000)),
+                        Value("payload_" + std::to_string(i))}));
+  }
+  ctx.CreateDataFrame(schema, std::move(rows)).RegisterTempTable("t");
+
+  std::vector<Row> sorted = ctx.Sql("SELECT k, s FROM t ORDER BY k").Collect();
+  EXPECT_GT(ctx.last_profile().Total(ProfileCounter::kSpillBytes), 0);
+  ASSERT_EQ(sorted.size(), 12000u);
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    ASSERT_LE(sorted[i - 1].GetInt32(0), sorted[i].GetInt32(0)) << i;
+  }
+  EXPECT_EQ(FilesIn(scratch), 0u);
+  std::filesystem::remove_all(scratch);
 }
 
 TEST(BroadcastOverBudgetTest, DirectBroadcastJoinFailsWithClearError) {
