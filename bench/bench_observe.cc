@@ -1,5 +1,6 @@
 // Instrumentation overhead: the same queries with the per-query span tree
-// recorded (profiling_enabled, the default) vs the bare legacy-metrics mode.
+// recorded (profiling_enabled, the default) vs the root-span-only mode,
+// where every counter still lands on the query's root span.
 // Spans are created per operator/stage/task — never per row — so the two
 // modes should stay within a few percent of each other (~3% budget); a
 // larger gap means someone put profile work on a per-row path. The third
@@ -74,9 +75,7 @@ void RunQuery(benchmark::State& state, const std::string& sql) {
   state.counters["result_rows"] = static_cast<double>(result_rows);
   if (mode != kUnprofiled) {
     state.counters["spans"] = static_cast<double>(
-        ctx->last_profile().root() != nullptr
-            ? 1 + ctx->last_profile().root()->children.size()
-            : 0);
+        1 + ctx->last_profile().root()->children.size());
   }
   delete ctx;
   if (mode == kProfiledWithTrace) std::remove(TracePath());
@@ -121,17 +120,6 @@ void BM_HistogramRecord(benchmark::State& state) {
   benchmark::DoNotOptimize(h.count());
 }
 BENCHMARK(BM_HistogramRecord);
-
-// Cost of one legacy Metrics::Add — after the parent-forwarding fix this is
-// a single mutex acquisition on the query-private bag.
-void BM_MetricsAdd(benchmark::State& state) {
-  Metrics metrics;
-  for (auto _ : state) {
-    metrics.Add("bench.counter", 1);
-  }
-  benchmark::DoNotOptimize(metrics.Get("bench.counter"));
-}
-BENCHMARK(BM_MetricsAdd);
 
 // ---- ANALYZE TABLE cost and stats-aware planning ---------------------------
 

@@ -74,6 +74,24 @@ Fixture& F() {
   return *fixture;
 }
 
+/// `c` summed over the last query's scan operators of `source_prefix`
+/// sources ("kvdb:"): data-source counters land on the scan's own span.
+int64_t ScanCounter(SqlContext& ctx, const std::string& source_prefix,
+                    ProfileCounter c) {
+  const std::string scan = "Scan " + source_prefix;
+  int64_t total = 0;
+  std::vector<const ProfileSpan*> stack = {ctx.last_profile().root()};
+  while (!stack.empty()) {
+    const ProfileSpan* span = stack.back();
+    stack.pop_back();
+    if (span->kind == SpanKind::kOperator && span->detail.rfind(scan, 0) == 0) {
+      total += span->Counter(c);
+    }
+    stack.insert(stack.end(), span->children.begin(), span->children.end());
+  }
+  return total;
+}
+
 void RunColfQuery(benchmark::State& state, bool pushdown) {
   EngineConfig config = SparkSqlConfig();
   config.pushdown_enabled = pushdown;
@@ -81,13 +99,12 @@ void RunColfQuery(benchmark::State& state, bool pushdown) {
   ctx.ReadColf(F().colf_path).RegisterTempTable("wide");
   int64_t scanned = 0;
   for (auto _ : state) {
-    ctx.exec().metrics().Reset();
     auto rows = ctx.Sql(
                        "SELECT id, b FROM wide "
                        "WHERE id >= 190000 AND a < 500")
                     .Collect();
     benchmark::DoNotOptimize(rows.size());
-    scanned = ctx.exec().metrics().Get("source.rows_scanned");
+    scanned = ctx.last_profile().Total(ProfileCounter::kRowsScanned);
   }
   state.counters["rows_scanned"] = static_cast<double>(scanned);
 }
@@ -114,7 +131,6 @@ void RunFederation(benchmark::State& state, bool pushdown) {
           F().logs_path + "')");
   int64_t shipped = 0;
   for (auto _ : state) {
-    ctx.exec().metrics().Reset();
     // The Section 5.3 federation query.
     auto rows = ctx.Sql(
                        "SELECT users.id, users.name, logs.message "
@@ -122,7 +138,7 @@ void RunFederation(benchmark::State& state, bool pushdown) {
                        "WHERE users.registrationDate > '2015-01-01'")
                     .Collect();
     benchmark::DoNotOptimize(rows.size());
-    shipped = ctx.exec().metrics().Get("kvdb.rows_shipped");
+    shipped = ScanCounter(ctx, "kvdb:", ProfileCounter::kRowsReturned);
   }
   state.counters["kvdb_rows_shipped"] = static_cast<double>(shipped);
 }

@@ -100,13 +100,15 @@ void RunQuery(benchmark::State& state, const std::string& sql) {
     }
   }
   state.counters["result_rows"] = static_cast<double>(result_rows);
+  MetricsRegistry& registry = ctx->exec().registry();
   state.counters["spill_bytes_per_iter"] = benchmark::Counter(
-      static_cast<double>(ctx->exec().metrics().Get("memory.spill_bytes")),
+      static_cast<double>(
+          registry.Counter("ssql_query_spill_bytes_total").value()),
       benchmark::Counter::kAvgIterations);
   state.counters["faults_injected"] = static_cast<double>(
-      ctx->exec().registry().Counter("ssql_faults_injected_total").value());
-  state.counters["task_retries"] =
-      static_cast<double>(ctx->exec().metrics().Get("task.retries"));
+      registry.Counter("ssql_faults_injected_total").value());
+  state.counters["task_retries"] = static_cast<double>(
+      registry.Counter("ssql_query_retries_total").value());
   state.counters["failed_iters"] = static_cast<double>(failed_iters);
   delete ctx;
 }

@@ -109,9 +109,9 @@ void RunStragglerStage(benchmark::State& state) {
   state.counters["slowdown_vs_median"] =
       mean_wall / static_cast<double>(median_ms);
   state.counters["tasks_speculated"] = static_cast<double>(
-      engine.registry().Counter("ssql_tasks_speculated_total").value());
+      engine.registry().Counter("ssql_query_speculated_total").value());
   state.counters["speculation_wins"] = static_cast<double>(
-      engine.registry().Counter("ssql_speculation_wins_total").value());
+      engine.registry().Counter("ssql_query_speculation_wins_total").value());
 }
 
 void BM_StragglerStage(benchmark::State& state) { RunStragglerStage(state); }

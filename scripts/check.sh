@@ -51,7 +51,7 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # re-registration and the copy-on-write staleness swap are its TSan
 # surface, and the HLL/histogram buffers its ASan surface.
 cmake -B build-tsan -S . -DSSQL_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate >/dev/null
+cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_observability >/dev/null
 ./build-tsan/tests/test_concurrency
 ./build-tsan/tests/test_system_tables
 ./build-tsan/tests/test_fault_tolerance
@@ -63,11 +63,16 @@ cmake --build build-tsan -j --target test_concurrency --target test_system_table
 ./build-tsan/tests/test_vectorized
 ./build-tsan/tests/test_property_end_to_end
 # Flight recorder under TSan: emitters on every engine thread race
-# snapshot readers, the sampler thread, and a mid-flight reconfigure.
+# snapshot readers, the ticker thread's sampler, and a mid-flight
+# reconfigure.
 ./build-tsan/tests/test_flight_recorder
 # Aggregation sweep under TSan: partition tasks fill group tables against
 # one shared memory budget and spill under it.
 ./build-tsan/tests/test_aggregate
+# Observability under TSan: task threads add profile counters while a
+# finishing query folds its totals into the shared registry and the engine
+# ticker thread scans heartbeats and samples the registry.
+./build-tsan/tests/test_observability
 
 # Chaos harness: seeded rounds of concurrent queries with random fault
 # injection at every I/O boundary — speculation, the watchdog and corrupt

@@ -76,8 +76,6 @@ class ObjectRelation : public BaseRelation, public PrunedScan {
     }
     ctx.profile().Add(nullptr, ProfileCounter::kRowsScanned,
                       static_cast<int64_t>(objects_->size()));
-    ctx.metrics().Add("objects.fields_extracted",
-                      static_cast<int64_t>(columns.size() * objects_->size()));
     return rows;
   }
 

@@ -44,7 +44,6 @@ class CachedTableSource : public BaseRelation,
   RowDataset ScanPartitions(
       QueryContext& ctx, const std::vector<int>& columns,
       const std::vector<FilterSpec>& filters) const override {
-    ctx.metrics().Add("cache.scans", 1);
     if (filters.empty()) return table_->Scan(columns, &ctx.engine());
 
     // Bind filter columns to ordinals once.
@@ -111,7 +110,6 @@ class CachedTableSource : public BaseRelation,
   BatchDataset ScanBatches(QueryContext& ctx, const std::vector<int>& columns,
                            const std::vector<FilterSpec>& filters,
                            size_t batch_size) const override {
-    ctx.metrics().Add("cache.scans", 1);
     if (batch_size == 0) batch_size = 1;
     SchemaPtr sch = table_->schema();
     std::vector<std::pair<int, const FilterSpec*>> bound;
@@ -471,9 +469,6 @@ PhysPtr SqlContext::PlanPhysical(const PlanPtr& optimized,
 }
 
 PlanPtr SqlContext::SubstituteCached(const PlanPtr& plan) const {
-  if (cache_.TotalMemoryBytes() == 0 && !cache_.Get(plan->TreeString())) {
-    // Fast path: nothing cached.
-  }
   return plan->TransformUp([this](const PlanPtr& p) -> PlanPtr {
     auto table = cache_.Get(p->TreeString());
     if (!table) return p;

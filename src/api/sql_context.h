@@ -144,9 +144,8 @@ class SqlContext {
   FunctionRegistry& functions() { return functions_; }
   ExecContext& exec() { return exec_; }
 
-  /// Prometheus text exposition of the engine's metrics registry plus the
-  /// legacy counter bag — the programmatic twin of
-  /// EngineConfig::metrics_path.
+  /// Prometheus text exposition of the engine's metrics registry — the
+  /// programmatic twin of EngineConfig::metrics_path.
   std::string ExportMetricsText() const;
 
   /// Writes an on-demand diagnostics bundle (journal tail, metrics
@@ -187,7 +186,8 @@ class SqlContext {
  private:
   friend class DataFrame;
 
-  /// Replaces cached subtrees with InMemoryRelation leaves.
+  /// Replaces cached subtrees with LogicalRelation leaves over the cached
+  /// table (a CachedTableSource), so they get pruning and pushdown.
   PlanPtr SubstituteCached(const PlanPtr& plan) const;
 
   /// Runs an ANALYZE TABLE statement: scans the table as a regular query,

@@ -58,9 +58,6 @@ std::optional<uint64_t> EstimateImpl(const PlanPtr& plan, bool selectivity) {
                        8ull * std::max<size_t>(local->Output().size(), 1);
     return local->rows().size() * per_row;
   }
-  if (const auto* mem = AsPlan<InMemoryRelation>(plan)) {
-    return mem->table()->MemoryBytes();
-  }
   if (const auto* limit = AsPlan<Limit>(plan)) {
     uint64_t capped = static_cast<uint64_t>(limit->n()) * kDefaultRowWidthBytes;
     auto child = EstimateImpl(limit->child(), selectivity);
@@ -442,10 +439,6 @@ RowEstimate EstimateRows(const PlanPtr& plan, const RowEstimateContext& ctx) {
   }
   if (const auto* local = AsPlan<LocalRelation>(plan)) {
     return {static_cast<uint64_t>(local->rows().size()),
-            EstimateSource::kExact};
-  }
-  if (const auto* mem = AsPlan<InMemoryRelation>(plan)) {
-    return {static_cast<uint64_t>(mem->table()->num_rows()),
             EstimateSource::kExact};
   }
   if (const auto* limit = AsPlan<Limit>(plan)) {

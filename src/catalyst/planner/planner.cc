@@ -165,14 +165,6 @@ PhysPtr PhysicalPlanner::PlanNodeImpl(const PlanPtr& plan) const {
         rel->source(), rel->full_output(), rel->required_columns(),
         rel->pushed_filters());
   }
-  if (const auto* mem = AsPlan<InMemoryRelation>(plan)) {
-    std::vector<int> columns;
-    for (size_t i = 0; i < mem->Output().size(); ++i) {
-      columns.push_back(static_cast<int>(i));
-    }
-    return std::make_shared<CachedScanExec>(mem->Output(), std::move(columns),
-                                            mem->table());
-  }
   if (const auto* project = AsPlan<Project>(plan)) {
     // Fuse Project(Filter(x)) into one pipelined operator when enabled.
     if (config_.operator_fusion_enabled) {

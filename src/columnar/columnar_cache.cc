@@ -52,51 +52,6 @@ RowDataset CachedTable::Scan(const std::vector<int>& columns,
   return RowDataset(std::move(partitions));
 }
 
-BatchDataset CachedTable::ScanBatches(const std::vector<int>& columns,
-                                      size_t batch_size,
-                                      ExecContext* ctx) const {
-  if (batch_size == 0) batch_size = 1;
-  std::vector<BatchPartitionPtr> partitions(chunks_.size());
-  auto decode_chunk = [&](size_t idx) {
-    const Chunk& chunk = chunks_[idx];
-    std::vector<std::shared_ptr<ColumnVector>> cols;
-    cols.reserve(columns.size());
-    for (int c : columns) {
-      cols.push_back(
-          std::make_shared<ColumnVector>(DecodeColumn(chunk.columns[c])));
-    }
-    auto part = std::make_shared<BatchPartition>();
-    auto whole = std::make_shared<const RowBatch>(std::move(cols));
-    if (whole->num_rows() <= batch_size) {
-      if (whole->num_rows() > 0) part->batches.push_back(std::move(whole));
-    } else {
-      // Zero-copy range views: each batch shares the decoded chunk columns
-      // and selects one ascending index window.
-      for (size_t start = 0; start < whole->num_rows(); start += batch_size) {
-        size_t end = std::min(start + batch_size, whole->num_rows());
-        std::vector<uint32_t> sel;
-        sel.reserve(end - start);
-        for (size_t i = start; i < end; ++i) {
-          sel.push_back(static_cast<uint32_t>(i));
-        }
-        part->batches.push_back(RowBatch::FilterView(whole, std::move(sel)));
-      }
-    }
-    partitions[idx] = std::move(part);
-  };
-  if (ctx != nullptr && chunks_.size() > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks_.size());
-    for (size_t i = 0; i < chunks_.size(); ++i) {
-      tasks.push_back([&decode_chunk, i] { decode_chunk(i); });
-    }
-    ctx->pool().RunAll(std::move(tasks));
-  } else {
-    for (size_t i = 0; i < chunks_.size(); ++i) decode_chunk(i);
-  }
-  return BatchDataset(std::move(partitions));
-}
-
 size_t CachedTable::MemoryBytes() const {
   size_t bytes = 0;
   for (const Chunk& chunk : chunks_) {

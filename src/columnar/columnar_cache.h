@@ -36,15 +36,6 @@ class CachedTable {
   RowDataset Scan(const std::vector<int>& columns,
                   ExecContext* ctx = nullptr) const;
 
-  /// Batched form of Scan(): decodes the requested columns of each chunk
-  /// straight into ColumnVectors — no boxed rows at all — and exposes each
-  /// chunk as RowBatches of at most `batch_size` rows (zero-copy range
-  /// views over the decoded chunk columns). One partition per chunk, rows
-  /// in chunk order, so results match Scan() exactly. `columns` must be
-  /// non-empty (COUNT(*)-style no-column scans stay on the row path).
-  BatchDataset ScanBatches(const std::vector<int>& columns, size_t batch_size,
-                           ExecContext* ctx = nullptr) const;
-
   /// Total compressed footprint in bytes.
   size_t MemoryBytes() const;
 

@@ -162,7 +162,6 @@ std::vector<Row> ColfRelation::ScanFiltered(
   }
 
   std::vector<Row> out;
-  int64_t groups_skipped = 0;
   int64_t rows_scanned = 0;
   for (uint32_t g = 0; g < num_groups; ++g) {
     faults.MaybeFail("source.read", path_);
@@ -182,10 +181,7 @@ std::vector<Row> ColfRelation::ScanFiltered(
         break;
       }
     }
-    if (!may_match) {
-      ++groups_skipped;
-      continue;
-    }
+    if (!may_match) continue;
     rows_scanned += group_rows;
     // Decode filter columns + requested columns.
     std::vector<ColumnVector> decoded;
@@ -219,7 +215,6 @@ std::vector<Row> ColfRelation::ScanFiltered(
   ctx.profile().Add(nullptr, ProfileCounter::kRowsScanned, rows_scanned);
   ctx.profile().Add(nullptr, ProfileCounter::kRowsReturned,
                     static_cast<int64_t>(out.size()));
-  ctx.metrics().Add("colf.row_groups_skipped", groups_skipped);
   return out;
 }
 

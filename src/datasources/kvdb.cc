@@ -93,9 +93,6 @@ std::vector<Row> KvdbRelation::ScanFiltered(
     for (int c : columns) projected.Append(row.Get(c));
     out.push_back(std::move(projected));
   }
-  ctx.metrics().Add("kvdb.rows_examined",
-                    static_cast<int64_t>(table->rows.size()));
-  ctx.metrics().Add("kvdb.rows_shipped", static_cast<int64_t>(out.size()));
   ctx.profile().Add(nullptr, ProfileCounter::kRowsScanned,
                     static_cast<int64_t>(table->rows.size()));
   ctx.profile().Add(nullptr, ProfileCounter::kRowsReturned,
@@ -124,9 +121,6 @@ std::vector<Row> KvdbRelation::ScanCatalyst(
     for (int c : columns) projected.Append(row.Get(c));
     out.push_back(std::move(projected));
   }
-  ctx.metrics().Add("kvdb.rows_examined",
-                    static_cast<int64_t>(table->rows.size()));
-  ctx.metrics().Add("kvdb.rows_shipped", static_cast<int64_t>(out.size()));
   ctx.profile().Add(nullptr, ProfileCounter::kRowsScanned,
                     static_cast<int64_t>(table->rows.size()));
   ctx.profile().Add(nullptr, ProfileCounter::kRowsReturned,

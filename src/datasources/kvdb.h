@@ -14,9 +14,10 @@ namespace ssql {
 /// An embedded row-store database standing in for the external RDBMS of
 /// the paper's JDBC data source and query-federation examples (Sections
 /// 4.4.1, 5.3). Predicates pushed into it execute "inside the database";
-/// per-query counters (`kvdb.rows_examined` vs `kvdb.rows_shipped`) make
-/// the communication saved by pushdown measurable, standing in for the
-/// network traffic a real MySQL would have avoided.
+/// the kvdb scan's profile counters (rows_scanned examined inside the
+/// store vs rows_returned shipped out) make the communication saved by
+/// pushdown measurable, standing in for the network traffic a real MySQL
+/// would have avoided.
 class KvdbDatabase {
  public:
   static KvdbDatabase& Global();

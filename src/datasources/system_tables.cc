@@ -1,6 +1,5 @@
 #include "datasources/system_tables.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "catalyst/analysis/catalog.h"
@@ -43,10 +42,6 @@ std::vector<Row> SystemTableRelation::ScanFiltered(
     out.push_back(std::move(projected));
   }
 
-  ctx.metrics().Add("system.scans", 1);
-  ctx.metrics().Add(
-      "system.columns_pruned",
-      static_cast<int64_t>(schema_->num_fields() - columns.size()));
   ctx.profile().Add(nullptr, ProfileCounter::kRowsScanned,
                     static_cast<int64_t>(snapshot.size()));
   ctx.profile().Add(nullptr, ProfileCounter::kRowsReturned,
@@ -172,21 +167,6 @@ std::vector<Row> MetricsRows(QueryContext& ctx) {
     row.Append(hist ? Value(m.p95) : Value());
     row.Append(hist ? Value(m.p99) : Value());
     row.Append(m.help.empty() ? Value() : Value(m.help));
-    rows.push_back(std::move(row));
-  }
-  // The legacy flat counters ride along so everything the engine counts is
-  // reachable from SQL; sorted for deterministic output.
-  auto legacy = ctx.engine().metrics().Snapshot();
-  std::vector<std::pair<std::string, int64_t>> sorted(legacy.begin(),
-                                                      legacy.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (const auto& [name, value] : sorted) {
-    Row row;
-    row.Reserve(8);
-    row.Append(name);
-    row.Append("legacy");
-    row.Append(value);
-    for (int i = 0; i < 5; ++i) row.Append(Value());
     rows.push_back(std::move(row));
   }
   return rows;

@@ -19,7 +19,8 @@ class Catalog;
 /// with the full SQL/DataFrame surface (filters, aggregates, joins)
 /// while other queries run. Pushdown applies for real: pruned columns are
 /// never materialized per row and filters are evaluated during generation
-/// output — observable through the "system.columns_pruned" metric.
+/// output — observable as the scan operator's column list in the query
+/// profile.
 class SystemTableRelation : public BaseRelation, public PrunedFilteredScan {
  public:
   /// Produces the full-width rows of one snapshot. Must be thread-safe:
@@ -48,7 +49,7 @@ class SystemTableRelation : public BaseRelation, public PrunedFilteredScan {
 ///
 ///   system.queries          running + retained finished queries
 ///   system.query_operators  per-operator actuals of retained queries
-///   system.metrics          registry + legacy counter snapshot
+///   system.metrics          registry snapshot
 ///   system.metrics_history  sampler ring: registry snapshots over time
 ///   system.events           flight-recorder journal tail (seq order)
 ///   system.memory           engine pool and per-query reservations

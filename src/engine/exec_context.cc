@@ -102,32 +102,6 @@ void ValidateEngineConfig(const EngineConfig& config) {
   }
 }
 
-void Metrics::Add(const std::string& name, int64_t delta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_[name] += delta;
-}
-
-void Metrics::Merge(const std::unordered_map<std::string, int64_t>& other) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, delta] : other) counters_[name] += delta;
-}
-
-int64_t Metrics::Get(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-void Metrics::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-}
-
-std::unordered_map<std::string, int64_t> Metrics::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
-}
-
 ExecContext::ExecContext(EngineConfig config)
     : config_((ValidateEngineConfig(config), config)),
       pool_(std::make_unique<ThreadPool>(config.num_threads)) {
@@ -155,15 +129,6 @@ ExecContext::ExecContext(EngineConfig config)
   faults_injected_ = &registry_.Counter(
       "ssql_faults_injected_total",
       "Errors thrown by configured fault-injection points");
-  tasks_speculated_ = &registry_.Counter(
-      "ssql_tasks_speculated_total",
-      "Speculative duplicate attempts launched for stragglers");
-  speculation_wins_ = &registry_.Counter(
-      "ssql_speculation_wins_total",
-      "Speculative duplicates that finished first");
-  tasks_timed_out_ = &registry_.Counter(
-      "ssql_tasks_timed_out_total",
-      "Task attempts abandoned past task_timeout_ms");
   watchdog_kills_ = &registry_.Counter(
       "ssql_watchdog_kills_total",
       "Queries cancelled by the watchdog for stalled tasks");
@@ -172,27 +137,31 @@ ExecContext::ExecContext(EngineConfig config)
   spill_disk_used_gauge_ = &registry_.Gauge(
       "ssql_spill_disk_used_bytes",
       "Live spill bytes charged against spill_disk_limit_bytes");
+  for (int i = 0; i < kNumProfileCounters; ++i) {
+    const auto c = static_cast<ProfileCounter>(i);
+    if (c == ProfileCounter::kPeakReservedBytes ||
+        c == ProfileCounter::kCpuNs) {
+      continue;
+    }
+    const std::string name = ProfileCounterName(c);
+    query_totals_[i] = &registry_.Counter(
+        "ssql_query_" + name + "_total",
+        "Sum over finished queries of the profile counter " + name);
+  }
   ApplyConfigLocked();
-  watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
-  sampler_thread_ = std::thread([this] { SamplerLoop(); });
+  ticker_thread_ = std::thread([this] { TickerLoop(); });
 }
 
 ExecContext::~ExecContext() {
-  // Stop the sampler and watchdog before anything else is torn down: the
-  // sampler touches the registry and history ring, the watchdog's scan
-  // touches mu_, active_ and the registry.
+  // Stop the ticker before anything else is torn down: its sampler touches
+  // the registry and history ring, its watchdog scan touches mu_, active_
+  // and the registry.
   {
-    std::lock_guard<std::mutex> lock(sampler_mu_);
-    sampler_stop_ = true;
+    std::lock_guard<std::mutex> lock(ticker_mu_);
+    ticker_stop_ = true;
   }
-  sampler_cv_.notify_all();
-  if (sampler_thread_.joinable()) sampler_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_thread_.joinable()) watchdog_thread_.join();
+  ticker_cv_.notify_all();
+  if (ticker_thread_.joinable()) ticker_thread_.join();
   // Queries hold a raw back-pointer; finishing them after the engine is
   // gone would be use-after-free. By contract every QueryContext must be
   // finished (or destroyed) before its engine — assert-by-cancel here so a
@@ -252,26 +221,55 @@ void ExecContext::SetConfig(const EngineConfig& config) {
     finished_.pop_front();
   }
   admission_cv_.notify_all();
-  // The watchdog and sampler re-read their intervals each pass; kick them
-  // so a shorter interval takes effect now rather than after the old sleep.
-  watchdog_cv_.notify_all();
-  sampler_cv_.notify_all();
+  lock.unlock();
+  // The ticker re-reads both intervals each pass; wake it so a shorter
+  // interval takes effect now rather than after the old sleep.
+  {
+    std::lock_guard<std::mutex> tick_lock(ticker_mu_);
+    ticker_wake_ = true;
+  }
+  ticker_cv_.notify_all();
 }
 
-void ExecContext::WatchdogLoop() {
-  while (true) {
-    int64_t interval_ms = 100;
+void ExecContext::TickerLoop() {
+  // Steady-clock time of each job's last run; -1 = never, so both run on
+  // the first pass (and sampling resumes at once after a re-enable).
+  int64_t last_scan_ns = -1;
+  int64_t last_sample_ns = -1;
+  std::unique_lock<std::mutex> tick_lock(ticker_mu_);
+  while (!ticker_stop_) {
+    ticker_wake_ = false;
+    tick_lock.unlock();
+    const int64_t now_ns = TraceNowNs();
+    // Milliseconds until a job with this period and last run is due.
+    auto due_in_ms = [now_ns](int64_t last_ns, int64_t interval_ms) {
+      return last_ns < 0 ? 0 : interval_ms - (now_ns - last_ns) / 1'000'000;
+    };
+    int64_t scan_ms = 0;
+    int64_t sample_ms = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      interval_ms = config_.watchdog_interval_ms;
-      if (config_.stuck_task_timeout_ms >= 0 && !active_.empty()) {
-        ScanForStalledQueriesLocked(config_.stuck_task_timeout_ms);
+      scan_ms = config_.watchdog_interval_ms;
+      sample_ms = config_.metrics_sample_interval_ms;
+      if (due_in_ms(last_scan_ns, scan_ms) <= 0) {
+        if (config_.stuck_task_timeout_ms >= 0 && !active_.empty()) {
+          ScanForStalledQueriesLocked(config_.stuck_task_timeout_ms);
+        }
+        last_scan_ns = now_ns;
       }
     }
-    std::unique_lock<std::mutex> wlock(watchdog_mu_);
-    watchdog_cv_.wait_for(wlock, std::chrono::milliseconds(interval_ms),
-                          [this] { return watchdog_stop_; });
-    if (watchdog_stop_) return;
+    if (sample_ms > 0 && due_in_ms(last_sample_ns, sample_ms) <= 0) {
+      SampleMetricsNow();
+      last_sample_ns = now_ns;
+    }
+    int64_t sleep_ms = due_in_ms(last_scan_ns, scan_ms);
+    if (sample_ms > 0) {
+      sleep_ms = std::min(sleep_ms, due_in_ms(last_sample_ns, sample_ms));
+    }
+    sleep_ms = std::max<int64_t>(sleep_ms, 0);
+    tick_lock.lock();
+    ticker_cv_.wait_for(tick_lock, std::chrono::milliseconds(sleep_ms),
+                        [this] { return ticker_stop_ || ticker_wake_; });
   }
 }
 
@@ -323,23 +321,6 @@ void ExecContext::ScanForStalledQueriesLocked(int64_t stuck_ms) {
       }
       query->set_stalled(now_stalled);
     }
-  }
-}
-
-void ExecContext::SamplerLoop() {
-  while (true) {
-    int64_t interval_ms = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      interval_ms = config_.metrics_sample_interval_ms;
-    }
-    if (interval_ms > 0) SampleMetricsNow();
-    // Disabled samplers still wake periodically to notice a re-enable.
-    const int64_t sleep_ms = interval_ms > 0 ? interval_ms : 200;
-    std::unique_lock<std::mutex> slock(sampler_mu_);
-    sampler_cv_.wait_for(slock, std::chrono::milliseconds(sleep_ms),
-                         [this] { return sampler_stop_; });
-    if (sampler_stop_) return;
   }
 }
 
@@ -459,6 +440,11 @@ QueryContextPtr ExecContext::BeginQuery(const QueryOptions& options) {
 }
 
 void ExecContext::EndQuery(QueryContext* query, QueryRecord record) {
+  for (int i = 0; i < kNumProfileCounters; ++i) {
+    if (query_totals_[i] == nullptr) continue;
+    query_totals_[i]->Increment(
+        query->profile().Total(static_cast<ProfileCounter>(i)));
+  }
   query_latency_hist_->Record(record.duration_ms * 1000);
   if (record.status == "FINISHED") {
     queries_finished_->Increment();
@@ -506,15 +492,10 @@ QueryRecord ExecContext::LiveRecordLocked(const QueryContext& query) {
   if (query.watchdog_killed()) {
     record.error_code = ErrorCodeName(ErrorCode::kResourceExhausted);
   }
-  if (query.profile().detailed()) {
-    QueryProfile::Stats stats = query.profile().AggregateStats();
-    record.rows_out = stats.rows_out;
-    record.spill_bytes = stats.spill_bytes;
-    record.peak_memory_bytes = stats.peak_reserved_bytes;
-  } else {
-    record.spill_bytes = query.metrics().Get("memory.spill_bytes");
-    record.peak_memory_bytes = query.metrics().Get("memory.peak_reserved_bytes");
-  }
+  const QueryProfile::Stats stats = query.profile().AggregateStats();
+  record.rows_out = stats.rows_out;
+  record.spill_bytes = stats.spill_bytes;
+  record.peak_memory_bytes = stats.peak_reserved_bytes;
   return record;
 }
 
@@ -544,8 +525,7 @@ std::vector<ExecContext::MemoryRecord> ExecContext::QueryMemoryRecords() const {
 }
 
 std::string ExecContext::ExportMetricsText() const {
-  return registry_.ExportPrometheusText() +
-         LegacyCountersPrometheusText(metrics_.Snapshot(), "ssql_legacy_");
+  return registry_.ExportPrometheusText();
 }
 
 void ExecContext::WriteMetricsFile() {

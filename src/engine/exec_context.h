@@ -1,6 +1,7 @@
 #ifndef SSQL_ENGINE_EXEC_CONTEXT_H_
 #define SSQL_ENGINE_EXEC_CONTEXT_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -8,12 +9,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <deque>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
-
-#include <deque>
 
 #include "engine/memory_manager.h"
 #include "engine/query_profile.h"
@@ -93,8 +92,9 @@ struct EngineConfig {
   /// (a fresh attempt gets a fresh deadline; exhausted retries fail the
   /// stage as usual). Negative = no per-task deadline (the default).
   int64_t task_timeout_ms = -1;
-  /// How often the engine watchdog thread scans running queries' task
-  /// heartbeats (the scan is a few atomic loads per in-flight attempt).
+  /// How often the engine ticker thread scans running queries' task
+  /// heartbeats for the watchdog (the scan is a few atomic loads per
+  /// in-flight attempt).
   int64_t watchdog_interval_ms = 100;
   /// A query whose oldest in-flight task attempt published no progress
   /// heartbeat for this long is cancelled by the watchdog with an error
@@ -170,8 +170,12 @@ struct EngineConfig {
   /// so one query's cleanup can never touch another's live run files.
   std::string spill_dir;
   /// Record the per-query span tree (operators, stages, tasks, phases).
-  /// When false only the flat legacy metrics are maintained — the baseline
-  /// mode bench_observe compares against to bound instrumentation overhead.
+  /// When false the profile keeps only its root span and every counter
+  /// lands there (task, spill, peak and data-source totals still reach
+  /// system.queries and the registry fold), but no operator spans exist:
+  /// operator rows_out/batches go unrecorded and EXPLAIN ANALYZE shows no
+  /// operators — the baseline mode bench_observe compares against to
+  /// bound instrumentation overhead.
   bool profiling_enabled = true;
   /// When non-empty, each query writes its profile as Chrome trace-event
   /// JSON to this path suffixed with the query id ("trace.json" becomes
@@ -189,10 +193,10 @@ struct EngineConfig {
   /// wins — see util/log.h.
   std::string log_level;
   /// When non-empty, the Prometheus text exposition of the metrics
-  /// registry + legacy counters (what SqlContext::ExportMetricsText
-  /// returns) is rewritten to this path after every query finishes and at
-  /// engine shutdown — a file scrape target for node_exporter-style
-  /// collection. Write failures are logged, never thrown.
+  /// registry (what SqlContext::ExportMetricsText returns) is rewritten
+  /// to this path after every query finishes and at engine shutdown — a
+  /// file scrape target for node_exporter-style collection. Write failures
+  /// are logged, never thrown.
   std::string metrics_path;
   /// How many finished queries system.queries / system.query_operators
   /// retain (a ring buffer: oldest evicted first). 0 disables retention —
@@ -205,10 +209,10 @@ struct EngineConfig {
   /// shards; oldest events are overwritten (the drop counter advances).
   /// 0 disables emission entirely.
   size_t event_journal_capacity = 4096;
-  /// Period of the background sampler thread that snapshots the metrics
+  /// Period at which the engine ticker thread snapshots the metrics
   /// registry into the bounded ring served by system.metrics_history, so
   /// rate/derivative queries become plain SQL. <= 0 disables sampling
-  /// (the thread only sleeps).
+  /// (the ticker then wakes only for the watchdog).
   int64_t metrics_sample_interval_ms = 1000;
   /// Directory for dump-on-anomaly diagnostics bundles. A query that
   /// fails, is watchdog-killed, or crosses slow_query_threshold_ms writes
@@ -245,28 +249,6 @@ struct QueryOptions {
   std::function<void(QueryContext&)> on_start;
 };
 
-/// Simple named counters published by operators (rows scanned, rows shipped
-/// from data sources, shuffle bytes, ...). Used by tests and benches to
-/// assert that pushdown actually reduced data movement. Each query gets a
-/// private bag; Add touches only that bag's mutex (hot operator paths used
-/// to take a second, engine-wide mutex per add — measured contention in
-/// bench_observe), and the whole bag is folded into the engine aggregate
-/// once, via Merge, when the query finishes.
-class Metrics {
- public:
-  void Add(const std::string& name, int64_t delta);
-  int64_t Get(const std::string& name) const;
-  void Reset();
-  std::unordered_map<std::string, int64_t> Snapshot() const;
-
-  /// Adds every counter of `other` into this bag (the query-finish fold).
-  void Merge(const std::unordered_map<std::string, int64_t>& other);
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, int64_t> counters_;
-};
-
 /// Snapshot row of one (running or finished) query, the backing record of
 /// the system.queries table. Running queries synthesize one from live
 /// state; finished queries leave one in the engine's bounded ring buffer,
@@ -299,8 +281,8 @@ struct QueryRecord {
 };
 
 /// Engine-wide runtime state shared by every query of a SqlContext: the
-/// worker pool (the "cluster"), the legacy metrics aggregate, the total
-/// memory pool, and the admission gate. Holds NO per-query state — that
+/// worker pool (the "cluster"), the metrics registry, the total memory
+/// pool, and the admission gate. Holds NO per-query state — that
 /// lives in the QueryContext handed out by BeginQuery(), so any number of
 /// queries can run concurrently over one ExecContext without sharing
 /// profiles, cancellation tokens, budgets or spill directories.
@@ -333,17 +315,18 @@ class ExecContext {
   }
 
   ThreadPool& pool() { return *pool_; }
-  Metrics& metrics() { return metrics_; }
 
   /// The typed engine-wide metrics registry (counters / gauges / latency
   /// histograms), exported in Prometheus text format by
-  /// ExportMetricsText() and served by the system.metrics table.
+  /// ExportMetricsText() and served by the system.metrics table. The home
+  /// of engine-wide totals: besides the engine's own instruments it holds
+  /// one "ssql_query_<counter>_total" per additive ProfileCounter, into
+  /// which every finished query's profile totals are folded once.
   MetricsRegistry& registry() { return registry_; }
   const MetricsRegistry& registry() const { return registry_; }
 
-  /// Prometheus text exposition of the registry plus the legacy counter
-  /// bag (as ssql_legacy_* gauges). Also what EngineConfig::metrics_path
-  /// receives after each query.
+  /// Prometheus text exposition of the registry. Also what
+  /// EngineConfig::metrics_path receives after each query.
   std::string ExportMetricsText() const;
 
   /// The engine-wide memory pool (EngineConfig::total_memory_limit_bytes)
@@ -366,7 +349,7 @@ class ExecContext {
   EventJournal& journal() { return journal_; }
   const EventJournal& journal() const { return journal_; }
 
-  /// One background-sampler observation of the metrics registry.
+  /// One background observation of the metrics registry.
   struct MetricsSample {
     int64_t unix_ms = 0;
     std::vector<MetricSnapshot> metrics;
@@ -375,10 +358,10 @@ class ExecContext {
   /// the default 1s cadence); oldest evicted first.
   static constexpr size_t kMetricsHistoryCapacity = 720;
 
-  /// Copy of the sampler's ring, oldest first (system.metrics_history).
+  /// Copy of the sampled ring, oldest first (system.metrics_history).
   std::vector<MetricsSample> MetricsHistory() const;
 
-  /// Takes one metrics sample immediately (what the sampler thread does
+  /// Takes one metrics sample immediately (what the ticker thread does
   /// every metrics_sample_interval_ms). Exposed for tests and bundles.
   void SampleMetricsNow();
 
@@ -433,7 +416,8 @@ class ExecContext {
  private:
   friend class QueryContext;
 
-  /// Called by QueryContext::Finish: atomically unregisters the query,
+  /// Called by QueryContext::Finish: folds the query's profile totals into
+  /// the ssql_query_*_total counters, atomically unregisters the query,
   /// retires `record` into the finished-query ring buffer, and frees the
   /// admission slot; then (outside the lock) refreshes metrics_path.
   void EndQuery(QueryContext* query, QueryRecord record);
@@ -447,26 +431,23 @@ class ExecContext {
   /// hooks for the current config_. Shared by the constructor and SetConfig.
   void ApplyConfigLocked();
 
-  /// Body of the watchdog thread: every watchdog_interval_ms, scan the
-  /// running queries' task heartbeats, mark stalled ones, and cancel any
-  /// whose oldest heartbeat aged past stuck_task_timeout_ms. The thread
-  /// always runs (started by the constructor, joined by the destructor);
-  /// with stuck_task_timeout_ms < 0 it only sleeps, so an idle engine pays
-  /// one parked thread.
-  void WatchdogLoop();
-  /// One scan pass. Caller holds mu_; takes each query's attempts_mu_
-  /// inside (the documented mu_ → attempts_mu_ lock order).
+  /// Body of the engine's one background thread, started by the
+  /// constructor and joined first by the destructor. Two periodic jobs
+  /// share it, and it sleeps until the sooner one is due:
+  ///   * watchdog, every watchdog_interval_ms: scan the running queries'
+  ///     task heartbeats, mark stalled ones, and cancel any whose oldest
+  ///     heartbeat aged past stuck_task_timeout_ms (skipped while that is
+  ///     negative);
+  ///   * sampler, every metrics_sample_interval_ms (> 0): snapshot the
+  ///     registry into the bounded history ring.
+  /// SetConfig wakes it so changed intervals apply at once.
+  void TickerLoop();
+  /// One watchdog scan pass. Caller holds mu_; takes each query's
+  /// attempts_mu_ inside (the documented mu_ → attempts_mu_ lock order).
   void ScanForStalledQueriesLocked(int64_t stuck_ms);
-
-  /// Body of the metrics-sampler thread: every metrics_sample_interval_ms
-  /// snapshot the registry into the bounded history ring. Started by the
-  /// constructor, joined by the destructor; with the interval <= 0 it
-  /// only sleeps.
-  void SamplerLoop();
 
   EngineConfig config_;
   std::unique_ptr<ThreadPool> pool_;
-  Metrics metrics_;
   MetricsRegistry registry_;
   MemoryManager engine_memory_;
   DiskQuota disk_quota_;
@@ -486,10 +467,11 @@ class ExecContext {
   CounterMetric* admission_timeouts_ = nullptr;
   CounterMetric* io_retries_ = nullptr;
   CounterMetric* faults_injected_ = nullptr;
-  CounterMetric* tasks_speculated_ = nullptr;
-  CounterMetric* speculation_wins_ = nullptr;
-  CounterMetric* tasks_timed_out_ = nullptr;
   CounterMetric* watchdog_kills_ = nullptr;
+  // ssql_query_<ProfileCounterName>_total per ProfileCounter; null for the
+  // two that do not sum across spans (the peak is a high-water mark, and
+  // phase/operator/task spans nest, so their CPU times overlap).
+  std::array<CounterMetric*, kNumProfileCounters> query_totals_{};
   GaugeMetric* active_queries_gauge_ = nullptr;
   GaugeMetric* spill_disk_used_gauge_ = nullptr;
 
@@ -507,22 +489,17 @@ class ExecContext {
   std::vector<QueryContext*> active_;
   std::deque<QueryRecord> finished_;  // ring buffer, oldest first
 
-  // Watchdog thread. Its stop flag/cv live on their own mutex so stopping
-  // never has to touch mu_ (the scan itself takes mu_ briefly per pass).
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
-  std::thread watchdog_thread_;
-
-  // Metrics-sampler thread and its bounded history ring (same stop
-  // pattern as the watchdog; the ring has its own mutex so readers never
-  // touch mu_).
+  // Sampled history ring; its own mutex so readers never touch mu_.
   mutable std::mutex history_mu_;
   std::deque<MetricsSample> metrics_history_;
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;
-  std::thread sampler_thread_;
+
+  // Ticker thread. Its stop/wake flags live on their own mutex so stopping
+  // or waking it never has to touch mu_ (a watchdog pass takes mu_ briefly).
+  std::mutex ticker_mu_;
+  std::condition_variable ticker_cv_;
+  bool ticker_stop_ = false;
+  bool ticker_wake_ = false;
+  std::thread ticker_thread_;
 };
 
 }  // namespace ssql

@@ -137,9 +137,9 @@ void MemoryManager::PublishPeak() {
                                       std::memory_order_relaxed)) {
   }
   // Profile counters are additive, so the peak is published as deltas over
-  // what was already recorded for this query. The profile attributes the
-  // delta to the operator whose reservation raised the high-water mark and
-  // forwards the legacy "memory.peak_reserved_bytes" aggregate.
+  // what was already recorded for this query: the profile attributes each
+  // delta to the operator whose reservation raised the high-water mark, and
+  // the query's peak is the sum over all spans.
   if (profile_ == nullptr) return;
   int64_t new_peak = peak_.load(std::memory_order_relaxed);
   int64_t published = published_peak_.load(std::memory_order_relaxed);

@@ -76,9 +76,9 @@ class MemoryReservation {
 /// either level over its budget it is denied and the requesting operator
 /// must shed state — spill to disk when EngineConfig::spill_enabled, or
 /// fail the query with a clear error otherwise. Publishes the peak
-/// reservation through the query profile, which both attributes it to the
-/// operator running at the time and keeps the legacy
-/// "memory.peak_reserved_bytes" aggregate current.
+/// reservation through the query profile as deltas attributed to the
+/// operator running at the time, so the query's peak is
+/// QueryProfile::Total(kPeakReservedBytes).
 class MemoryManager {
  public:
   /// (Re)arms the budget; `limit_bytes < 0` = unlimited. Called once per

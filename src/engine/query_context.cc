@@ -30,8 +30,7 @@ QueryContext::QueryContext(ExecContext& engine, uint64_t query_id,
       start_unix_ms_(NowUnixMs()),
       start_steady_ns_(TraceNowNs()),
       cancellation_(std::make_shared<CancellationToken>()) {
-  profile_ =
-      std::make_unique<QueryProfile>(&metrics_, config_.profiling_enabled);
+  profile_ = std::make_unique<QueryProfile>(config_.profiling_enabled);
   memory_.Configure(config_.query_memory_limit_bytes, config_.spill_enabled,
                     profile_.get(), &engine_.engine_memory());
   // Memory grants/denies for this query land in the engine flight recorder
@@ -142,12 +141,10 @@ IoRetryPolicy QueryContext::io_retry_policy() {
   // Safe captures: partition tasks (the only users) always finish before
   // this QueryContext or its engine are torn down.
   const uint64_t id = query_id_;
-  Metrics* metrics = &metrics_;
   MetricsRegistry* registry = &engine_.registry();
   EventJournal* journal = &engine_.journal();
-  policy.on_retry = [id, metrics, registry, journal](int retry,
-                                                     const std::string& error) {
-    metrics->Add("io.retries", 1);
+  policy.on_retry = [id, registry, journal](int retry,
+                                            const std::string& error) {
     registry
         ->Counter("ssql_io_retries_total",
                   "Transient I/O failures retried with backoff")
@@ -209,8 +206,6 @@ void QueryContext::Finish(const std::string& status, ErrorCode code) {
   std::error_code ec;
   std::filesystem::remove_all(spill_dir(), ec);
 
-  // Build the retained record before folding metrics: the fallback stats
-  // below read this query's (still-local) bag.
   QueryRecord record;
   record.id = query_id_;
   if (status == "ok") {
@@ -242,16 +237,11 @@ void QueryContext::Finish(const std::string& status, ErrorCode code) {
   record.duration_ms = ElapsedMs();
   record.last_heartbeat_ms = LastHeartbeatAgeMs();
   record.stalled = stalled();
-  if (profile_->detailed()) {
-    QueryProfile::Stats stats = profile_->AggregateStats();
-    record.rows_out = stats.rows_out;
-    record.spill_bytes = stats.spill_bytes;
-    record.peak_memory_bytes = stats.peak_reserved_bytes;
-    record.operators = profile_->OperatorActuals();
-  } else {
-    record.spill_bytes = metrics_.Get("memory.spill_bytes");
-    record.peak_memory_bytes = metrics_.Get("memory.peak_reserved_bytes");
-  }
+  const QueryProfile::Stats stats = profile_->AggregateStats();
+  record.rows_out = stats.rows_out;
+  record.spill_bytes = stats.spill_bytes;
+  record.peak_memory_bytes = stats.peak_reserved_bytes;
+  record.operators = profile_->OperatorActuals();
 
   if (slow) {
     // Enriched so a slow entry is actionable without re-running the query:
@@ -309,9 +299,6 @@ void QueryContext::Finish(const std::string& status, ErrorCode code) {
             {"rows", record.rows_out},
             {"spill_bytes", record.spill_bytes}});
 
-  // Fold this query's counters into the engine aggregate in one pass —
-  // per-Add parent forwarding (two mutexes per Add) is gone.
-  engine_.metrics().Merge(metrics_.Snapshot());
   engine_.EndQuery(this, std::move(record));
 }
 

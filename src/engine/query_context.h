@@ -24,12 +24,11 @@ namespace ssql {
 ///   * its MemoryManager budget, carved from the engine-wide pool so
 ///     query_memory_limit_bytes stays a per-query cap while
 ///     total_memory_limit_bytes bounds the sum over concurrent queries,
-///   * a query-id-namespaced spill subdirectory,
-///   * a per-query Metrics view that folds into the engine aggregate, and
+///   * a query-id-namespaced spill subdirectory, and
 ///   * an immutable snapshot of the EngineConfig taken at admission.
 ///
-/// Engine-wide state (worker pool, catalog, columnar cache, legacy metrics
-/// bag) stays on the ExecContext, reachable via engine(). N QueryContexts
+/// Engine-wide state (worker pool, catalog, columnar cache, metrics
+/// registry) stays on the ExecContext, reachable via engine(). N QueryContexts
 /// may execute concurrently over one engine without sharing any of the
 /// above — the cross-query races this separation fixes were: profile spans
 /// interleaving, cancellation cross-talk, and spill-file collisions.
@@ -37,8 +36,8 @@ namespace ssql {
 /// Lifecycle: BeginQuery() → operators run → Finish(status) exactly once
 /// (idempotent; also run by the destructor as a backstop). Finish closes
 /// the profile, writes the query-id-suffixed trace file, emits the
-/// slow-query log line, removes the spill subdirectory, and releases the
-/// engine admission slot.
+/// slow-query log line, removes the spill subdirectory, folds the profile's
+/// counters into the engine registry, and releases the admission slot.
 class QueryContext {
  public:
   ~QueryContext();
@@ -68,17 +67,12 @@ class QueryContext {
   /// The shared worker pool — tasks of concurrent queries interleave here.
   ThreadPool& pool() const { return engine_.pool(); }
 
-  /// This query's metrics view. Adds are local to this query; Finish folds
-  /// the whole bag into the engine-wide ExecContext::metrics() aggregate in
-  /// one pass (so a running query takes exactly one lock per Add).
-  Metrics& metrics() { return metrics_; }
-  const Metrics& metrics() const { return metrics_; }
-
   /// This query's memory budget (never shared with other queries).
   MemoryManager& memory() { return memory_; }
   const MemoryManager& memory() const { return memory_; }
 
-  /// This query's profile. Always non-null; stays readable after Finish.
+  /// This query's profile — the home of every per-query counter. Always
+  /// non-null; stays readable after Finish.
   QueryProfile& profile() { return *profile_; }
   const QueryProfile& profile() const { return *profile_; }
 
@@ -151,18 +145,19 @@ class QueryContext {
 
   /// I/O retry policy for this query's source reads: the config's
   /// io_max_retries / io_retry_backoff_ms with jitter seeded by the query id
-  /// and an on_retry observer that bumps this query's "io.retries" metric,
-  /// the engine counter, and logs.
+  /// and an on_retry observer that bumps the engine counter, journals the
+  /// retry and logs.
   IoRetryPolicy io_retry_policy();
 
   /// Closes the profile (stamping unfinished spans with `status`), writes
   /// the trace file if config.trace_path is set (suffixed with the query
   /// id), logs a "query.slow" event when the query exceeded
-  /// slow_query_threshold_ms, folds this query's metrics into the engine
-  /// aggregate, removes the spill subdirectory, and retires the query into
-  /// the engine's finished ring (releasing the admission slot). Idempotent;
-  /// IO failures writing the trace are logged, never thrown (observability
-  /// must not fail the query).
+  /// slow_query_threshold_ms, removes the spill subdirectory, adds the
+  /// profile's counter totals into the engine's ssql_query_*_total
+  /// registry counters, and retires the query into the engine's finished
+  /// ring (releasing the admission slot). Idempotent; IO failures writing
+  /// the trace are logged, never thrown (observability must not fail the
+  /// query).
   void Finish(const std::string& status) { Finish(status, ErrorCode::kOk); }
 
   /// As above, additionally recording the structured taxonomy code of the
@@ -224,7 +219,6 @@ class QueryContext {
   const EngineConfig config_;
   const int64_t start_unix_ms_;
   const int64_t start_steady_ns_;
-  Metrics metrics_;
   std::unique_ptr<QueryProfile> profile_;
   CancellationTokenPtr cancellation_;
   MemoryManager memory_;

@@ -5,8 +5,6 @@
 #include <functional>
 #include <sstream>
 
-#include "engine/exec_context.h"
-
 namespace ssql {
 
 const char* SpanKindName(SpanKind kind) {
@@ -50,33 +48,6 @@ const char* ProfileCounterName(ProfileCounter c) {
 
 namespace {
 
-/// Legacy ExecContext::Metrics key a counter aggregates into, or null for
-/// counters that only exist in the profile. This is the compatibility map:
-/// pre-profile code read these keys from the global bag, so every Add is
-/// forwarded synchronously and the old tests keep passing unchanged.
-const char* LegacyKeyFor(ProfileCounter c) {
-  switch (c) {
-    case ProfileCounter::kSpillBytes: return "memory.spill_bytes";
-    case ProfileCounter::kSpillFiles: return "memory.spill_files";
-    case ProfileCounter::kPeakReservedBytes:
-      return "memory.peak_reserved_bytes";
-    case ProfileCounter::kAttempts: return "task.attempts";
-    case ProfileCounter::kRetries: return "task.retries";
-    case ProfileCounter::kFailures: return "task.failures";
-    case ProfileCounter::kSpeculated: return "task.speculated";
-    case ProfileCounter::kSpeculationWins: return "task.speculation_wins";
-    case ProfileCounter::kTaskTimeouts: return "task.timeouts";
-    case ProfileCounter::kRowsScanned: return "source.rows_scanned";
-    case ProfileCounter::kRowsReturned: return "source.rows_returned";
-    case ProfileCounter::kRowsDropped: return "source.rows_dropped";
-    case ProfileCounter::kMalformedRecords:
-      return "source.malformed_records";
-    case ProfileCounter::kShuffleRows: return "shuffle.rows";
-    case ProfileCounter::kBroadcastRows: return "broadcast.rows";
-    default: return nullptr;
-  }
-}
-
 std::string FormatMs(int64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2fms", static_cast<double>(ns) / 1e6);
@@ -105,12 +76,9 @@ int64_t ProfileSpan::WallNs() const {
   return end - start_ns;
 }
 
-QueryProfile::QueryProfile(Metrics* legacy_metrics, bool detailed)
-    : legacy_(legacy_metrics), detailed_(detailed) {
-  if (detailed_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    root_ = AllocateSpanLocked(SpanKind::kQuery, "query", nullptr, "");
-  }
+QueryProfile::QueryProfile(bool detailed) : detailed_(detailed) {
+  std::lock_guard<std::mutex> lock(mu_);
+  root_ = AllocateSpanLocked(SpanKind::kQuery, "query", nullptr, "");
 }
 
 ProfileSpan* QueryProfile::AllocateSpanLocked(SpanKind kind,
@@ -234,13 +202,8 @@ void QueryProfile::Add(ProfileSpan* span, ProfileCounter c, int64_t delta) {
     span = current_operator_.load(std::memory_order_acquire);
     if (span == nullptr) span = root_;
   }
-  if (span != nullptr) {
-    span->counters[static_cast<int>(c)].fetch_add(delta,
-                                                  std::memory_order_relaxed);
-  }
-  if (legacy_ != nullptr) {
-    if (const char* key = LegacyKeyFor(c)) legacy_->Add(key, delta);
-  }
+  span->counters[static_cast<int>(c)].fetch_add(delta,
+                                                std::memory_order_relaxed);
 }
 
 int64_t QueryProfile::Total(ProfileCounter c) const {
@@ -283,13 +246,13 @@ std::map<std::string, QueryProfile::RuleStat> QueryProfile::rule_stats()
 QueryProfile::Stats QueryProfile::AggregateStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats stats;
-  if (root_ == nullptr) return stats;
   stats.wall_ns = root_->WallNs();
   for (const ProfileSpan& span : spans_) {
     stats.spill_bytes += span.Counter(ProfileCounter::kSpillBytes);
-    stats.peak_reserved_bytes = std::max(
-        stats.peak_reserved_bytes,
-        span.Counter(ProfileCounter::kPeakReservedBytes));
+    // The peak is published as deltas on whichever operator raised it, so
+    // the query's high-water mark is their sum.
+    stats.peak_reserved_bytes +=
+        span.Counter(ProfileCounter::kPeakReservedBytes);
     if (span.kind == SpanKind::kOperator) {
       ++stats.operators;
       if (span.parent == nullptr || span.parent->kind != SpanKind::kOperator) {
@@ -347,7 +310,7 @@ std::vector<QueryProfile::OperatorActual> QueryProfile::OperatorActuals()
     const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<OperatorActual> out;
-  if (root_ != nullptr) FlattenOperators(root_, 0, 0, &out);
+  FlattenOperators(root_, 0, 0, &out);
   return out;
 }
 
@@ -360,7 +323,6 @@ double QueryProfile::WorstMisestimate() const {
 }
 
 void QueryProfile::Finish(const std::string& status) {
-  if (root_ == nullptr) return;
   std::vector<ProfileSpan*> open;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -415,14 +377,10 @@ void SpanToJson(const ProfileSpan* span, int64_t origin_ns,
 std::string QueryProfile::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{";
-  if (root_ != nullptr) {
-    out += "\"wall_us\":" + std::to_string(root_->WallNs() / 1000);
-    out += ",\"status\":\"" + JsonEscape(root_->status) + "\"";
-    out += ",\"spans\":";
-    SpanToJson(root_, root_->start_ns, &out);
-  } else {
-    out += "\"wall_us\":0,\"status\":\"disabled\"";
-  }
+  out += "\"wall_us\":" + std::to_string(root_->WallNs() / 1000);
+  out += ",\"status\":\"" + JsonEscape(root_->status) + "\"";
+  out += ",\"spans\":";
+  SpanToJson(root_, root_->start_ns, &out);
   if (!rule_stats_.empty()) {
     out += ",\"rules\":{";
     bool first = true;
@@ -443,7 +401,6 @@ std::string QueryProfile::ToJson() const {
 std::string QueryProfile::ToChromeTraceJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<TraceEvent> events;
-  if (root_ == nullptr) return ChromeTraceJson(events);
   int64_t origin = root_->start_ns;
   for (const ProfileSpan& span : spans_) {
     TraceEvent e;
@@ -559,9 +516,6 @@ void RenderOperatorTree(const ProfileSpan* span, const std::string& indent,
 std::string QueryProfile::RenderAnalyzed() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;
-  if (root_ == nullptr) {
-    return "== Analyzed Execution ==\n(profiling disabled)\n";
-  }
   out << "== Analyzed Execution ==\n";
   out << "Query: " << FormatMs(root_->WallNs())
       << ", status=" << (root_->status.empty() ? "running" : root_->status)
@@ -610,7 +564,7 @@ std::string QueryProfile::RenderAnalyzed() const {
     spill_bytes += span.Counter(ProfileCounter::kSpillBytes);
     spill_files += span.Counter(ProfileCounter::kSpillFiles);
     retries += span.Counter(ProfileCounter::kRetries);
-    peak = std::max(peak, span.Counter(ProfileCounter::kPeakReservedBytes));
+    peak += span.Counter(ProfileCounter::kPeakReservedBytes);
   }
   out << "\n== Totals ==\n";
   out << "spill_bytes=" << spill_bytes << ", spill_files=" << spill_files
@@ -621,7 +575,6 @@ std::string QueryProfile::RenderAnalyzed() const {
 
 std::string QueryProfile::SummaryLine() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (root_ == nullptr) return "query: (profiling disabled)";
   int64_t spill_bytes = 0, retries = 0, rows_out = 0;
   int operators = 0;
   double misest_max = 0.0;

@@ -17,8 +17,6 @@
 
 namespace ssql {
 
-class Metrics;
-
 /// Level of a profiling span in the query's execution tree. The engine runs
 /// one materializing operator at a time, so the natural containment order is
 ///
@@ -40,10 +38,11 @@ inline double MisestimateRatio(int64_t est_rows, int64_t actual_rows) {
   return hi / lo;
 }
 
-/// Typed counters a span can carry. Adding is lock-free (one atomic add);
-/// the profile forwards counters that had a pre-profile global key to the
-/// legacy ExecContext::Metrics bag so existing tests/benches keep reading
-/// the same aggregates.
+/// Typed counters a span can carry — the only home of per-query numbers.
+/// Adding is lock-free (one relaxed atomic add). Engine-wide totals are
+/// the MetricsRegistry counters "ssql_query_<name>_total", into which
+/// ExecContext folds each finished query's Total() once; the peak and the
+/// CPU time have none, because they do not sum across spans.
 enum class ProfileCounter : int {
   kRowsIn = 0,          // rows entering the operator (sum of children out)
   kRowsOut,             // rows the operator produced
@@ -107,13 +106,14 @@ struct ProfileSpan {
 ///
 /// Thread-safety: span creation/closing takes one mutex (spans are created
 /// per operator/stage/task, never per row); counter adds are a single
-/// relaxed atomic add plus the legacy-metrics forward. When constructed
-/// with `detailed == false` (EngineConfig::profiling_enabled off) no spans
-/// are recorded at all and counter adds only feed the legacy aggregates —
-/// the mode the overhead benchmark compares against.
+/// relaxed atomic add. The root span always exists. When constructed with
+/// `detailed == false` (EngineConfig::profiling_enabled off) no child spans
+/// are recorded, so every counter lands on the root and Total() works in
+/// both modes (only the per-operator numbers need operator spans) — the
+/// undetailed mode is what the overhead benchmark compares against.
 class QueryProfile {
  public:
-  explicit QueryProfile(Metrics* legacy_metrics, bool detailed = true);
+  explicit QueryProfile(bool detailed = true);
 
   bool detailed() const { return detailed_; }
   ProfileSpan* root() { return root_; }
@@ -154,8 +154,7 @@ class QueryProfile {
   // ---- counters ---------------------------------------------------------
 
   /// Adds `delta` to `span`'s counter (null span → current operator, else
-  /// root) and forwards it to the matching legacy Metrics key, if the
-  /// counter has one. Lock-free on the span side.
+  /// root). One relaxed atomic add.
   void Add(ProfileSpan* span, ProfileCounter c, int64_t delta);
 
   /// Sum of `c` over every span (the per-query aggregate).
@@ -232,8 +231,8 @@ class QueryProfile {
   /// Closes the root span and force-closes any span left open (error and
   /// cancellation unwinds), stamping them with `status`. Idempotent.
   void Finish(const std::string& status);
-  bool finished() const { return root_ == nullptr || root_->closed(); }
-  int64_t WallNs() const { return root_ == nullptr ? 0 : root_->WallNs(); }
+  bool finished() const { return root_->closed(); }
+  int64_t WallNs() const { return root_->WallNs(); }
 
   /// Full span tree + rule stats as one JSON document.
   std::string ToJson() const;
@@ -254,7 +253,6 @@ class QueryProfile {
                                   const std::string& detail);
   int TidForThisThreadLocked();
 
-  Metrics* legacy_ = nullptr;
   bool detailed_ = true;
 
   mutable std::mutex mu_;

@@ -348,11 +348,6 @@ void TaskRunner::RunStageImpl(const std::string& stage, size_t num_partitions,
         } catch (const RetryableError& e) {
           if (att.timed_out.load(std::memory_order_relaxed)) {
             profile.Add(task_span, ProfileCounter::kTaskTimeouts, 1);
-            ctx_.engine()
-                .registry()
-                .Counter("ssql_tasks_timed_out_total",
-                         "Task attempts abandoned past task_timeout_ms")
-                .Increment();
             ctx_.EmitEvent(EngineEventKind::kTaskTimeout, EventSeverity::kWarn,
                            static_cast<int64_t>(p), stage);
           }
@@ -432,11 +427,6 @@ void TaskRunner::RunStageImpl(const std::string& stage, size_t num_partitions,
                                static_cast<double>(num_partitions)));
     const double multiplier = config.speculation_multiplier;
     auto run_duplicate = [&, task_timeout_ms](size_t p) {
-      ctx_.engine()
-          .registry()
-          .Counter("ssql_tasks_speculated_total",
-                   "Speculative duplicate attempts launched for stragglers")
-          .Increment();
       ProfileSpan* spec_span = profile.BeginSpan(
           SpanKind::kTask, "p" + std::to_string(p) + ".spec", stage_span);
       profile.Add(spec_span, ProfileCounter::kSpeculated, 1);
@@ -460,11 +450,6 @@ void TaskRunner::RunStageImpl(const std::string& stage, size_t num_partitions,
         TaskCommitFn commit = body(p);
         if (try_commit(p, /*speculative=*/true, commit)) {
           profile.Add(spec_span, ProfileCounter::kSpeculationWins, 1);
-          ctx_.engine()
-              .registry()
-              .Counter("ssql_speculation_wins_total",
-                       "Speculative duplicates that finished first")
-              .Increment();
           LogEvent(LogLevel::kDebug, "task.speculation_win",
                    {{"query", ctx_.query_id()},
                     {"stage", stage},

@@ -191,10 +191,8 @@ class FaultInjector {
 ///     cooperatively through its attempt token;
 ///   * each stage opens a profile span with one task span per partition
 ///     (covering all of its attempts), carrying the attempts/retries/
-///     failures/speculation counters — which also feed the legacy
-///     ExecContext::Metrics keys "task.attempts", "task.retries",
-///     "task.failures", "task.speculated", "task.speculation_wins",
-///     "task.timeouts".
+///     failures/speculation/timeout counters; their engine-wide totals are
+///     the ssql_query_<counter>_total registry counters folded at Finish.
 ///
 /// Bodies are re-executed from scratch on retry, so they must be
 /// idempotent; a body that destructively consumes shared input must only

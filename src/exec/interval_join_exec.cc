@@ -95,7 +95,8 @@ RowDataset IntervalJoinExec::ExecuteImpl(QueryContext& ctx) const {
     intervals.push_back({s.AsDouble(), e.AsDouble(), i});
   }
   IntervalTree tree(std::move(intervals));
-  ctx.metrics().Add("rangejoin.build_rows", static_cast<int64_t>(build.size()));
+  ctx.profile().Add(nullptr, ProfileCounter::kBuildRows,
+                    static_cast<int64_t>(build.size()));
 
   bool interval_on_left = interval_on_left_;
   RowDataset stream = point_side->Execute(ctx);

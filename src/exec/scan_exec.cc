@@ -201,16 +201,6 @@ std::string DataSourceScanExec::Describe() const {
   return s;
 }
 
-RowDataset CachedScanExec::ExecuteImpl(QueryContext& ctx) const {
-  ctx.metrics().Add("cache.scans", 1);
-  return table_->Scan(columns_, &ctx.engine());
-}
-
-BatchDataset CachedScanExec::ExecuteBatchesImpl(QueryContext& ctx) const {
-  ctx.metrics().Add("cache.scans", 1);
-  return table_->ScanBatches(columns_, ctx.config().batch_size, &ctx.engine());
-}
-
 ProjectFilterExec::ProjectFilterExec(std::vector<NamedExprPtr> projections,
                                      ExprPtr condition, PhysPtr child)
     : projections_(std::move(projections)),

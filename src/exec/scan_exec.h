@@ -7,7 +7,6 @@
 
 #include "catalyst/codegen/compiled_expression.h"
 #include "catalyst/plan/logical_plan.h"
-#include "columnar/columnar_cache.h"
 #include "datasources/data_source.h"
 #include "exec/physical_plan.h"
 
@@ -55,8 +54,9 @@ class DataSourceScanExec : public PhysicalPlan {
   /// source evaluates them exactly — no row-at-a-time recheck needed).
   /// COUNT(*)-style scans (no required columns) stay row-based.
   bool SupportsBatches() const override;
-  /// A BatchedScan source decodes straight into ColumnVectors: this is a
-  /// root of the natively-columnar pipeline, like InMemoryColumnarScan.
+  /// A BatchedScan source (the columnar cache, for one) decodes straight
+  /// into ColumnVectors: this is the root of every natively-columnar
+  /// pipeline.
   bool BatchesAreNative() const override { return SupportsBatches(); }
 
  protected:
@@ -67,74 +67,6 @@ class DataSourceScanExec : public PhysicalPlan {
   AttributeVector full_output_;
   std::vector<int> required_columns_;
   ExprVector pushed_filters_;
-};
-
-/// A cached DataFrame in compressed columnar form, usable as a leaf in
-/// later plans (Section 3.6). Logical side of the cache: the api layer
-/// swaps this node in for the cached plan subtree.
-class InMemoryRelation : public LogicalPlan {
- public:
-  InMemoryRelation(AttributeVector output,
-                   std::shared_ptr<const CachedTable> table, std::string label)
-      : output_(std::move(output)), table_(std::move(table)),
-        label_(std::move(label)) {}
-
-  static PlanPtr Make(AttributeVector output,
-                      std::shared_ptr<const CachedTable> table,
-                      std::string label) {
-    return std::make_shared<InMemoryRelation>(std::move(output), std::move(table),
-                                              std::move(label));
-  }
-
-  const std::shared_ptr<const CachedTable>& table() const { return table_; }
-
-  std::string NodeName() const override { return "InMemoryRelation"; }
-  PlanVector Children() const override { return {}; }
-  PlanPtr WithNewChildren(PlanVector) const override { return self(); }
-  AttributeVector Output() const override { return output_; }
-  std::string Describe() const override {
-    return "InMemoryRelation " + label_ + " " + FormatAttributes(output_);
-  }
-
- private:
-  AttributeVector output_;
-  std::shared_ptr<const CachedTable> table_;
-  std::string label_;
-};
-
-/// Physical scan over an InMemoryRelation: decodes only the needed columns.
-class CachedScanExec : public PhysicalPlan {
- public:
-  CachedScanExec(AttributeVector output, std::vector<int> columns,
-                 std::shared_ptr<const CachedTable> table)
-      : output_(std::move(output)), columns_(std::move(columns)),
-        table_(std::move(table)) {}
-
-  std::string NodeName() const override { return "InMemoryColumnarScan"; }
-  std::vector<PhysPtr> Children() const override { return {}; }
-  AttributeVector Output() const override { return output_; }
-  RowDataset ExecuteImpl(QueryContext& ctx) const override;
-  std::string Describe() const override {
-    return "InMemoryColumnarScan " + FormatAttributes(output_);
-  }
-
-  /// Native batch scan: cached chunks decode straight into ColumnVectors,
-  /// never boxing a row. COUNT(*)-style scans (no columns) stay row-based.
-  bool SupportsBatches() const override { return !columns_.empty(); }
-  /// The root of every natively-columnar pipeline: batches come straight
-  /// from the compressed cache, no pack anywhere.
-  bool BatchesAreNative() const override { return SupportsBatches(); }
-
- protected:
-  BatchDataset ExecuteBatchesImpl(QueryContext& ctx) const override;
-  /// Row-demanding parents keep the direct decode-and-box scan; the native
-  /// batch scan pays off when a vectorized parent consumes the columns.
-  bool PreferBatchExecution() const override { return false; }
-
- private:
-  AttributeVector output_;
-  std::vector<int> columns_;
-  std::shared_ptr<const CachedTable> table_;
 };
 
 /// Projection (optionally fused with a filter — Section 4.3.3's

@@ -158,21 +158,4 @@ std::string MetricsRegistry::ExportPrometheusText() const {
   return out;
 }
 
-std::string LegacyCountersPrometheusText(
-    const std::unordered_map<std::string, int64_t>& counters,
-    const std::string& prefix) {
-  // Sort for a stable exposition (scrapers diff these files).
-  std::vector<std::pair<std::string, int64_t>> sorted(counters.begin(),
-                                                      counters.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::string out;
-  for (const auto& [name, value] : sorted) {
-    const std::string metric = SanitizeMetricName(prefix + name);
-    // Gauges, not counters: the legacy bag is resettable.
-    out += "# TYPE " + metric + " gauge\n";
-    out += metric + " " + std::to_string(value) + "\n";
-  }
-  return out;
-}
-
 }  // namespace ssql

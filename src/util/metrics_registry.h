@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace ssql {
@@ -89,13 +88,12 @@ struct MetricSnapshot {
   int64_t p99 = 0;
 };
 
-/// Engine-wide registry of typed metrics, the upgrade over the flat
-/// name->int64 Metrics bag: counters and gauges for totals, histograms for
-/// distributions (query latency, operator wall time, spill write size,
-/// admission wait). Registration/lookup takes one mutex; recording through
-/// a held pointer is lock-free, so hot paths resolve their instrument once
-/// and keep the handle. Instruments live as long as the registry (node
-/// pointers are stable).
+/// Engine-wide registry of typed metrics: counters and gauges for totals,
+/// histograms for distributions (query latency, operator wall time, spill
+/// write size, admission wait). Registration/lookup takes one mutex;
+/// recording through a held pointer is lock-free, so hot paths resolve
+/// their instrument once and keep the handle. Instruments live as long as
+/// the registry (node pointers are stable).
 class MetricsRegistry {
  public:
   /// Find-or-create. The returned reference stays valid for the registry's
@@ -132,13 +130,6 @@ class MetricsRegistry {
 /// Maps an arbitrary metric name to a valid Prometheus metric name
 /// ([a-zA-Z_:][a-zA-Z0-9_:]*): every other character becomes '_'.
 std::string SanitizeMetricName(const std::string& name);
-
-/// Renders a flat name->value bag (the legacy Metrics counters) in
-/// Prometheus text format as gauges under `prefix` ("ssql_legacy_"), so
-/// one scrape carries both the typed registry and the historical keys.
-std::string LegacyCountersPrometheusText(
-    const std::unordered_map<std::string, int64_t>& counters,
-    const std::string& prefix);
 
 }  // namespace ssql
 

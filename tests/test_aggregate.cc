@@ -12,6 +12,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <map>
@@ -255,14 +256,28 @@ struct Setting {
   }
 };
 
+/// gtest prints a parameter it cannot format as its raw bytes, padding
+/// included, into the listed test name; zeroing the padding keeps those
+/// names the same from run to run instead of leaking stack addresses.
+Setting MakeSetting(bool batched, size_t batch_size, bool codegen,
+                    Budget budget) {
+  Setting s;
+  std::memset(&s, 0, sizeof(s));
+  s.batched = batched;
+  s.batch_size = batch_size;
+  s.codegen = codegen;
+  s.budget = budget;
+  return s;
+}
+
 std::vector<Setting> AllSettings() {
   std::vector<Setting> out;
   for (Budget budget :
        {Budget::kUnlimited, Budget::kQuerySpill64K, Budget::kEnginePool64K}) {
     for (bool codegen : {true, false}) {
-      out.push_back({false, 1024, codegen, budget});
-      out.push_back({true, 1, codegen, budget});
-      out.push_back({true, 1024, codegen, budget});
+      out.push_back(MakeSetting(false, 1024, codegen, budget));
+      out.push_back(MakeSetting(true, 1, codegen, budget));
+      out.push_back(MakeSetting(true, 1024, codegen, budget));
     }
   }
   return out;

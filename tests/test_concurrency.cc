@@ -306,7 +306,9 @@ TEST(ConcurrencyStressTest, MixedQueriesStayIsolatedOnOneSqlContext) {
 
   EXPECT_EQ(ctx.exec().active_queries(), 0u);
   EXPECT_EQ(FilesIn(scratch), 0u) << "spill files leaked across queries";
-  EXPECT_GT(ctx.exec().metrics().Get("memory.spill_bytes"), 0);
+  EXPECT_GT(
+      ctx.exec().registry().Counter("ssql_query_spill_bytes_total").value(),
+      0);
 
   // The engine is fully usable afterwards.
   EXPECT_EQ(ctx.Sql("SELECT count(*) FROM t").Collect()[0].GetInt64(0), 20000);

@@ -3,6 +3,7 @@
 // pushdown, and end-to-end CREATE TEMPORARY TABLE ... USING.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -89,7 +90,8 @@ TEST(FilterSpecTest, Matching) {
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/people.csv";
+    path_ = ::testing::TempDir() + "/people-" + std::to_string(::getpid()) +
+              ".csv";
     std::ofstream out(path_);
     out << "name,age,score,joined\n";
     out << "Alice,22,9.5,2014-03-01\n";
@@ -170,7 +172,8 @@ class ColfTest : public ::testing::Test {
                            Value(std::string(i % 2 == 0 ? "even" : "odd")),
                            Value(i / 10.0)}));
     }
-    path_ = ::testing::TempDir() + "/data.colf";
+    path_ = ::testing::TempDir() + "/data-" + std::to_string(::getpid()) +
+              ".colf";
     WriteColfFile(path_, schema_, rows_, /*row_group_size=*/100);
   }
 
@@ -199,12 +202,11 @@ TEST_F(ColfTest, FullScanRoundTrip) {
 TEST_F(ColfTest, ZoneMapsSkipRowGroups) {
   SqlContext ctx;
   ctx.ReadColf(path_).RegisterTempTable("data");
-  ctx.exec().metrics().Reset();
   auto rows = ctx.Sql("SELECT id FROM data WHERE id >= 950").Collect();
   EXPECT_EQ(rows.size(), 50u);
-  // 9 of 10 row groups have max id < 950 and must be skipped.
-  EXPECT_EQ(ctx.exec().metrics().Get("colf.row_groups_skipped"), 9);
-  EXPECT_EQ(ctx.exec().metrics().Get("source.rows_scanned"), 100);
+  // 9 of 10 row groups have max id < 950 and must be skipped: only the
+  // last group's 100 rows are read.
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRowsScanned), 100);
 }
 
 TEST_F(ColfTest, PushdownDisabledScansEverything) {
@@ -212,11 +214,10 @@ TEST_F(ColfTest, PushdownDisabledScansEverything) {
   config.pushdown_enabled = false;
   SqlContext ctx(config);
   ctx.ReadColf(path_).RegisterTempTable("data");
-  ctx.exec().metrics().Reset();
   auto rows = ctx.Sql("SELECT id FROM data WHERE id >= 950").Collect();
   EXPECT_EQ(rows.size(), 50u);
-  EXPECT_EQ(ctx.exec().metrics().Get("colf.row_groups_skipped"), 0);
-  EXPECT_EQ(ctx.exec().metrics().Get("source.rows_scanned"), 1000);
+  // No row group is skipped.
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRowsScanned), 1000);
 }
 
 TEST_F(ColfTest, EqualityOnStringColumn) {
@@ -269,27 +270,25 @@ TEST_F(KvdbTest, PushdownReducesRowsShipped) {
   SqlContext ctx;
   ctx.Sql(
       "CREATE TEMPORARY TABLE users USING kvdb OPTIONS (table 'users_kv')");
-  ctx.exec().metrics().Reset();
   // The Section 5.3 pattern: the date filter runs inside the database.
   auto rows = ctx.Sql(
                      "SELECT id, name FROM users "
                      "WHERE registrationDate > '2015-01-01'")
                   .Collect();
   EXPECT_EQ(rows.size(), 20u);
-  EXPECT_EQ(ctx.exec().metrics().Get("kvdb.rows_examined"), 100);
-  EXPECT_EQ(ctx.exec().metrics().Get("kvdb.rows_shipped"), 20);
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRowsScanned), 100);
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRowsReturned), 20);
 }
 
 TEST_F(KvdbTest, CatalystScanHandlesArbitraryPredicates) {
   SqlContext ctx;
   ctx.Sql(
       "CREATE TEMPORARY TABLE users USING kvdb OPTIONS (table 'users_kv')");
-  ctx.exec().metrics().Reset();
   // id % 10 = 3 is not expressible as a FilterSpec, but kvdb implements
   // CatalystScan, so the whole predicate still runs inside the store.
   auto rows = ctx.Sql("SELECT id FROM users WHERE id % 10 = 3").Collect();
   EXPECT_EQ(rows.size(), 10u);
-  EXPECT_EQ(ctx.exec().metrics().Get("kvdb.rows_shipped"), 10);
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRowsReturned), 10);
 }
 
 TEST_F(KvdbTest, UnknownTableFailsAtCreate) {
@@ -462,7 +461,8 @@ class ColfIoFailureTest : public ::testing::Test {
     for (int i = 0; i < 300; ++i) {
       rows.push_back(Row({Value(int64_t(i)), Value("tag_" + std::to_string(i))}));
     }
-    path_ = ::testing::TempDir() + "/fragile.colf";
+    path_ = ::testing::TempDir() + "/fragile-" + std::to_string(::getpid()) +
+              ".colf";
     WriteColfFile(path_, schema_, rows, /*row_group_size=*/50);
   }
   void TearDown() override { std::filesystem::remove(path_); }

@@ -205,10 +205,12 @@ TEST_F(EndToEndTest, SelectExpressionWithoutFrom) {
 TEST_F(EndToEndTest, CachedDataFrameStillAnswersQueries) {
   DataFrame users = ctx_.Table("employees");
   users.Cache();
-  auto rows = ctx_.Sql("SELECT count(*) FROM employees").Collect();
+  DataFrame count = ctx_.Sql("SELECT count(*) FROM employees");
+  auto rows = count.Collect();
   EXPECT_EQ(rows[0].GetInt64(0), 5);
-  // Execution should have used the in-memory columnar scan.
-  EXPECT_GT(ctx_.exec().metrics().Get("cache.scans"), 0);
+  // The physical plan scans the in-memory columnar cache.
+  const std::string plan = count.Explain();
+  EXPECT_NE(plan.find("Scan cache:"), std::string::npos) << plan;
 }
 
 TEST_F(EndToEndTest, ExplainShowsPhysicalPlan) {

@@ -98,12 +98,14 @@ TEST(RowDatasetTest, ShuffleColocatesEqualKeys) {
   for (const auto& [key, parts] : locations) {
     EXPECT_EQ(parts.size(), 1u) << "key " << key << " spread over partitions";
   }
-  // Counters accumulate in the query-private bag and fold into the engine
-  // bag once, when the query finishes.
-  EXPECT_EQ(query->metrics().Get("shuffle.rows"), 1000);
-  EXPECT_EQ(ctx.metrics().Get("shuffle.rows"), 0);
+  // Counters accumulate in the query's profile and fold into the engine
+  // registry once, when the query finishes.
+  CounterMetric& shuffled_total =
+      ctx.registry().Counter("ssql_query_shuffle_rows_total");
+  EXPECT_EQ(query->profile().Total(ProfileCounter::kShuffleRows), 1000);
+  EXPECT_EQ(shuffled_total.value(), 0);
   query->Finish("ok");
-  EXPECT_EQ(ctx.metrics().Get("shuffle.rows"), 1000);
+  EXPECT_EQ(shuffled_total.value(), 1000);
 }
 
 TEST(RddTest, MapFilterPipelineIsLazy) {
@@ -183,19 +185,6 @@ TEST(RddTest, CacheComputesOnce) {
   EXPECT_EQ(expensive->Count(), 50u);
   EXPECT_EQ(expensive->Collect().size(), 50u);
   EXPECT_EQ(evaluations.load(), after_first);  // no recomputation
-}
-
-TEST(MetricsTest, CountersAccumulateAndReset) {
-  Metrics metrics;
-  metrics.Add("x", 5);
-  metrics.Add("x", 2);
-  metrics.Add("y", 1);
-  EXPECT_EQ(metrics.Get("x"), 7);
-  EXPECT_EQ(metrics.Get("missing"), 0);
-  auto snapshot = metrics.Snapshot();
-  EXPECT_EQ(snapshot.size(), 2u);
-  metrics.Reset();
-  EXPECT_EQ(metrics.Get("x"), 0);
 }
 
 }  // namespace

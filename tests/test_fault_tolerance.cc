@@ -5,6 +5,7 @@
 // the CSV and JSON readers.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -118,11 +119,10 @@ TEST(TaskRetryTest, InjectedFaultsAreRetriedTransparently) {
   SqlContext ctx;
   ctx.UpdateConfig([&](EngineConfig& c) { c.fault_injection_spec = "project:1:0,project:3:0"; });
   DataFrame df = Numbers(ctx, 100);
-  ctx.exec().metrics().Reset();
   auto rows = df.Where(df("x") < Lit(Value(int32_t{50}))).Collect();
   EXPECT_EQ(rows.size(), 50u);
-  EXPECT_EQ(ctx.exec().metrics().Get("task.retries"), 2);
-  EXPECT_EQ(ctx.exec().metrics().Get("task.failures"), 0);
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRetries), 2);
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kFailures), 0);
 }
 
 TEST(TaskRetryTest, RetriesDisabledFailsNamingThePartition) {
@@ -138,7 +138,7 @@ TEST(TaskRetryTest, RetriesDisabledFailsNamingThePartition) {
     EXPECT_NE(what.find("stage 'project'"), std::string::npos) << what;
     EXPECT_NE(what.find("partition 1"), std::string::npos) << what;
   }
-  EXPECT_EQ(ctx.exec().metrics().Get("task.retries"), 0);
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRetries), 0);
 }
 
 TEST(TaskRetryTest, ExhaustedRetriesReportAttemptCount) {
@@ -177,8 +177,8 @@ TEST(TaskRunnerTest, FatalErrorsAreAggregatedWithPartition) {
     EXPECT_NE(what.find("partition 2: disk on fire"), std::string::npos) << what;
   }
   // Fatal errors are not retried.
-  EXPECT_EQ(ctx.metrics().Get("task.retries"), 0);
-  EXPECT_EQ(ctx.metrics().Get("task.failures"), 1);
+  EXPECT_EQ(ctx.profile().Total(ProfileCounter::kRetries), 0);
+  EXPECT_EQ(ctx.profile().Total(ProfileCounter::kFailures), 1);
 }
 
 TEST(TaskRunnerTest, FatalFailureCancelsPendingSiblings) {
@@ -202,7 +202,7 @@ TEST(TaskRunnerTest, FatalFailureCancelsPendingSiblings) {
       ExecutionError);
   // The first fatal failure aborts partitions that had not started yet, so
   // nowhere near all 64 tasks should have attempted.
-  EXPECT_LT(ctx.metrics().Get("task.attempts"), 64);
+  EXPECT_LT(ctx.profile().Total(ProfileCounter::kAttempts), 64);
 }
 
 // ---- cancellation and timeouts ---------------------------------------------
@@ -363,7 +363,8 @@ TEST(CancellationTest, IntervalJoinProbeLoopPollsPerRow) {
 class CsvParseModeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/corrupt.csv";
+    path_ = ::testing::TempDir() + "/corrupt-" + std::to_string(::getpid()) +
+              ".csv";
     WriteFile(path_,
               "a,b\n"
               "1,2\n"
@@ -391,7 +392,6 @@ TEST_F(CsvParseModeTest, PermissiveKeepsCorruptRecords) {
   DataFrame df = ctx_.ReadCsv(path_, opts);
   ASSERT_EQ(df.schema()->num_fields(), 3u);
   EXPECT_EQ(df.schema()->field(2).name, "_corrupt_record");
-  ctx_.exec().metrics().Reset();
   auto rows = df.Collect();
   ASSERT_EQ(rows.size(), 4u);
   // Good rows carry a null corrupt column.
@@ -402,8 +402,8 @@ TEST_F(CsvParseModeTest, PermissiveKeepsCorruptRecords) {
   EXPECT_TRUE(rows[1].IsNullAt(1));
   EXPECT_EQ(rows[1].GetString(2), "oops,3");
   EXPECT_EQ(rows[2].GetString(2), "4,5,6");
-  EXPECT_EQ(ctx_.exec().metrics().Get("source.malformed_records"), 2);
-  EXPECT_EQ(ctx_.exec().metrics().Get("source.rows_dropped"), 0);
+  EXPECT_EQ(ctx_.last_profile().Total(ProfileCounter::kMalformedRecords), 2);
+  EXPECT_EQ(ctx_.last_profile().Total(ProfileCounter::kRowsDropped), 0);
 }
 
 TEST_F(CsvParseModeTest, DropMalformedSkipsCorruptRecords) {
@@ -411,13 +411,12 @@ TEST_F(CsvParseModeTest, DropMalformedSkipsCorruptRecords) {
   opts["mode"] = "DROPMALFORMED";
   DataFrame df = ctx_.ReadCsv(path_, opts);
   EXPECT_EQ(df.schema()->num_fields(), 2u);
-  ctx_.exec().metrics().Reset();
   auto rows = df.Collect();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].GetInt32(0), 1);
   EXPECT_EQ(rows[1].GetInt32(0), 7);
-  EXPECT_EQ(ctx_.exec().metrics().Get("source.rows_dropped"), 2);
-  EXPECT_EQ(ctx_.exec().metrics().Get("source.malformed_records"), 2);
+  EXPECT_EQ(ctx_.last_profile().Total(ProfileCounter::kRowsDropped), 2);
+  EXPECT_EQ(ctx_.last_profile().Total(ProfileCounter::kMalformedRecords), 2);
 }
 
 TEST_F(CsvParseModeTest, FailFastNamesFileAndLine) {
@@ -464,7 +463,8 @@ TEST(CsvParseModeErrorTest, UnknownModeRejected) {
 class JsonParseModeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/corrupt.json";
+    path_ = ::testing::TempDir() + "/corrupt-" + std::to_string(::getpid()) +
+              ".json";
     WriteFile(path_,
               "{\"a\": 1, \"b\": \"x\"}\n"
               "{\"a\": 2, \"b\":\n"       // line 2: truncated object
@@ -490,7 +490,6 @@ TEST_F(JsonParseModeTest, PermissiveKeepsCorruptRecords) {
   // Schema is inferred from the well-formed records plus the corrupt column.
   ASSERT_EQ(df.schema()->num_fields(), 3u);
   EXPECT_EQ(df.schema()->field(2).name, "_corrupt_record");
-  ctx_.exec().metrics().Reset();
   auto rows = df.Collect();
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].GetInt32(0), 1);
@@ -500,26 +499,24 @@ TEST_F(JsonParseModeTest, PermissiveKeepsCorruptRecords) {
   EXPECT_TRUE(corrupt.IsNullAt(0));
   EXPECT_TRUE(corrupt.IsNullAt(1));
   EXPECT_EQ(corrupt.GetString(2), "{\"a\": 2, \"b\":");
-  EXPECT_EQ(ctx_.exec().metrics().Get("source.malformed_records"), 1);
+  EXPECT_EQ(ctx_.last_profile().Total(ProfileCounter::kMalformedRecords), 1);
 }
 
 TEST_F(JsonParseModeTest, DropMalformedSkipsCorruptRecords) {
   DataFrame df = ctx_.ReadJson(path_, {{"mode", "DROPMALFORMED"}});
   EXPECT_EQ(df.schema()->num_fields(), 2u);
-  ctx_.exec().metrics().Reset();
   auto rows = df.Collect();
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(ctx_.exec().metrics().Get("source.rows_dropped"), 1);
+  EXPECT_EQ(ctx_.last_profile().Total(ProfileCounter::kRowsDropped), 1);
 }
 
 TEST_F(JsonParseModeTest, WellFormedFileSkipsSalvagePass) {
   std::string clean = ::testing::TempDir() + "/clean.json";
   WriteFile(clean, "{\"a\": 1}\n{\"a\": 2}\n");
   DataFrame df = ctx_.ReadJson(clean, {{"mode", "PERMISSIVE"}});
-  ctx_.exec().metrics().Reset();
   auto rows = df.Collect();
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(ctx_.exec().metrics().Get("source.malformed_records"), 0);
+  EXPECT_EQ(ctx_.last_profile().Total(ProfileCounter::kMalformedRecords), 0);
 }
 
 // ---- error formatting ------------------------------------------------------
@@ -615,10 +612,12 @@ TEST(TaskDeadlineTest, RunawayAttemptIsRetriedWithAFreshDeadline) {
       },
       "slow");
   EXPECT_EQ(out.TotalRows(), 8u);
-  EXPECT_EQ(ctx.metrics().Get("task.timeouts"), 1);
-  EXPECT_EQ(ctx.metrics().Get("task.retries"), 1);
-  EXPECT_GE(engine.registry().Counter("ssql_tasks_timed_out_total").value(), 1);
+  EXPECT_EQ(ctx.profile().Total(ProfileCounter::kTaskTimeouts), 1);
+  EXPECT_EQ(ctx.profile().Total(ProfileCounter::kRetries), 1);
+  // The engine-wide total is folded from the profile when the query ends.
   query->Finish("ok");
+  EXPECT_EQ(
+      engine.registry().Counter("ssql_query_task_timeouts_total").value(), 1);
 }
 
 TEST(TaskDeadlineTest, PersistentlyRunawayTaskFailsNamingTheDeadline) {
@@ -654,7 +653,7 @@ TEST(TaskDeadlineTest, PersistentlyRunawayTaskFailsNamingTheDeadline) {
               std::string::npos)
         << what;
   }
-  EXPECT_EQ(ctx.metrics().Get("task.timeouts"), 2);
+  EXPECT_EQ(ctx.profile().Total(ProfileCounter::kTaskTimeouts), 2);
   query->Finish("error");
 }
 
@@ -696,12 +695,8 @@ TEST(SpeculationTest, DuplicateWinsCommitsOnceAndLoserLearnsWhy) {
   for (size_t p = 0; p < 8; ++p) {
     EXPECT_EQ(commits[p].load(), 1) << "partition " << p;
   }
-  EXPECT_GE(ctx.metrics().Get("task.speculated"), 1);
-  EXPECT_GE(ctx.metrics().Get("task.speculation_wins"), 1);
-  EXPECT_GE(engine.registry().Counter("ssql_tasks_speculated_total").value(),
-            1);
-  EXPECT_GE(engine.registry().Counter("ssql_speculation_wins_total").value(),
-            1);
+  EXPECT_GE(ctx.profile().Total(ProfileCounter::kSpeculated), 1);
+  EXPECT_GE(ctx.profile().Total(ProfileCounter::kSpeculationWins), 1);
   {
     std::lock_guard<std::mutex> lock(reason_mu);
     EXPECT_NE(
@@ -710,6 +705,11 @@ TEST(SpeculationTest, DuplicateWinsCommitsOnceAndLoserLearnsWhy) {
         << loser_reason;
   }
   query->Finish("ok");
+  EXPECT_GE(engine.registry().Counter("ssql_query_speculated_total").value(),
+            1);
+  EXPECT_GE(
+      engine.registry().Counter("ssql_query_speculation_wins_total").value(),
+      1);
 }
 
 TEST(SpeculationTest, PrimaryWinCancelsTheDuplicateCooperatively) {
@@ -744,8 +744,8 @@ TEST(SpeculationTest, PrimaryWinCancelsTheDuplicateCooperatively) {
   for (size_t p = 0; p < 8; ++p) {
     EXPECT_EQ(commits[p].load(), 1) << "partition " << p;
   }
-  EXPECT_GE(ctx.metrics().Get("task.speculated"), 1);
-  EXPECT_EQ(ctx.metrics().Get("task.speculation_wins"), 0);
+  EXPECT_GE(ctx.profile().Total(ProfileCounter::kSpeculated), 1);
+  EXPECT_EQ(ctx.profile().Total(ProfileCounter::kSpeculationWins), 0);
   // The losing duplicate was cancelled cooperatively, not waited out.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
             8);
@@ -797,7 +797,7 @@ TEST(SpeculationTest, DisabledSpeculationBehavesLikeRunStage) {
         return [&commits, p] { commits[p].fetch_add(1); };
       });
   for (size_t p = 0; p < 4; ++p) EXPECT_EQ(commits[p].load(), 1);
-  EXPECT_EQ(ctx.metrics().Get("task.speculated"), 0);
+  EXPECT_EQ(ctx.profile().Total(ProfileCounter::kSpeculated), 0);
   query->Finish("ok");
 }
 
@@ -1074,9 +1074,8 @@ class SpillCorruptionQueryTest : public ::testing::Test {
     // Same query, same memory pressure, no rot: must succeed and spill.
     ctx_.UpdateConfig(
         [&](EngineConfig& c) { c.fault_injection_spec.clear(); });
-    ctx_.exec().metrics().Reset();
     EXPECT_FALSE(ctx_.Sql(sql).Collect().empty()) << sql;
-    EXPECT_GT(ctx_.exec().metrics().Get("memory.spill_bytes"), 0) << sql;
+    EXPECT_GT(ctx_.last_profile().Total(ProfileCounter::kSpillBytes), 0) << sql;
     ctx_.UpdateConfig(
         [&](EngineConfig& c) { c.query_memory_limit_bytes = -1; });
   }

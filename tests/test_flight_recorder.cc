@@ -380,8 +380,7 @@ TEST(TraceInstantTest, InstantEventsRenderWithoutDuration) {
 }
 
 TEST(TraceInstantTest, ProfileInstantsReachTheTraceExport) {
-  Metrics metrics;
-  QueryProfile profile(&metrics);
+  QueryProfile profile;
   ProfileSpan* span = profile.BeginSpan(SpanKind::kOperator, "Scan");
   profile.AddInstant("task.retry", "task",
                      {{"stage", "scan"}, {"attempt", "1"}});

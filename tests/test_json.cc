@@ -3,6 +3,7 @@
 // most-specific-supertype merge.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <fstream>
 
@@ -170,7 +171,8 @@ TEST(SchemaInferenceTest, RowConversionPreservesStringRepresentation) {
 class JsonSourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/tweets.json";
+    path_ = ::testing::TempDir() + "/tweets-" + std::to_string(::getpid()) +
+              ".json";
     std::ofstream out(path_);
     out << kTweets;
   }

@@ -50,8 +50,7 @@ std::vector<std::string> Canonical(const std::vector<Row>& rows) {
 // ---- MemoryManager units ---------------------------------------------------
 
 TEST(MemoryManagerTest, ReservationAccounting) {
-  Metrics metrics;
-  QueryProfile profile(&metrics);
+  QueryProfile profile;
   MemoryManager mgr;
   mgr.Configure(1000, /*spill_enabled=*/true, &profile);
   EXPECT_TRUE(mgr.limited());
@@ -79,12 +78,11 @@ TEST(MemoryManagerTest, ReservationAccounting) {
   EXPECT_EQ(mgr.reserved_bytes(), 5450);
   b.Release();
   EXPECT_EQ(mgr.reserved_bytes(), 0);
-  EXPECT_GE(metrics.Get("memory.peak_reserved_bytes"), 5450);
+  EXPECT_GE(profile.Total(ProfileCounter::kPeakReservedBytes), 5450);
 }
 
 TEST(MemoryManagerTest, ChunkedGrowthFallsBackToExactDeficit) {
-  Metrics metrics;
-  QueryProfile profile(&metrics);
+  QueryProfile profile;
   MemoryManager mgr;
   // Budget below one chunk: EnsureReserved must fall back to the exact
   // deficit instead of denying everything.
@@ -95,8 +93,7 @@ TEST(MemoryManagerTest, ChunkedGrowthFallsBackToExactDeficit) {
 }
 
 TEST(MemoryManagerTest, UnlimitedGrantsEverything) {
-  Metrics metrics;
-  QueryProfile profile(&metrics);
+  QueryProfile profile;
   MemoryManager mgr;
   mgr.Configure(-1, true, &profile);
   EXPECT_FALSE(mgr.limited());
@@ -115,8 +112,7 @@ TEST(MemoryManagerTest, LimitedWhenAnyAncestorPoolIsLimited) {
 }
 
 TEST(MemoryManagerTest, ReservationReleasesOnDestruction) {
-  Metrics metrics;
-  QueryProfile profile(&metrics);
+  QueryProfile profile;
   MemoryManager mgr;
   mgr.Configure(1000, true, &profile);
   {
@@ -244,14 +240,13 @@ class SpillQueryTest : public ::testing::Test {
     auto expected = Canonical(ctx_.Sql(sql).Collect());
 
     ctx_.UpdateConfig([&](EngineConfig& c) { c.query_memory_limit_bytes = limit_bytes; });
-    ctx_.exec().metrics().Reset();
     auto actual = Canonical(ctx_.Sql(sql).Collect());
     ctx_.UpdateConfig([&](EngineConfig& c) { c.query_memory_limit_bytes = -1; });
 
     EXPECT_EQ(actual, expected) << sql;
-    EXPECT_GT(ctx_.exec().metrics().Get("memory.spill_bytes"), 0) << sql;
-    EXPECT_GT(ctx_.exec().metrics().Get("memory.spill_files"), 0) << sql;
-    EXPECT_GT(ctx_.exec().metrics().Get("memory.peak_reserved_bytes"), 0);
+    EXPECT_GT(ctx_.last_profile().Total(ProfileCounter::kSpillBytes), 0) << sql;
+    EXPECT_GT(ctx_.last_profile().Total(ProfileCounter::kSpillFiles), 0) << sql;
+    EXPECT_GT(ctx_.last_profile().Total(ProfileCounter::kPeakReservedBytes), 0);
     EXPECT_EQ(FilesIn(scratch_), 0u) << "orphan spill files after " << sql;
   }
 
@@ -313,18 +308,16 @@ TEST_F(SpillQueryTest, TinyBudgetStillCompletes) {
 
 TEST_F(SpillQueryTest, BudgetCapsPlannerBroadcastThreshold) {
   // `dim` is small enough to broadcast by default...
-  ctx_.exec().metrics().Reset();
   ctx_.Sql("SELECT t.k, dim.w FROM t JOIN dim ON t.k = dim.k").Collect();
-  EXPECT_GT(ctx_.exec().metrics().Get("broadcast.rows"), 0);
+  EXPECT_GT(ctx_.last_profile().Total(ProfileCounter::kBroadcastRows), 0);
 
   // ...but a broadcast build cannot spill, so a budget below the build size
   // must route the join to the (spillable) shuffle hash join.
   ctx_.UpdateConfig([&](EngineConfig& c) { c.query_memory_limit_bytes = 48 * 1024; });
-  ctx_.exec().metrics().Reset();
   auto rows =
       ctx_.Sql("SELECT t.k, dim.w FROM t JOIN dim ON t.k = dim.k").Collect();
   ctx_.UpdateConfig([&](EngineConfig& c) { c.query_memory_limit_bytes = -1; });
-  EXPECT_EQ(ctx_.exec().metrics().Get("broadcast.rows"), 0);
+  EXPECT_EQ(ctx_.last_profile().Total(ProfileCounter::kBroadcastRows), 0);
   EXPECT_GT(rows.size(), 0u);
   EXPECT_EQ(FilesIn(scratch_), 0u);
 }
@@ -446,11 +439,13 @@ TEST(GraceJoinTest, AllJoinTypesAgreeWithInMemoryPath) {
                                    {la[0]}, {ra[0]}, type, nullptr);
     EXPECT_EQ(Canonical(grace_join.Execute(*grace_query).Collect()), expected)
         << JoinTypeName(type);
-    EXPECT_GT(grace_query->metrics().Get("memory.spill_bytes"), 0)
+    EXPECT_GT(grace_query->profile().Total(ProfileCounter::kSpillBytes), 0)
         << JoinTypeName(type);
     grace_query->Finish("ok");  // removes the query's spill subdirectory
-    // Finishing folds the query-local counters into the engine-wide bag.
-    EXPECT_GT(limited.metrics().Get("memory.spill_bytes"), 0)
+    // Finishing folds the profile's totals into the engine-wide registry.
+    EXPECT_EQ(
+        limited.registry().Counter("ssql_query_spill_bytes_total").value(),
+        grace_query->profile().Total(ProfileCounter::kSpillBytes))
         << JoinTypeName(type);
     EXPECT_EQ(FilesIn(scratch), 0u) << JoinTypeName(type);
   }
@@ -486,12 +481,11 @@ TEST(SpillFaultTest, InjectedFaultRetriesWithoutOrphanSpillFiles) {
 
   ctx.UpdateConfig([&](EngineConfig& c) { c.query_memory_limit_bytes = 16 * 1024; });
   ctx.UpdateConfig([&](EngineConfig& c) { c.fault_injection_spec = "aggregate.partial:1:0"; });
-  ctx.exec().metrics().Reset();
   auto actual = Canonical(ctx.Sql(sql).Collect());
 
   EXPECT_EQ(actual, expected);
-  EXPECT_GE(ctx.exec().metrics().Get("task.retries"), 1);
-  EXPECT_GT(ctx.exec().metrics().Get("memory.spill_bytes"), 0);
+  EXPECT_GE(ctx.last_profile().Total(ProfileCounter::kRetries), 1);
+  EXPECT_GT(ctx.last_profile().Total(ProfileCounter::kSpillBytes), 0);
   EXPECT_EQ(FilesIn(scratch), 0u) << "orphan spill files after retry";
   std::filesystem::remove_all(scratch);
 }
@@ -533,12 +527,11 @@ TEST(SpillFaultTest, MidSpillRetryableErrorRetriesAndCleansUp) {
 
   *calls = 0;
   ctx.UpdateConfig([&](EngineConfig& c) { c.query_memory_limit_bytes = 8 * 1024; });
-  ctx.exec().metrics().Reset();
   auto actual = Canonical(ctx.Sql(sql).Collect());
 
   EXPECT_EQ(actual, expected);
-  EXPECT_GE(ctx.exec().metrics().Get("task.retries"), 1);
-  EXPECT_GT(ctx.exec().metrics().Get("memory.spill_bytes"), 0);
+  EXPECT_GE(ctx.last_profile().Total(ProfileCounter::kRetries), 1);
+  EXPECT_GT(ctx.last_profile().Total(ProfileCounter::kSpillBytes), 0);
   EXPECT_EQ(FilesIn(scratch), 0u);
   std::filesystem::remove_all(scratch);
 }

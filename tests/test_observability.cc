@@ -2,12 +2,14 @@
 // actual result cardinalities, spans strictly nest and always close (success,
 // error, retry, cancellation), EXPLAIN ANALYZE golden-shape checks, the
 // Chrome trace-event export parses and covers every stage, Catalyst rule
-// counters only move when a rule actually rewrites, and the per-query
-// counters reconcile with the legacy Metrics aggregates (spill, retries).
+// counters only move when a rule actually rewrites, the per-query counters
+// fold into the engine registry's ssql_query_*_total counters, and one
+// query's numbers agree on every surface that reports them.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -42,6 +44,15 @@ DataFrame Dimension(SqlContext& ctx, int n) {
   auto schema = StructType::Make({Field("k", DataType::Int32(), false),
                                   Field("name", DataType::String(), false)});
   return ctx.CreateDataFrame(schema, std::move(rows));
+}
+
+/// Engine-wide total of one profile counter: the registry counter that
+/// every finished query's profile is folded into.
+int64_t RegistryTotal(SqlContext& ctx, ProfileCounter c) {
+  return ctx.exec()
+      .registry()
+      .Counter("ssql_query_" + std::string(ProfileCounterName(c)) + "_total")
+      .value();
 }
 
 // Depth-first walk over the span tree.
@@ -242,10 +253,10 @@ TEST(SpanTreeTest, RetriedTaskStaysOneSpanAndCountsAttempts) {
               1 + s->Counter(ProfileCounter::kRetries))
         << s->name;
   });
-  // Legacy aggregates match the profile totals.
-  EXPECT_EQ(ctx.exec().metrics().Get("task.retries"), 2);
+  // The engine's only query: its registry totals are the profile totals.
+  EXPECT_EQ(RegistryTotal(ctx, ProfileCounter::kRetries), 2);
   EXPECT_EQ(profile.Total(ProfileCounter::kAttempts),
-            ctx.exec().metrics().Get("task.attempts"));
+            RegistryTotal(ctx, ProfileCounter::kAttempts));
 }
 
 TEST(SpanTreeTest, SpansCloseOnCancellation) {
@@ -301,10 +312,9 @@ TEST(ExplainTest, ExplainAnalyzeRendersActuals) {
 TEST(ExplainTest, ExplainWithoutAnalyzeDoesNotExecute) {
   SqlContext ctx;
   Numbers(ctx, 100).RegisterTempTable("t");
-  ctx.exec().metrics().Reset();
   DataFrame explained = ctx.Sql("EXPLAIN SELECT x FROM t WHERE x < 10");
   // Rendering the plan launched no stages.
-  EXPECT_EQ(ctx.exec().metrics().Get("task.attempts"), 0);
+  EXPECT_EQ(RegistryTotal(ctx, ProfileCounter::kAttempts), 0);
   std::vector<Row> rows = explained.Collect();
   ASSERT_EQ(rows.size(), 1u);
   std::string text = rows[0].Get(0).ToString();
@@ -375,14 +385,21 @@ TEST(TraceExportTest, TraceJsonParsesAndCoversAllStages) {
 
   int64_t query_ts = -1, query_end = -1;
   std::vector<std::string> names;
+  std::vector<const JsonValue*> spans;
   for (const JsonValue& ev : events->elements) {
     ASSERT_EQ(ev.kind, JsonValue::Kind::kObject);
     const JsonValue* ph = ev.Find("ph");
     ASSERT_NE(ph, nullptr);
-    EXPECT_EQ(ph->s, "X");  // complete events: ts + dur
-    for (const char* key : {"name", "ts", "dur", "pid", "tid"}) {
-      EXPECT_NE(ev.Find(key), nullptr) << key;
+    for (const char* key : {"name", "ts", "pid", "tid"}) {
+      ASSERT_NE(ev.Find(key), nullptr) << key;
     }
+    // Instant markers carry no duration. A spilling query can end with
+    // one: "journal.dropped", stamped at Finish when its flight-recorder
+    // shard overflowed, which depends on how threads map to shards.
+    if (ph->s == "i") continue;
+    EXPECT_EQ(ph->s, "X");  // every other event is complete: ts + dur
+    ASSERT_NE(ev.Find("dur"), nullptr);
+    spans.push_back(&ev);
     names.push_back(ev.Find("name")->s);
     if (ev.Find("cat")->s == "query") {
       query_ts = ev.Find("ts")->i;
@@ -391,12 +408,12 @@ TEST(TraceExportTest, TraceJsonParsesAndCoversAllStages) {
   }
   ASSERT_GE(query_ts, 0) << "no query-level event";
 
-  // Every event fits inside the query event (1us slack: durations are
+  // Every span fits inside the query event (1us slack: durations are
   // clamped up to 1us so sub-microsecond spans can overhang slightly).
-  for (const JsonValue& ev : events->elements) {
-    int64_t ts = ev.Find("ts")->i;
+  for (const JsonValue* ev : spans) {
+    int64_t ts = ev->Find("ts")->i;
     EXPECT_GE(ts, query_ts);
-    EXPECT_LE(ts + ev.Find("dur")->i, query_end + 1);
+    EXPECT_LE(ts + ev->Find("dur")->i, query_end + 1);
   }
 
   // The export covers Catalyst phases, operators, stages and tasks.
@@ -446,9 +463,9 @@ TEST(RuleStatsTest, EffectiveMovesOnlyWhenARuleRewrites) {
   EXPECT_EQ(combine->second.effective, 0);
 }
 
-// ---- reconciliation with the legacy metrics --------------------------------
+// ---- the profile-to-registry fold ------------------------------------------
 
-TEST(LegacyReconcileTest, SpillCountersMatchLegacyAggregates) {
+TEST(RegistryFoldTest, SpillCountersFoldIntoRegistryTotals) {
   EngineConfig config;
   config.query_memory_limit_bytes = 64 * 1024;
   config.spill_dir = ScratchPath("spill");
@@ -458,38 +475,50 @@ TEST(LegacyReconcileTest, SpillCountersMatchLegacyAggregates) {
 
   // Group by the 20000-distinct-key column so the aggregation map cannot fit
   // in the 64KiB budget and must spill.
-  std::vector<Row> rows =
-      ctx.Sql(
-             "SELECT fact.x, count(*) AS c FROM fact "
-             "JOIN dim ON fact.k = dim.k GROUP BY fact.x")
-          .Collect();
+  const std::string sql =
+      "SELECT fact.x, count(*) AS c FROM fact "
+      "JOIN dim ON fact.k = dim.k GROUP BY fact.x";
+  std::vector<Row> rows = ctx.Sql(sql).Collect();
   ASSERT_EQ(rows.size(), 20000u);
 
-  const QueryProfile& profile = ctx.last_profile();
-  Metrics& metrics = ctx.exec().metrics();
-  EXPECT_GT(profile.Total(ProfileCounter::kSpillBytes), 0);
-  EXPECT_EQ(profile.Total(ProfileCounter::kSpillBytes),
-            metrics.Get("memory.spill_bytes"));
-  EXPECT_EQ(profile.Total(ProfileCounter::kSpillFiles),
-            metrics.Get("memory.spill_files"));
-  EXPECT_EQ(profile.Total(ProfileCounter::kPeakReservedBytes),
-            metrics.Get("memory.peak_reserved_bytes"));
-  EXPECT_GT(metrics.Get("memory.peak_reserved_bytes"), 0);
+  const QueryProfile& first = ctx.last_profile();
+  const int64_t spill_bytes = first.Total(ProfileCounter::kSpillBytes);
+  const int64_t spill_files = first.Total(ProfileCounter::kSpillFiles);
+  EXPECT_GT(spill_bytes, 0);
+  EXPECT_GT(first.Total(ProfileCounter::kPeakReservedBytes), 0);
+  // The engine's only query so far: the registry totals are its totals.
+  EXPECT_EQ(RegistryTotal(ctx, ProfileCounter::kSpillBytes), spill_bytes);
+  EXPECT_EQ(RegistryTotal(ctx, ProfileCounter::kSpillFiles), spill_files);
 
   // The spill shows up attributed to operator spans, and EXPLAIN ANALYZE's
   // totals section reports it.
   int64_t op_spill = 0;
-  Walk(profile.root(), [&](const ProfileSpan* s) {
+  Walk(first.root(), [&](const ProfileSpan* s) {
     op_spill += s->Counter(ProfileCounter::kSpillBytes);
   });
-  EXPECT_EQ(op_spill, metrics.Get("memory.spill_bytes"));
-  std::string rendered = profile.RenderAnalyzed();
+  EXPECT_EQ(op_spill, spill_bytes);
+  std::string rendered = first.RenderAnalyzed();
   EXPECT_NE(rendered.find("spilled="), std::string::npos) << rendered;
+
+  // A second query adds its own totals; nothing else moves the counters.
+  ASSERT_EQ(ctx.Sql(sql).Collect().size(), 20000u);
+  const QueryProfile& second = ctx.last_profile();
+  EXPECT_EQ(RegistryTotal(ctx, ProfileCounter::kSpillBytes),
+            spill_bytes + second.Total(ProfileCounter::kSpillBytes));
+  EXPECT_EQ(RegistryTotal(ctx, ProfileCounter::kSpillFiles),
+            spill_files + second.Total(ProfileCounter::kSpillFiles));
+
+  // Counters that do not sum across spans or queries have no total.
+  const std::string text = ctx.ExportMetricsText();
+  EXPECT_EQ(text.find("ssql_query_peak_reserved_bytes_total"),
+            std::string::npos);
+  EXPECT_EQ(text.find("ssql_query_cpu_ns_total"), std::string::npos);
+  EXPECT_NE(text.find("ssql_query_spill_bytes_total"), std::string::npos);
 
   std::filesystem::remove_all(config.spill_dir);
 }
 
-TEST(LegacyReconcileTest, SourceCountersForwardToLegacyKeys) {
+TEST(RegistryFoldTest, SourceCountersFoldIntoRegistryTotals) {
   SqlContext ctx;
   std::string path = ScratchPath("json") + ".json";
   {
@@ -497,21 +526,171 @@ TEST(LegacyReconcileTest, SourceCountersForwardToLegacyKeys) {
     out << "{\"a\": 1}\n{\"a\": 2}\nnot json\n{\"a\": 3}\n";
   }
   DataFrame df = ctx.Read().Format("json").Mode("DROPMALFORMED").Load(path);
+  const int64_t scanned_before =
+      RegistryTotal(ctx, ProfileCounter::kRowsScanned);
+  const int64_t dropped_before =
+      RegistryTotal(ctx, ProfileCounter::kRowsDropped);
+  const int64_t malformed_before =
+      RegistryTotal(ctx, ProfileCounter::kMalformedRecords);
   EXPECT_EQ(df.Collect().size(), 3u);
   std::filesystem::remove(path);
 
   const QueryProfile& profile = ctx.last_profile();
-  Metrics& metrics = ctx.exec().metrics();
   EXPECT_EQ(profile.Total(ProfileCounter::kRowsDropped), 1);
-  EXPECT_EQ(metrics.Get("source.rows_dropped"), 1);
-  EXPECT_EQ(metrics.Get("source.malformed_records"), 1);
-  EXPECT_EQ(profile.Total(ProfileCounter::kRowsScanned),
-            metrics.Get("source.rows_scanned"));
+  EXPECT_EQ(profile.Total(ProfileCounter::kMalformedRecords), 1);
+  EXPECT_EQ(RegistryTotal(ctx, ProfileCounter::kRowsDropped) - dropped_before,
+            1);
+  EXPECT_EQ(RegistryTotal(ctx, ProfileCounter::kMalformedRecords) -
+                malformed_before,
+            1);
+  EXPECT_EQ(RegistryTotal(ctx, ProfileCounter::kRowsScanned) - scanned_before,
+            profile.Total(ProfileCounter::kRowsScanned));
+}
+
+// ---- one number on every surface --------------------------------------------
+
+/// Mirrors the EXPLAIN ANALYZE byte formatting (one decimal, KiB/MiB).
+std::string FormatBytesLikeExplain(int64_t bytes) {
+  char buf[32];
+  if (bytes >= (int64_t{1} << 20)) {
+    std::snprintf(buf, sizeof(buf), "%.1fMiB",
+                  static_cast<double>(bytes) / (1 << 20));
+  } else if (bytes >= (int64_t{1} << 10)) {
+    std::snprintf(buf, sizeof(buf), "%.1fKiB",
+                  static_cast<double>(bytes) / (1 << 10));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%lldB", static_cast<long long>(bytes));
+  }
+  return buf;
+}
+
+/// The integer after `key` ("spill_bytes=") in `text`, or -1 when absent.
+int64_t NumberAfter(const std::string& text, const std::string& key,
+                    size_t from = 0) {
+  const size_t at = text.find(key, from);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
+}
+
+/// The value of an unlabelled Prometheus sample line "<name> <value>".
+int64_t PrometheusValue(const std::string& text, const std::string& name) {
+  return NumberAfter(text, "\n" + name + " ");
+}
+
+/// The single finished query of `ctx` (callers run exactly one).
+Row OnlyFinishedQuery(SqlContext& ctx) {
+  auto rows = ctx.Sql("SELECT id, rows_out, spill_bytes, peak_memory_bytes "
+                      "FROM system.queries WHERE status = 'FINISHED'")
+                  .Collect();
+  EXPECT_EQ(rows.size(), 1u);
+  return rows.empty() ? Row() : rows[0];
+}
+
+TEST(ConsistencyTest, PeakMemoryIsTheSumOfPerOperatorRaises) {
+  // The peak is published as deltas on whichever operator raised the
+  // query's high-water mark, so here both the broadcast join's build and
+  // the aggregation's group table carry a share. Every surface must report
+  // their sum, not the largest share.
+  SqlContext ctx;
+  Numbers(ctx, 50000).RegisterTempTable("fact");
+  Dimension(ctx, 3000).RegisterTempTable("dim");
+  DataFrame query = ctx.Sql(
+      "SELECT fact.x, count(*) AS c FROM fact JOIN dim ON fact.k = dim.k "
+      "GROUP BY fact.x");
+  const std::string explained = query.Explain(ExplainMode::kAnalyze);
+
+  const QueryProfile& profile = ctx.last_profile();
+  const int64_t peak = profile.Total(ProfileCounter::kPeakReservedBytes);
+  int raisers = 0;
+  for (const ProfileSpan* op : OperatorSpans(profile)) {
+    if (op->Counter(ProfileCounter::kPeakReservedBytes) > 0) ++raisers;
+  }
+  ASSERT_GE(raisers, 2) << explained;
+
+  const size_t totals = explained.find("== Totals ==");
+  ASSERT_NE(totals, std::string::npos) << explained;
+  EXPECT_NE(explained.find("peak_reserved=" + FormatBytesLikeExplain(peak),
+                           totals),
+            std::string::npos)
+      << "profile peak " << peak << "\n"
+      << explained;
+  Row record = OnlyFinishedQuery(ctx);
+  ASSERT_EQ(record.size(), 4u);
+  EXPECT_EQ(record.GetInt64(3), peak);
+}
+
+TEST(ConsistencyTest, OneQueryReportsTheSameNumbersEverywhere) {
+  // One spilling query with one injected task retry. Its output rows, spill
+  // bytes and retries must agree across EXPLAIN ANALYZE, system.queries,
+  // system.query_operators and the Prometheus text.
+  EngineConfig config;
+  config.query_memory_limit_bytes = 64 * 1024;
+  config.spill_dir = ScratchPath("consistency");
+  config.fault_injection_spec = "aggregate.partial:1:0";
+  SqlContext ctx(config);
+  Numbers(ctx, 20000).RegisterTempTable("fact");
+  Dimension(ctx, 10).RegisterTempTable("dim");
+  const std::string before = ctx.ExportMetricsText();
+  DataFrame query = ctx.Sql(
+      "SELECT fact.x, count(*) AS c FROM fact JOIN dim ON fact.k = dim.k "
+      "GROUP BY fact.x");
+  const std::string explained = query.Explain(ExplainMode::kAnalyze);
+  const std::string after = ctx.ExportMetricsText();
+
+  const QueryProfile& profile = ctx.last_profile();
+  const int64_t spill = profile.Total(ProfileCounter::kSpillBytes);
+  const int64_t retries = profile.Total(ProfileCounter::kRetries);
+  ASSERT_GT(spill, 0) << explained;
+  ASSERT_EQ(retries, 1) << explained;
+  auto delta = [&](ProfileCounter c) {
+    const std::string name =
+        "ssql_query_" + std::string(ProfileCounterName(c)) + "_total";
+    return PrometheusValue(after, name) - PrometheusValue(before, name);
+  };
+
+  // EXPLAIN ANALYZE: the top operator's rows_out and the totals line.
+  const size_t tree = explained.find("== Physical Plan (actual) ==");
+  const size_t totals = explained.find("== Totals ==");
+  ASSERT_NE(tree, std::string::npos) << explained;
+  ASSERT_NE(totals, std::string::npos) << explained;
+  const int64_t explain_rows = NumberAfter(explained, "rows_out=", tree);
+  EXPECT_EQ(NumberAfter(explained, "spill_bytes=", totals), spill);
+  EXPECT_EQ(NumberAfter(explained, "retries=", totals), retries);
+
+  // system.queries.
+  Row record = OnlyFinishedQuery(ctx);
+  ASSERT_EQ(record.size(), 4u);
+  const int64_t query_id = record.GetInt64(0);
+  EXPECT_EQ(record.GetInt64(1), 20000);
+  EXPECT_EQ(explain_rows, 20000);
+  EXPECT_EQ(record.GetInt64(2), spill);
+
+  // system.query_operators, summed over the query's operators.
+  auto ops = ctx.Sql("SELECT depth, rows_out, spill_bytes FROM "
+                     "system.query_operators WHERE query_id = " +
+                     std::to_string(query_id))
+                 .Collect();
+  ASSERT_FALSE(ops.empty());
+  int64_t top_rows = 0, all_rows = 0, op_spill = 0;
+  for (const Row& op : ops) {
+    if (op.GetInt64(0) == 0) top_rows += op.GetInt64(1);
+    all_rows += op.GetInt64(1);
+    op_spill += op.GetInt64(2);
+  }
+  EXPECT_EQ(top_rows, 20000);
+  EXPECT_EQ(op_spill, spill);
+
+  // Prometheus: the query's fold into the ssql_query_*_total counters.
+  EXPECT_EQ(delta(ProfileCounter::kRowsOut), all_rows);
+  EXPECT_EQ(delta(ProfileCounter::kSpillBytes), spill);
+  EXPECT_EQ(delta(ProfileCounter::kRetries), retries);
+
+  std::filesystem::remove_all(config.spill_dir);
 }
 
 // ---- profiling disabled ----------------------------------------------------
 
-TEST(ProfilingDisabledTest, LegacyMetricsStillWorkWithoutSpans) {
+TEST(ProfilingDisabledTest, CountersLandOnTheRootSpan) {
   EngineConfig config;
   config.profiling_enabled = false;
   SqlContext ctx(config);
@@ -521,14 +700,40 @@ TEST(ProfilingDisabledTest, LegacyMetricsStillWorkWithoutSpans) {
 
   const QueryProfile& profile = ctx.last_profile();
   EXPECT_FALSE(profile.detailed());
-  EXPECT_EQ(profile.root(), nullptr);
+  ASSERT_NE(profile.root(), nullptr);
+  EXPECT_TRUE(profile.root()->children.empty());
   EXPECT_TRUE(profile.finished());
-  // Legacy aggregates keep flowing; renderers stay safe.
-  EXPECT_GT(ctx.exec().metrics().Get("task.attempts"), 0);
+  // Counters keep flowing into the root span, and from there into the
+  // registry; renderers stay safe.
+  const int64_t attempts = profile.Total(ProfileCounter::kAttempts);
+  EXPECT_GT(attempts, 0);
+  EXPECT_EQ(profile.root()->Counter(ProfileCounter::kAttempts), attempts);
+  EXPECT_EQ(RegistryTotal(ctx, ProfileCounter::kAttempts), attempts);
   EXPECT_NO_THROW(profile.ToJson());
   EXPECT_NO_THROW(profile.ToChromeTraceJson());
   EXPECT_NO_THROW(profile.RenderAnalyzed());
   EXPECT_NO_THROW(profile.SummaryLine());
+}
+
+TEST(ProfilingDisabledTest, SystemQueriesReportsSpillAndPeak) {
+  EngineConfig config;
+  config.profiling_enabled = false;
+  config.query_memory_limit_bytes = 64 * 1024;
+  config.spill_dir = ScratchPath("unprofiled-spill");
+  SqlContext ctx(config);
+  Numbers(ctx, 20000).RegisterTempTable("t");
+  ASSERT_EQ(ctx.Sql("SELECT x, count(*) FROM t GROUP BY x").Collect().size(),
+            20000u);
+  const QueryProfile& profile = ctx.last_profile();
+  const int64_t spill = profile.Total(ProfileCounter::kSpillBytes);
+  const int64_t peak = profile.Total(ProfileCounter::kPeakReservedBytes);
+  EXPECT_GT(spill, 0);
+  EXPECT_GT(peak, 0);
+  Row record = OnlyFinishedQuery(ctx);
+  ASSERT_EQ(record.size(), 4u);
+  EXPECT_EQ(record.GetInt64(2), spill);
+  EXPECT_EQ(record.GetInt64(3), peak);
+  std::filesystem::remove_all(config.spill_dir);
 }
 
 TEST(ProfilingDisabledTest, TracePathRequiresProfiling) {

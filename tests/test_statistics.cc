@@ -409,7 +409,7 @@ TEST(CardinalityTest, SpillingJoinAggReportsEstimatesOnEveryOperator) {
   auto rows = ctx.Execute(df.plan(), opts).Collect();
   EXPECT_EQ(rows.size(), 100u);
   ASSERT_GT(query_id, 0);
-  EXPECT_GT(ctx.exec().metrics().Get("memory.spill_bytes"), 0)
+  EXPECT_GT(ctx.last_profile().Total(ProfileCounter::kSpillBytes), 0)
       << "query did not spill; lower the limit";
 
   // Every operator of the profiled query carries estimate, provenance and

@@ -106,7 +106,7 @@ TEST(SystemTablesTest, QueryOperatorsFlattenTheProfile) {
   EXPECT_TRUE(has_aggregate) << "operator names seen: " << names.size();
 }
 
-TEST(SystemTablesTest, MetricsTableServesRegistryAndLegacyCounters) {
+TEST(SystemTablesTest, MetricsTableServesRegistryAndQueryTotals) {
   SqlContext ctx(SmallConfig());
   RegisterNumbers(ctx);
   ctx.Sql("SELECT sum(v) FROM numbers").Collect();
@@ -117,6 +117,24 @@ TEST(SystemTablesTest, MetricsTableServesRegistryAndLegacyCounters) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].GetString(1), "counter");
   EXPECT_GE(rows[0].GetInt64(2), 1);
+
+  // Engine-wide query totals are plain registry counters, folded from each
+  // finished query's profile; the scanning query itself has not finished
+  // when it reads them. Every row is a registry instrument.
+  const int64_t attempts =
+      ctx.exec().registry().Counter("ssql_query_attempts_total").value();
+  EXPECT_GT(attempts, 0);
+  auto totals = ctx.Sql("SELECT kind, value FROM system.metrics "
+                        "WHERE name = 'ssql_query_attempts_total'")
+                    .Collect();
+  ASSERT_EQ(totals.size(), 1u);
+  EXPECT_EQ(totals[0].GetString(0), "counter");
+  EXPECT_EQ(totals[0].GetInt64(1), attempts);
+  auto kinds = ctx.Sql("SELECT count(*) FROM system.metrics WHERE kind "
+                       "<> 'counter' AND kind <> 'gauge' AND kind <> "
+                       "'histogram'")
+                   .Collect();
+  EXPECT_EQ(kinds[0].GetInt64(0), 0);
 
   // Histograms expose sum + quantiles; counters leave them null.
   auto hist = ctx.Sql("SELECT p50, p95 FROM system.metrics "
@@ -358,7 +376,9 @@ TEST(SystemTablesTest, StressSystemScansWhileSpillingQueriesRun) {
   for (auto& t : scanners) t.join();
 
   // The spilling workload actually spilled (else the stress proved little).
-  EXPECT_GT(ctx.exec().metrics().Get("memory.spill_bytes"), 0);
+  EXPECT_GT(
+      ctx.exec().registry().Counter("ssql_query_spill_bytes_total").value(),
+      0);
   // And every query the engine saw retired cleanly.
   auto done = ctx.Sql("SELECT count(*) FROM system.queries "
                       "WHERE status = 'FINISHED'")
@@ -372,19 +392,29 @@ TEST(SystemTablesTest, ColumnPruningOnSystemTablesIsObservable) {
   SqlContext ctx(SmallConfig());
   RegisterNumbers(ctx, 4);
   ctx.Sql("SELECT count(*) FROM numbers").Collect();
-  // system.queries has 11 columns; this query needs only `status`.
+  auto scans = [&ctx] {
+    return ctx.exec().registry().Counter("ssql_system_table_scans_total")
+        .value();
+  };
+  // system.queries has 11 columns; this query needs only `status`, and the
+  // scan operator's column list in the profile shows the pruned read.
   ctx.Sql("SELECT status FROM system.queries").Collect();
-  EXPECT_EQ(ctx.exec().metrics().Get("system.scans"), 1);
-  EXPECT_EQ(ctx.exec().metrics().Get("system.columns_pruned"), 10);
+  EXPECT_EQ(scans(), 1);
+  std::string scan_detail;
+  for (const auto& op : ctx.last_profile().OperatorActuals()) {
+    if (op.name == "Scan") scan_detail = op.detail;
+  }
+  EXPECT_EQ(scan_detail.rfind("Scan system.queries [status#", 0), 0u)
+      << scan_detail;
+  EXPECT_EQ(scan_detail.find(','), std::string::npos) << scan_detail;
 
   // Filter pushdown reaches the source: scanned==all records, returned==
   // the matching subset (both recorded by the relation itself).
-  int64_t scans_before = ctx.exec().metrics().Get("system.scans");
   auto rows = ctx.Sql("SELECT id FROM system.queries "
                       "WHERE status = 'FINISHED'")
                   .Collect();
   EXPECT_GE(rows.size(), 1u);
-  EXPECT_EQ(ctx.exec().metrics().Get("system.scans"), scans_before + 1);
+  EXPECT_EQ(scans(), 2);
 }
 
 TEST(SystemTablesTest, HeartbeatAndStallColumnsAreQueryable) {
@@ -427,11 +457,11 @@ TEST(SystemTablesTest, PrometheusExportIsWellFormed) {
 
   // The straggler-defense counters are registered at engine construction,
   // so they are scrapeable (as zeros) before anything speculates or stalls.
-  EXPECT_NE(text.find("# TYPE ssql_tasks_speculated_total counter"),
+  EXPECT_NE(text.find("# TYPE ssql_query_speculated_total counter"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE ssql_speculation_wins_total counter"),
+  EXPECT_NE(text.find("# TYPE ssql_query_speculation_wins_total counter"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE ssql_tasks_timed_out_total counter"),
+  EXPECT_NE(text.find("# TYPE ssql_query_task_timeouts_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE ssql_watchdog_kills_total counter"),
             std::string::npos);
@@ -460,8 +490,10 @@ TEST(SystemTablesTest, PrometheusExportIsWellFormed) {
   EXPECT_GE(count_value, 3);
   EXPECT_EQ(inf_value, count_value);
 
-  // Legacy counters ride along with the ssql_legacy_ prefix.
-  EXPECT_NE(text.find("ssql_legacy_"), std::string::npos);
+  // Per-query counters are exported only as the folded registry totals:
+  // the three queries' task attempts, and no second family.
+  EXPECT_NE(text.find("\nssql_query_attempts_total "), std::string::npos);
+  EXPECT_EQ(text.find("ssql_legacy_"), std::string::npos);
 }
 
 TEST(SystemTablesTest, MetricsPathIsRewrittenAfterQueries) {

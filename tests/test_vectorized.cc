@@ -33,9 +33,8 @@ std::vector<std::string> Canonical(const std::vector<Row>& rows) {
 }
 
 /// Registers a mixed-type table (with nulls in every nullable column) and
-/// caches it, so queries plan over the natively-columnar
-/// InMemoryColumnarScan — the source shape that engages the batched
-/// pipeline.
+/// caches it, so queries plan over a natively-columnar Scan of the cached
+/// table — the source shape that engages the batched pipeline.
 void SetupCachedTable(SqlContext& ctx, const std::string& name, size_t rows,
                       uint64_t seed = 11) {
   auto schema = StructType::Make({
