@@ -215,7 +215,7 @@ BENCHMARK(BM_SystemTableScan)
 // ---- flight recorder -------------------------------------------------------
 
 // Raw cost of one journal Emit: disabled (capacity 0 — one relaxed atomic
-// load) vs enabled (fetch_add + slot copy under an uncontended shard
+// load) vs enabled (slot copy and sequence number under the journal
 // mutex). This is the per-event price every task attempt / spill / query
 // pays; both must stay in the nanoseconds.
 void BM_JournalEmit(benchmark::State& state) {

@@ -17,7 +17,7 @@ cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
 cmake -B build-sanitize -S . -DSSQL_SANITIZE=address >/dev/null
-cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_aggregate >/dev/null
+cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_exec >/dev/null
 ./build-sanitize/tests/test_fault_tolerance
 ./build-sanitize/tests/test_memory
 ./build-sanitize/tests/test_observability
@@ -35,6 +35,11 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # The aggregation sweep under ASan: the group table's open-addressing
 # index, arena-backed string keys and spill drain are raw-memory surface.
 ./build-sanitize/tests/test_aggregate
+# The join sweep under ASan: every hash join builds a key table (typed
+# lanes, an arena holding strings past one 64 KiB block, first/next row
+# chains) and probes it by raw bank pointers, in memory and per Grace
+# bucket.
+./build-sanitize/tests/test_exec
 # Flight recorder under ASan: the journal's fixed-size slots and detail
 # truncation are raw-buffer surface; bundle writing walks directories.
 ./build-sanitize/tests/test_flight_recorder
@@ -51,7 +56,7 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # re-registration and the copy-on-write staleness swap are its TSan
 # surface, and the HLL/histogram buffers its ASan surface.
 cmake -B build-tsan -S . -DSSQL_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_observability >/dev/null
+cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_observability --target test_exec >/dev/null
 ./build-tsan/tests/test_concurrency
 ./build-tsan/tests/test_system_tables
 ./build-tsan/tests/test_fault_tolerance
@@ -69,6 +74,9 @@ cmake --build build-tsan -j --target test_concurrency --target test_system_table
 # Aggregation sweep under TSan: partition tasks fill group tables against
 # one shared memory budget and spill under it.
 ./build-tsan/tests/test_aggregate
+# Join sweep under TSan: every probe task of a broadcast join reads the one
+# shared key table — index, string arena and row chains — concurrently.
+./build-tsan/tests/test_exec
 # Observability under TSan: task threads add profile counters while a
 # finishing query folds its totals into the shared registry and the engine
 # ticker thread scans heartbeats and samples the registry.

@@ -123,6 +123,16 @@ SpillFile QueryContext::MakeSpillFile(const std::string& prefix) {
   return SpillFile(spill_dir(), prefix, std::move(hooks));
 }
 
+void QueryContext::RecordSpill(int64_t files, int64_t bytes) {
+  profile().Add(nullptr, ProfileCounter::kSpillFiles, files);
+  profile().Add(nullptr, ProfileCounter::kSpillBytes, bytes);
+  if (bytes > 0) {
+    engine_.registry()
+        .Histogram("ssql_spill_write_bytes", "Bytes written per spill event")
+        .Record(bytes);
+  }
+}
+
 void QueryContext::set_plan_text(std::string text) {
   std::lock_guard<std::mutex> lock(plan_text_mu_);
   plan_text_ = std::move(text);

@@ -126,6 +126,10 @@ class QueryContext {
   /// injectable.
   SpillFile MakeSpillFile(const std::string& prefix);
 
+  /// Counts one spill event — `files` files created, `bytes` written —
+  /// against the running operator and in the engine's spill-size histogram.
+  void RecordSpill(int64_t files, int64_t bytes);
+
   /// The engine's fault-point set (site-based injection), shared by every
   /// query so hit windows span concurrent queries.
   const FaultPointSet& fault_points() const { return engine_.fault_points(); }

@@ -247,6 +247,12 @@ QueryProfile::Stats QueryProfile::AggregateStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats stats;
   stats.wall_ns = root_->WallNs();
+  // Without operator spans the root holds every operator's rows (see
+  // RunProfiled); those that fed another operator are its rows_in.
+  if (!detailed_) {
+    stats.rows_out = root_->Counter(ProfileCounter::kRowsOut) -
+                     root_->Counter(ProfileCounter::kRowsIn);
+  }
   for (const ProfileSpan& span : spans_) {
     stats.spill_bytes += span.Counter(ProfileCounter::kSpillBytes);
     // The peak is published as deltas on whichever operator raised it, so

@@ -1,10 +1,6 @@
 #include "exec/aggregate_exec.h"
 
-#include <optional>
-
-#include "catalyst/codegen/compiled_expression.h"
 #include "columnar/row_batch.h"
-#include "exec/scan_exec.h"
 
 namespace ssql {
 
@@ -38,116 +34,6 @@ std::vector<BoundCompiled> BindInputs(const ExprVector& groupings,
   return inputs;
 }
 
-/// Per-task evaluation of the partial stage's inputs into one ColumnVector
-/// each, over a chunk of rows or the live rows of a batch. Compiled
-/// programs read rows through typed register reads, without boxing;
-/// interpreted expressions (codegen off) evaluate boxed, row by row.
-class InputReader {
- public:
-  InputReader(const std::vector<BoundCompiled>& inputs, bool batched)
-      : inputs_(inputs),
-        row_evals_(inputs.size()),
-        vec_evals_(inputs.size()),
-        cols_(inputs.size()),
-        views_(inputs.size()) {
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      const auto& compiled = inputs[i].compiled;
-      if (!compiled) continue;
-      if (batched) vec_evals_[i].emplace(compiled->NewVectorEvaluator());
-      if (!batched) row_evals_[i].emplace(compiled->NewEvaluator());
-    }
-  }
-
-  const GroupTable::Columns& Read(const Row* rows, size_t n) {
-    for (size_t i = 0; i < cols_.size(); ++i) {
-      ColumnVector& col = Fresh(i, n);
-      auto& eval = row_evals_[i];
-      // One loop per lane, each a typed register read per row.
-      auto fill = [&](auto&& read) {
-        for (size_t r = 0; r < n; ++r) {
-          bool null = false;
-          read(rows[r], &null);
-          if (null) col.AppendNull();
-        }
-      };
-      // A compiled bare column is a typed load: read the row's value in
-      // place instead of running the one-instruction program.
-      const auto* ref = eval ? As<BoundReference>(inputs_[i].bound) : nullptr;
-      auto column = [&](const Row& row, bool* null) -> const Value& {
-        const Value& v = row.Get(ref->ordinal());
-        *null = v.is_null();
-        return v;
-      };
-      switch (eval ? LaneFor(col.type()->id()) : Lane::kBoxed) {
-        case Lane::kInt:
-          fill([&](const Row& row, bool* null) {
-            int64_t v = ref ? column(row, null).AsInt64()
-                            : eval->EvaluateInt64(row, null);
-            if (!*null) col.AppendInt64(v);
-          });
-          break;
-        case Lane::kDouble:
-          fill([&](const Row& row, bool* null) {
-            double v = ref ? column(row, null).AsDouble()
-                           : eval->EvaluateDouble(row, null);
-            if (!*null) col.AppendDouble(v);
-          });
-          break;
-        case Lane::kString:
-          fill([&](const Row& row, bool* null) {
-            std::string_view v = ref ? Text(column(row, null))
-                                     : eval->EvaluateString(row, null);
-            if (!*null) col.AppendString(std::string(v));
-          });
-          break;
-        case Lane::kBoxed:
-          fill([&](const Row& row, bool*) {
-            col.Append(eval ? eval->Evaluate(row)
-                            : inputs_[i].bound->Eval(row));
-          });
-          break;
-      }
-    }
-    return views_;
-  }
-
-  const GroupTable::Columns& Read(const RowBatch& batch) {
-    const size_t n = batch.ActiveRows();
-    bool interpreted = false;
-    for (size_t i = 0; i < cols_.size(); ++i) {
-      ColumnVector& col = Fresh(i, n);
-      if (vec_evals_[i]) vec_evals_[i]->EvaluateColumn(batch, &col);
-      interpreted = interpreted || !vec_evals_[i];
-    }
-    for (size_t k = 0; interpreted && k < n; ++k) {
-      Row row = batch.BoxRow(batch.ActiveIndex(k));
-      for (size_t i = 0; i < cols_.size(); ++i) {
-        if (!vec_evals_[i]) cols_[i]->Append(inputs_[i].bound->Eval(row));
-      }
-    }
-    return views_;
-  }
-
- private:
-  static std::string_view Text(const Value& v) {
-    return v.is_null() ? std::string_view() : std::string_view(v.str());
-  }
-
-  /// An empty column of input i's type for the next chunk.
-  ColumnVector& Fresh(size_t i, size_t n) {
-    cols_[i].emplace(inputs_[i].bound->data_type());
-    cols_[i]->Reserve(n);
-    views_[i] = &*cols_[i];
-    return *cols_[i];
-  }
-
-  const std::vector<BoundCompiled>& inputs_;
-  std::vector<std::optional<CompiledExpression::Evaluator>> row_evals_;
-  std::vector<std::optional<CompiledExpression::VectorEvaluator>> vec_evals_;
-  std::vector<std::optional<ColumnVector>> cols_;
-  GroupTable::Columns views_;
-};
-
 /// Column types for packing the *partial* stage's output into batches.
 /// Grouping columns are honestly typed, but accumulator columns carry
 /// whatever Value shape the aggregate's accumulator uses at runtime (e.g.
@@ -156,11 +42,8 @@ class InputReader {
 /// which round-trips any Value verbatim.
 std::vector<DataTypePtr> PartialPackTypes(const ExprVector& groupings,
                                           size_t num_aggs) {
-  std::vector<DataTypePtr> types;
-  types.reserve(groupings.size() + num_aggs);
-  for (const auto& g : groupings) types.push_back(g->data_type());
-  DataTypePtr boxed = StructType::Make({});
-  for (size_t j = 0; j < num_aggs; ++j) types.push_back(boxed);
+  std::vector<DataTypePtr> types = KeyTypes(groupings);
+  types.resize(groupings.size() + num_aggs, StructType::Make({}));
   return types;
 }
 

@@ -3,27 +3,17 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "catalyst/expr/aggregates.h"
-#include "columnar/column_vector.h"
-#include "engine/memory_manager.h"
+#include "exec/key_table.h"
 #include "util/spill_file.h"
 
 namespace ssql {
 
 class QueryContext;
-
-/// How a grouping column is stored: int-like types (boolean, int32, int64,
-/// date, timestamp) as int64, double as double, string as bytes in the
-/// table's arena, and anything else (decimal, nested types) as a boxed
-/// Value compared with Value::Equals.
-enum class Lane : uint8_t { kInt, kDouble, kString, kBoxed };
-Lane LaneFor(TypeId id);
 
 /// Accumulator class of one aggregate function. The typed kinds keep a
 /// 16-byte slot (a value plus a count or has-value flag); kBoxed keeps the
@@ -50,26 +40,22 @@ struct AggSlot {
 AggSlot MakeAggSlot(const AggregatePtr& fn);
 
 /// The one hash-aggregation table, used by every HashAggregateExec stage
-/// for every key shape and budget. Input arrives in chunks of rows, one
-/// ColumnVector per key or argument column.
+/// for every key shape and budget: a KeyTable (exec/key_table.h) assigns
+/// each group its id, and accumulators live in group-major banks indexed
+/// by it — a typed slot per aggregate plus a boxed Value slot per kBoxed
+/// function. Input arrives in chunks of rows, one ColumnVector per key or
+/// argument column; a chunk is hashed column by column, resolved to group
+/// ids row by row, then folded one aggregate at a time.
 ///
-/// Keys are stored typed, one lane per key column plus a null flag, with
-/// strings in an arena the table owns. The index is open addressing over
-/// (hash tag, group id) pairs; each group's full hash is kept for rehashing
-/// and spilling. Accumulators live in group-major banks: a typed slot per
-/// aggregate plus a boxed Value slot per kBoxed function. A chunk is hashed
-/// column by column, resolved to group ids row by row, then folded one
-/// aggregate at a time.
-///
-/// All table memory (index, key lanes, arena, banks) is charged to a
-/// MemoryReservation as it grows. When a grant is denied the table spills
-/// Grace-style: every group is scattered as a [key..., acc...] row (the
-/// partial stage's shuffle form) into one of 16 files by MixHash64(hash),
-/// and the table restarts empty. Drain() then re-aggregates one bucket at a
-/// time with Merge, exactly as the Final stage combines shuffled rows.
+/// The key table charges the banks along with its own memory. When a grant
+/// is denied the table spills Grace-style: every group is scattered as a
+/// [key..., acc...] row (the partial stage's shuffle form) into one of 16
+/// files by MixHash64(hash), and the table restarts empty. Drain() then
+/// re-aggregates one bucket at a time with Merge, exactly as the Final
+/// stage combines shuffled rows.
 class GroupTable {
  public:
-  using Columns = std::vector<const ColumnVector*>;
+  using Columns = KeyTable::Columns;
 
   /// `consumer` names the stage in spill files and budget errors; `aggs`
   /// must outlive the table.
@@ -98,36 +84,12 @@ class GroupTable {
     };
     int64_t n;  // count, or 1 once a sum/min/max has seen a value
   };
-  struct Slot {
-    uint32_t tag;  // high hash bits
-    uint32_t gid;  // group id + 1; 0 = empty
-  };
-  struct KeyColumn {
-    explicit KeyColumn(DataTypePtr t) : lane(LaneFor(t->id())), type(t) {}
-    Lane lane;
-    DataTypePtr type;
-    const ColumnVector* in = nullptr;  // the chunk being resolved, and
-    const uint8_t* in_nulls = nullptr;  // its banks
-    const int64_t* in_ints = nullptr;
-    const double* in_doubles = nullptr;
-    std::vector<uint8_t> nulls;
-    std::vector<int64_t> ints;
-    std::vector<double> doubles;
-    std::vector<std::string_view> strings;  // into the arena
-    std::vector<Value> boxed;
-  };
 
-  /// Hashes the keys of a chunk and binds its key columns.
-  void BindKeys(const ColumnVector* const* keys, size_t n);
-  /// Resolves rows [begin, n) of the bound chunk to group ids, inserting
+  /// Resolves rows [begin, n) of the hashed chunk to group ids, inserting
   /// new groups. Stops at a row the budget cannot admit a group for and
   /// returns it, so the caller folds the prefix and spills; returns n once
   /// every row is resolved.
   size_t Resolve(size_t begin, size_t n);
-  bool KeyEquals(uint32_t g, size_t r) const;
-  int64_t InsertBytes(size_t r) const;
-  uint32_t Insert(size_t r, uint64_t hash);
-  void Grow();
   void FoldColumns(size_t j, const ColumnVector* const* args, size_t begin,
                    size_t end);
   void FoldValues(size_t j, const Row* rows, size_t col, size_t begin,
@@ -140,31 +102,18 @@ class GroupTable {
 
   QueryContext& ctx_;
   std::string consumer_;
-  std::vector<KeyColumn> keys_;
   const std::vector<AggSlot>& aggs_;
   std::vector<size_t> arg_offset_;   // slot -> first argument column
   std::vector<size_t> boxed_index_;  // slot -> boxed bank column
   std::vector<Value> boxed_init_;    // InitAccumulator() per boxed slot
-  int64_t boxed_init_bytes_ = 0;
-  int64_t group_bytes_ = 0;  // per-group bytes of lanes, banks and index
 
-  uint32_t num_groups_ = 0;
-  uint32_t capacity_ = 0;
-  std::vector<Slot> index_;
-  std::vector<uint64_t> hashes_;
+  KeyTable keys_;
+  KeyChunk chunk_;
+  std::vector<uint32_t> chunk_gids_;
   std::vector<Acc> accs_;
   std::vector<Value> boxed_;
-  std::vector<std::unique_ptr<char[]>> arena_;
-  char* arena_next_ = nullptr;
-  size_t arena_left_ = 0;
-  size_t arena_chunk_ = 0;  // size of the next chunk
-
-  std::vector<uint64_t> chunk_hashes_;
-  std::vector<uint32_t> chunk_gids_;
   Row scratch_args_;
 
-  int64_t used_bytes_ = 0;
-  MemoryReservation reservation_;
   bool draining_ = false;
   std::vector<std::optional<SpillFile>> spill_buckets_;
 };

@@ -1,94 +1,200 @@
 #include "exec/join_exec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 
-#include "catalyst/codegen/compiled_expression.h"
 #include "exec/exchange_exec.h"
+#include "exec/key_table.h"
 #include "util/spill_file.h"
 
 namespace ssql {
 
 namespace {
 
-/// Join key: evaluated key columns of one row. Null components make the
-/// key non-joinable (SQL equi-join semantics).
-struct JoinKey {
-  std::vector<Value> values;
-  bool has_null = false;
-
-  bool operator==(const JoinKey& other) const {
-    if (values.size() != other.values.size()) return false;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (values[i].Compare(other.values[i]) != 0) return false;
-    }
-    return true;
-  }
-};
-
-struct JoinKeyHash {
-  size_t operator()(const JoinKey& k) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (const auto& v : k.values) h = h * 1099511628211ULL + v.Hash();
-    return static_cast<size_t>(h);
-  }
-};
-
-JoinKey EvalKey(const Row& row, const ExprVector& bound_keys) {
-  JoinKey key;
-  key.values.reserve(bound_keys.size());
-  for (const auto& k : bound_keys) {
-    Value v = k->Eval(row);
-    key.has_null = key.has_null || v.is_null();
-    key.values.push_back(std::move(v));
-  }
-  return key;
-}
-
-Row NullExtendLeft(size_t left_width, const Row& right) {
-  Row out;
-  out.Reserve(left_width + right.size());
-  for (size_t i = 0; i < left_width; ++i) out.Append(Value::Null());
-  for (size_t i = 0; i < right.size(); ++i) out.Append(right.Get(i));
-  return out;
-}
-
-Row NullExtendRight(const Row& left, size_t right_width) {
-  Row out;
-  out.Reserve(left.size() + right_width);
-  for (size_t i = 0; i < left.size(); ++i) out.Append(left.Get(i));
-  for (size_t i = 0; i < right_width; ++i) out.Append(Value::Null());
-  return out;
-}
-
-using BuildMap =
-    std::unordered_map<JoinKey, std::vector<size_t>, JoinKeyHash>;
-
-BuildMap BuildHashTable(const std::vector<Row>& rows,
-                        const ExprVector& bound_keys) {
-  BuildMap map;
-  map.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    JoinKey key = EvalKey(rows[i], bound_keys);
-    if (key.has_null) continue;
-    map[std::move(key)].push_back(i);
-  }
-  return map;
-}
-
-/// Hash-table node + index-vector overhead per build row beyond the row
-/// payload, used when charging a build side against the memory budget.
-constexpr int64_t kJoinEntryOverhead = 64;
-
 /// Buckets a Grace-partitioned join scatters each side into.
 constexpr size_t kJoinSpillFanout = 16;
 
-int64_t EstimateBuildBytes(const std::vector<Row>& rows) {
-  int64_t bytes = 0;
-  for (const Row& r : rows) bytes += EstimateRowBytes(r) + kJoinEntryOverhead;
-  return bytes;
+/// Rows per chunk a join side hands to the key table.
+constexpr size_t kChunkRows = 1024;
+
+/// End of a build-row chain.
+constexpr uint32_t kEnd = KeyTable::kNone;
+
+/// An all-null row of `width` columns, for null-extending outer joins.
+Row Nulls(size_t width) { return Row(std::vector<Value>(width)); }
+
+/// A hash join's build side, right of the join: a KeyTable over its rows'
+/// keys, and chains threading each key's rows in build order (first[id] ->
+/// next[row] -> ... -> kEnd). Null-key rows are in no chain; outer joins
+/// still emit them unmatched. With no key columns every row shares one
+/// chain, which is the nested-loop join.
+struct HashBuild {
+  HashBuild(QueryContext& ctx, const BoundJoin& bound, JoinType join_type,
+            size_t right_width)
+      : bound(bound),
+        table(ctx.memory(), bound.key_types, /*nulls_match=*/false,
+              sizeof(uint32_t)),
+        type(join_type),
+        width(right_width) {}
+
+  /// Indexes `build_rows`, which must outlive the build: charges their
+  /// payload and chains, then the key index as it grows. False when
+  /// `admit` refused a grant; the build is then cleared.
+  bool Index(QueryContext& ctx, const std::vector<Row>& build_rows,
+             const KeyTable::Admit& admit) {
+    int64_t payload = 0;  // the rows plus their 4-byte `next` links
+    for (const Row& r : build_rows) payload += EstimateRowBytes(r) + 4;
+    rows = &build_rows;
+    next.resize(build_rows.size());
+    bool indexed = table.Charge(payload, admit);
+    InputReader reader(bound.right_keys, /*batched=*/false);
+    KeyChunk chunk;
+    size_t cancel_rows = 0;
+    for (size_t start = 0; indexed && start < build_rows.size();
+         start += kChunkRows) {
+      const size_t n = std::min(kChunkRows, build_rows.size() - start);
+      ctx.CheckCancelledEveryRows(&cancel_rows, n);
+      table.Hash(reader.Read(&build_rows[start], n).data(), n, &chunk);
+      indexed = table.Resolve(chunk, 0, n, &next[start], admit) == n;
+    }
+    if (!indexed) {
+      Clear();
+      return false;
+    }
+    // `next` holds each row's key id; walk back, prepending to its chain.
+    first.assign(table.size(), kEnd);
+    for (size_t r = build_rows.size(); r-- > 0;) {
+      const uint32_t id = next[r];
+      if (id == kEnd) continue;
+      next[r] = first[id];
+      first[id] = static_cast<uint32_t>(r);
+    }
+    return true;
+  }
+
+  /// Collects a broadcast or nested-loop build side into `collected`,
+  /// counted as broadcast and build rows, and indexes it. Neither build
+  /// can spill (every probe task needs the whole of it), so going over
+  /// budget is a hard error; the planner avoids this by capping the
+  /// broadcast threshold at the memory limit.
+  void Collect(QueryContext& ctx, const PhysicalPlan& side, bool nested_loop) {
+    collected = side.Execute(ctx).Collect();
+    const auto n = static_cast<int64_t>(collected.size());
+    ctx.profile().Add(nullptr, ProfileCounter::kBroadcastRows, n);
+    ctx.profile().Add(nullptr, ProfileCounter::kBuildRows, n);
+    Index(ctx, collected, [&](int64_t bytes) -> bool {
+      throw ExecutionError(
+          "query memory limit of " +
+          std::to_string(ctx.memory().limit_bytes()) + " bytes exceeded by " +
+          (nested_loop ? "join.nested_loop" : "join.broadcast") +
+          " build side (~" + std::to_string(table.bytes() + bytes) +
+          " bytes); " +
+          (nested_loop ? "nested-loop builds cannot spill — raise "
+                         "query_memory_limit_bytes"
+                       : "broadcast joins cannot spill — raise "
+                         "query_memory_limit_bytes or lower "
+                         "broadcast_threshold_bytes so the planner picks a "
+                         "shuffle join"));
+    });
+  }
+
+  void Clear() {
+    table.Reset();
+    std::vector<uint32_t>().swap(first);
+    std::vector<uint32_t>().swap(next);
+  }
+
+  const BoundJoin& bound;
+  KeyTable table;
+  const JoinType type;
+  const size_t width;  // of a null-extended build row
+  std::vector<Row> collected;
+  const std::vector<Row>* rows = nullptr;
+  std::vector<uint32_t> first;
+  std::vector<uint32_t> next;
+};
+
+/// The one hash-join probe. Hashes a chunk of `n` probe keys, finds each in
+/// `build`, walks its chain, applies the residual and emits per join type.
+/// `probe(k)` yields probe row k and is called at most once, only for rows
+/// that can produce output. Build rows that find a partner are flagged in
+/// `matched` when given (right/full outer).
+template <typename Probe, typename Emit>
+void ProbeChunk(QueryContext& ctx, const HashBuild& build,
+                const KeyTable::Columns& keys, size_t n, KeyChunk* chunk,
+                Probe&& probe, Emit&& emit, std::vector<uint8_t>* matched) {
+  const Expression* residual = build.bound.residual.get();
+  const bool semi = build.type == JoinType::kLeftSemi;
+  const bool anti = build.type == JoinType::kLeftAnti;
+  const bool left_outer = build.type == JoinType::kLeftOuter ||
+                          build.type == JoinType::kFullOuter;
+  size_t cancel_check = 0;
+  build.table.Hash(keys.data(), n, chunk);
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t id = build.table.Find(*chunk, k);
+    if (id == kEnd && !anti && !left_outer) continue;
+    const Row& row = probe(k);
+    bool hit = false;
+    for (uint32_t b = id == kEnd ? kEnd : build.first[id]; b != kEnd;
+         b = build.next[b]) {
+      ctx.CheckCancelledEvery(&cancel_check);
+      Row joined = Row::Concat(row, (*build.rows)[b]);
+      if (residual && !EvalPredicate(*residual, joined)) continue;
+      hit = true;
+      if (matched != nullptr) (*matched)[b] = 1;
+      if (semi || anti) break;
+      emit(std::move(joined));
+    }
+    if ((semi && hit) || (anti && !hit)) emit(Row(row));
+    if (left_outer && !hit) emit(Row::Concat(row, Nulls(build.width)));
+  }
+}
+
+/// Probes `build` with `n` rows a chunk at a time, appending to `out`.
+void ProbeRows(QueryContext& ctx, const HashBuild& build, InputReader& reader,
+               const Row* rows, size_t n, std::vector<Row>* out,
+               std::vector<uint8_t>* matched) {
+  KeyChunk chunk;
+  size_t cancel_rows = 0;
+  for (size_t start = 0; start < n; start += kChunkRows) {
+    const size_t m = std::min(kChunkRows, n - start);
+    ctx.CheckCancelledEveryRows(&cancel_rows, m);
+    ProbeChunk(
+        ctx, build, reader.Read(rows + start, m), m, &chunk,
+        [&](size_t k) -> const Row& { return rows[start + k]; },
+        [&](Row&& r) { out->push_back(std::move(r)); }, matched);
+  }
+}
+
+/// A broadcast or nested-loop join: collects and indexes the right side,
+/// then probes it with each partition of the left.
+RowDataset BroadcastJoin(QueryContext& ctx, const PhysicalPlan& left,
+                         const PhysicalPlan& right, const BoundJoin& bound,
+                         JoinType type, bool nested_loop) {
+  HashBuild build(ctx, bound, type, right.Output().size());
+  build.Collect(ctx, right, nested_loop);
+  RowDataset stream = left.Execute(ctx);
+  ctx.profile().Add(nullptr, ProfileCounter::kProbeRows,
+                    static_cast<int64_t>(stream.TotalRows()));
+  return stream.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
+    auto out = std::make_shared<RowPartition>();
+    InputReader reader(bound.left_keys, /*batched=*/false);
+    ProbeRows(ctx, build, reader, part.rows.data(), part.rows.size(),
+              &out->rows, nullptr);
+    return out;
+  }, "join.probe");
+}
+
+/// Executes `side` hash-partitioned by its join keys.
+RowDataset ShuffleByKeys(QueryContext& ctx, const PhysicalPlan& side,
+                         const std::vector<BoundCompiled>& keys) {
+  ExprVector bound;
+  for (const BoundCompiled& k : keys) bound.push_back(k.bound);
+  return side.Execute(ctx).ShuffleByHash(
+      ctx, ctx.config().default_parallelism,
+      [&](const Row& row) { return HashRowKeys(row, bound); });
 }
 
 }  // namespace
@@ -133,330 +239,123 @@ std::string JoinExecBase::Describe() const {
   return s;
 }
 
-RowDataset BroadcastHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
-  AttributeVector left_out = left_->Output();
-  AttributeVector right_out = right_->Output();
+BoundJoin JoinExecBase::Bind(QueryContext& ctx) const {
+  const AttributeVector left_out = left_->Output();
+  const AttributeVector right_out = right_->Output();
   AttributeVector joined_out = left_out;
   joined_out.insert(joined_out.end(), right_out.begin(), right_out.end());
-
-  ExprVector bound_left, bound_right;
-  for (const auto& k : left_keys_) bound_left.push_back(BindReferences(k, left_out));
-  for (const auto& k : right_keys_) {
-    bound_right.push_back(BindReferences(k, right_out));
-  }
-  ExprPtr bound_residual =
-      residual_ ? BindReferences(residual_, joined_out) : nullptr;
-
-  // Broadcast: collect and hash the build side once. A broadcast build
-  // cannot spill (every probe task needs the whole table), so going over
-  // budget is a hard error; the planner avoids this by capping the
-  // broadcast threshold at the memory limit.
-  std::vector<Row> build = right_->Execute(ctx).Collect();
-  ctx.profile().Add(nullptr, ProfileCounter::kBroadcastRows,
-                    static_cast<int64_t>(build.size()));
-  ctx.profile().Add(nullptr, ProfileCounter::kBuildRows,
-                    static_cast<int64_t>(build.size()));
-  MemoryReservation reservation = ctx.memory().CreateReservation();
-  int64_t build_bytes = EstimateBuildBytes(build);
-  if (!reservation.EnsureReserved(build_bytes)) {
-    throw ExecutionError(
-        "query memory limit of " + std::to_string(ctx.memory().limit_bytes()) +
-        " bytes exceeded by join.broadcast build side (~" +
-        std::to_string(build_bytes) +
-        " bytes); broadcast joins cannot spill — raise "
-        "query_memory_limit_bytes or lower broadcast_threshold_bytes so the "
-        "planner picks a shuffle join");
-  }
-  BuildMap table = BuildHashTable(build, bound_right);
-
-  RowDataset stream = left_->Execute(ctx);
-  ctx.profile().Add(nullptr, ProfileCounter::kProbeRows,
-                    static_cast<int64_t>(stream.TotalRows()));
-  bool semi = join_type_ == JoinType::kLeftSemi;
-  bool anti = join_type_ == JoinType::kLeftAnti;
-  bool left_outer = join_type_ == JoinType::kLeftOuter;
-  size_t right_width = right_out.size();
-
-  return stream.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-    auto out = std::make_shared<RowPartition>();
-    size_t cancel_check = 0;
-    for (const Row& row : part.rows) {
-      ctx.CheckCancelledEvery(&cancel_check);
-      JoinKey key = EvalKey(row, bound_left);
-      const std::vector<size_t>* matches = nullptr;
-      if (!key.has_null) {
-        auto it = table.find(key);
-        if (it != table.end()) matches = &it->second;
-      }
-      bool matched = false;
-      if (matches != nullptr) {
-        for (size_t idx : *matches) {
-          Row joined = Row::Concat(row, build[idx]);
-          if (bound_residual && !EvalPredicate(*bound_residual, joined)) {
-            continue;
-          }
-          matched = true;
-          if (semi || anti) break;
-          out->rows.push_back(std::move(joined));
-        }
-      }
-      if (semi && matched) out->rows.push_back(row);
-      if (anti && !matched) out->rows.push_back(row);
-      if (left_outer && !matched) {
-        out->rows.push_back(NullExtendRight(row, right_width));
-      }
+  const bool codegen = ctx.config().codegen_enabled;
+  BoundJoin bound;
+  for (size_t i = 0; i < left_keys_.size(); ++i) {
+    // Analysis casts both operands of a join's EqualTo to a common type, so
+    // one key table serves both sides.
+    const DataTypePtr& lt = left_keys_[i]->data_type();
+    const DataTypePtr& rt = right_keys_[i]->data_type();
+    if (!lt->Equals(*rt)) {
+      throw ExecutionError(NodeName() + " key " + std::to_string(i) +
+                           " has type " + lt->ToString() + " on the left but " +
+                           rt->ToString() + " on the right");
     }
-    return out;
-  }, "join.probe");
+    bound.key_types.push_back(lt);
+    bound.left_keys.push_back(BindAndCompile(left_keys_[i], left_out, codegen));
+    bound.right_keys.push_back(
+        BindAndCompile(right_keys_[i], right_out, codegen));
+  }
+  if (residual_) bound.residual = BindReferences(residual_, joined_out);
+  return bound;
+}
+
+RowDataset BroadcastHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
+  return BroadcastJoin(ctx, *left_, *right_, Bind(ctx), join_type_,
+                       /*nested_loop=*/false);
 }
 
 BatchDataset BroadcastHashJoinExec::ExecuteBatchesImpl(QueryContext& ctx) const {
-  AttributeVector left_out = left_->Output();
-  AttributeVector right_out = right_->Output();
-  AttributeVector joined_out = left_out;
-  joined_out.insert(joined_out.end(), right_out.begin(), right_out.end());
-
-  ExprVector bound_left, bound_right;
-  for (const auto& k : left_keys_) {
-    bound_left.push_back(BindReferences(k, left_out));
-  }
-  for (const auto& k : right_keys_) {
-    bound_right.push_back(BindReferences(k, right_out));
-  }
-  ExprPtr bound_residual =
-      residual_ ? BindReferences(residual_, joined_out) : nullptr;
-
-  // Build side: collected and hashed as rows, exactly like the row probe —
-  // it is small by the planner's construction, so columnarizing it buys
-  // nothing. Same no-spill contract.
-  std::vector<Row> build = right_->Execute(ctx).Collect();
-  ctx.profile().Add(nullptr, ProfileCounter::kBroadcastRows,
-                    static_cast<int64_t>(build.size()));
-  ctx.profile().Add(nullptr, ProfileCounter::kBuildRows,
-                    static_cast<int64_t>(build.size()));
-  MemoryReservation reservation = ctx.memory().CreateReservation();
-  int64_t build_bytes = EstimateBuildBytes(build);
-  if (!reservation.EnsureReserved(build_bytes)) {
-    throw ExecutionError(
-        "query memory limit of " + std::to_string(ctx.memory().limit_bytes()) +
-        " bytes exceeded by join.broadcast build side (~" +
-        std::to_string(build_bytes) +
-        " bytes); broadcast joins cannot spill — raise "
-        "query_memory_limit_bytes or lower broadcast_threshold_bytes so the "
-        "planner picks a shuffle join");
-  }
-  BuildMap table = BuildHashTable(build, bound_right);
-
-  // When every probe key compiles, keys evaluate as whole columns per
-  // batch; rows box lazily, so non-matching inner rows never box at all.
-  std::vector<std::optional<CompiledExpression>> key_programs;
-  bool keys_compiled = ctx.config().codegen_enabled;
-  if (keys_compiled) {
-    for (const auto& bk : bound_left) {
-      auto prog = CompiledExpression::Compile(bk);
-      if (!prog) {
-        keys_compiled = false;
-        break;
-      }
-      key_programs.push_back(std::move(prog));
-    }
-  }
+  const BoundJoin bound = Bind(ctx);
+  HashBuild build(ctx, bound, join_type_, RightWidth());
+  build.Collect(ctx, *right_, /*nested_loop=*/false);
 
   BatchDataset stream = left_->ExecuteBatches(ctx);
   ctx.profile().Add(nullptr, ProfileCounter::kProbeRows,
                     static_cast<int64_t>(stream.TotalRows()));
-  const bool semi = join_type_ == JoinType::kLeftSemi;
-  const bool anti = join_type_ == JoinType::kLeftAnti;
-  const bool left_outer = join_type_ == JoinType::kLeftOuter;
-  const size_t right_width = right_out.size();
   const std::vector<DataTypePtr> out_types = OutputTypes();
   const size_t batch_size = ctx.config().batch_size;
 
   return stream.MapPartitions(ctx, [&](size_t, const BatchPartition& part) {
-    auto out = std::make_shared<BatchPartition>();
-    std::shared_ptr<RowBatch> builder;
-    size_t builder_rows = 0;
-    auto emit = [&](const Row& row) {
-      if (!builder) {
-        builder = std::make_shared<RowBatch>(out_types);
-        builder_rows = 0;
-      }
-      builder->AppendRow(row);
-      if (++builder_rows >= batch_size) {
-        out->batches.push_back(std::move(builder));
-        builder.reset();
-      }
-    };
-    std::vector<std::optional<CompiledExpression::VectorEvaluator>> key_evals(
-        key_programs.size());
-    if (keys_compiled) {
-      for (size_t j = 0; j < key_programs.size(); ++j) {
-        key_evals[j].emplace(key_programs[j]->NewVectorEvaluator());
-      }
-    }
+    // Keys evaluate as whole columns per batch; only rows that produce
+    // output are boxed.
+    InputReader reader(bound.left_keys, /*batched=*/true);
+    KeyChunk chunk;
+    Row boxed;
+    std::vector<Row> rows;
     size_t cancel_rows = 0;
     for (const RowBatchPtr& batch : part.batches) {
       const size_t n = batch->ActiveRows();
       if (n == 0) continue;
       ctx.CheckCancelledEveryRows(&cancel_rows, n);
-      std::vector<ColumnVector> key_cols;
-      if (keys_compiled) {
-        key_cols.reserve(key_evals.size());
-        for (size_t j = 0; j < key_evals.size(); ++j) {
-          ColumnVector col(key_programs[j]->result_type());
-          col.Reserve(n);
-          key_evals[j]->EvaluateColumn(*batch, &col);
-          key_cols.push_back(std::move(col));
-        }
-      }
-      for (size_t k = 0; k < n; ++k) {
-        const size_t phys = batch->ActiveIndex(k);
-        JoinKey key;
-        std::optional<Row> boxed;  // only rows that produce output box
-        if (keys_compiled) {
-          key.values.reserve(key_cols.size());
-          for (const auto& col : key_cols) {
-            Value v = col.GetValue(k);
-            key.has_null = key.has_null || v.is_null();
-            key.values.push_back(std::move(v));
-          }
-        } else {
-          boxed = batch->BoxRow(phys);
-          key = EvalKey(*boxed, bound_left);
-        }
-        const std::vector<size_t>* matches = nullptr;
-        if (!key.has_null) {
-          auto it = table.find(key);
-          if (it != table.end()) matches = &it->second;
-        }
-        bool matched = false;
-        if (matches != nullptr) {
-          if (!boxed) boxed = batch->BoxRow(phys);
-          for (size_t idx : *matches) {
-            Row joined = Row::Concat(*boxed, build[idx]);
-            if (bound_residual && !EvalPredicate(*bound_residual, joined)) {
-              continue;
-            }
-            matched = true;
-            if (semi || anti) break;
-            emit(joined);
-          }
-        }
-        if ((semi && matched) || (anti && !matched)) {
-          if (!boxed) boxed = batch->BoxRow(phys);
-          emit(*boxed);
-        }
-        if (left_outer && !matched) {
-          if (!boxed) boxed = batch->BoxRow(phys);
-          emit(NullExtendRight(*boxed, right_width));
-        }
-      }
+      ProbeChunk(
+          ctx, build, reader.Read(*batch), n, &chunk,
+          [&](size_t k) -> const Row& {
+            boxed = batch->BoxRow(batch->ActiveIndex(k));
+            return boxed;
+          },
+          [&](Row&& row) { rows.push_back(std::move(row)); }, nullptr);
     }
-    if (builder && builder_rows > 0) out->batches.push_back(std::move(builder));
+    auto out = std::make_shared<BatchPartition>();
+    PackRowsIntoBatches(rows, out_types, batch_size, &out->batches);
     return out;
   }, "join.probe");
 }
 
 RowDataset ShuffleHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
-  AttributeVector left_out = left_->Output();
-  AttributeVector right_out = right_->Output();
-  AttributeVector joined_out = left_out;
-  joined_out.insert(joined_out.end(), right_out.begin(), right_out.end());
-
-  ExprVector bound_left, bound_right;
-  for (const auto& k : left_keys_) bound_left.push_back(BindReferences(k, left_out));
-  for (const auto& k : right_keys_) {
-    bound_right.push_back(BindReferences(k, right_out));
-  }
-  ExprPtr bound_residual =
-      residual_ ? BindReferences(residual_, joined_out) : nullptr;
-
-  size_t parts = ctx.config().default_parallelism;
-  RowDataset left_shuffled =
-      left_->Execute(ctx).ShuffleByHash(ctx, parts, [&](const Row& row) {
-        return HashRowKeys(row, bound_left);
-      });
-  RowDataset right_shuffled =
-      right_->Execute(ctx).ShuffleByHash(ctx, parts, [&](const Row& row) {
-        return HashRowKeys(row, bound_right);
-      });
-
-  bool semi = join_type_ == JoinType::kLeftSemi;
-  bool anti = join_type_ == JoinType::kLeftAnti;
-  bool left_outer = join_type_ == JoinType::kLeftOuter ||
-                    join_type_ == JoinType::kFullOuter;
-  bool right_outer = join_type_ == JoinType::kRightOuter ||
-                     join_type_ == JoinType::kFullOuter;
-  size_t left_width = left_out.size();
-  size_t right_width = right_out.size();
+  const BoundJoin bound = Bind(ctx);
+  RowDataset left_shuffled = ShuffleByKeys(ctx, *left_, bound.left_keys);
+  RowDataset right_shuffled = ShuffleByKeys(ctx, *right_, bound.right_keys);
+  const bool right_outer = join_type_ == JoinType::kRightOuter ||
+                           join_type_ == JoinType::kFullOuter;
+  const Row left_nulls = Nulls(left_->Output().size());
 
   return left_shuffled.MapPartitions(ctx, [&](size_t p, const RowPartition&
                                                             left_part) {
     const RowPartition& right_part = *right_shuffled.partition(p);
     auto out = std::make_shared<RowPartition>();
-    size_t cancel_check = 0;
     ctx.profile().Add(nullptr, ProfileCounter::kBuildRows,
                       static_cast<int64_t>(right_part.rows.size()));
     ctx.profile().Add(nullptr, ProfileCounter::kProbeRows,
                       static_cast<int64_t>(left_part.rows.size()));
+    HashBuild build(ctx, bound, join_type_, RightWidth());
+    InputReader reader(bound.left_keys, /*batched=*/false);
 
-    // One hash-join pass: hash `build`, stream probe rows from `next_probe`.
-    // Correct per Grace bucket because equal keys always share a bucket, and
-    // every input row lands in exactly one bucket (so each unmatched row is
-    // null-extended/emitted exactly once across passes).
-    auto join_pass = [&](const std::vector<Row>& build,
-                         const std::function<const Row*()>& next_probe) {
-      BuildMap table = BuildHashTable(build, bound_right);
-      std::vector<uint8_t> right_matched(build.size(), 0);
-      while (const Row* probe = next_probe()) {
-        ctx.CheckCancelledEvery(&cancel_check);
-        const Row& row = *probe;
-        JoinKey key = EvalKey(row, bound_left);
-        const std::vector<size_t>* matches = nullptr;
-        if (!key.has_null) {
-          auto it = table.find(key);
-          if (it != table.end()) matches = &it->second;
-        }
-        bool matched = false;
-        if (matches != nullptr) {
-          for (size_t idx : *matches) {
-            Row joined = Row::Concat(row, build[idx]);
-            if (bound_residual && !EvalPredicate(*bound_residual, joined)) {
-              continue;
-            }
-            matched = true;
-            right_matched[idx] = 1;
-            if (semi || anti) break;
-            out->rows.push_back(std::move(joined));
-          }
-        }
-        if (semi && matched) out->rows.push_back(row);
-        if (anti && !matched) out->rows.push_back(row);
-        if (left_outer && !matched && !semi && !anti) {
-          out->rows.push_back(NullExtendRight(row, right_width));
-        }
+    // One hash-join pass: probe `build` with `n` rows, then with the rows
+    // `more` streams in (a Grace bucket's probe file), then emit the build
+    // rows nothing matched (right/full outer). Correct per Grace bucket
+    // too: equal keys share a bucket and every input row lands in exactly
+    // one, so each unmatched row is emitted exactly once.
+    std::vector<uint8_t> matched;
+    auto join_pass = [&](const Row* rows, size_t n, SpillFile::Reader* more) {
+      std::vector<uint8_t>* marks = right_outer ? &matched : nullptr;
+      matched.assign(right_outer ? build.rows->size() : 0, 0);
+      ProbeRows(ctx, build, reader, rows, n, &out->rows, marks);
+      for (std::vector<Row> chunk(kChunkRows); more != nullptr;) {
+        size_t m = 0;
+        while (m < kChunkRows && more->Next(&chunk[m])) ++m;
+        if (m == 0) break;
+        ProbeRows(ctx, build, reader, chunk.data(), m, &out->rows, marks);
       }
-      if (right_outer) {
-        for (size_t i = 0; i < build.size(); ++i) {
-          if (right_matched[i] == 0) {
-            out->rows.push_back(NullExtendLeft(left_width, build[i]));
-          }
+      for (size_t i = 0; i < matched.size(); ++i) {
+        if (matched[i] == 0) {
+          out->rows.push_back(Row::Concat(left_nulls, (*build.rows)[i]));
         }
       }
     };
 
-    MemoryReservation reservation = ctx.memory().CreateReservation();
-    if (reservation.EnsureReserved(EstimateBuildBytes(right_part.rows))) {
-      size_t i = 0;
-      join_pass(right_part.rows, [&]() -> const Row* {
-        return i < left_part.rows.size() ? &left_part.rows[i++] : nullptr;
-      });
+    if (build.Index(ctx, right_part.rows, [](int64_t) { return false; })) {
+      join_pass(left_part.rows.data(), left_part.rows.size(), nullptr);
       return out;
     }
     if (!ctx.memory().spill_enabled()) {
       throw ExecutionError(ctx.memory().OverBudgetMessage("join.build"));
     }
-    reservation.Release();
 
     // Grace fallback: scatter both sides to disk by mixed key hash, then
     // join bucket by bucket with a 1/kJoinSpillFanout-sized build table.
@@ -466,66 +365,55 @@ RowDataset ShuffleHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
       std::optional<SpillFile> build, probe;
     };
     std::vector<BucketPair> buckets(kJoinSpillFanout);
-    int64_t wrote = 0;
-    size_t files_created = 0;
-    auto scatter = [&](const std::vector<Row>& rows, const ExprVector& keys,
+    int64_t wrote = 0, files_created = 0;
+    auto scatter = [&](const std::vector<Row>& rows,
+                       const std::vector<BoundCompiled>& keys,
                        bool build_side) {
-      for (const Row& row : rows) {
-        ctx.CheckCancelledEvery(&cancel_check);
-        size_t b =
-            MixHash64(JoinKeyHash{}(EvalKey(row, keys))) % kJoinSpillFanout;
-        auto& file = build_side ? buckets[b].build : buckets[b].probe;
-        if (!file) {
-          file.emplace(
-              ctx.MakeSpillFile(build_side ? "join-build" : "join-probe"));
-          ++files_created;
+      InputReader side_reader(keys, /*batched=*/false);
+      KeyChunk chunk;
+      size_t cancel_rows = 0;
+      for (size_t start = 0; start < rows.size(); start += kChunkRows) {
+        const size_t n = std::min(kChunkRows, rows.size() - start);
+        ctx.CheckCancelledEveryRows(&cancel_rows, n);
+        build.table.Hash(side_reader.Read(&rows[start], n).data(), n, &chunk);
+        for (size_t k = 0; k < n; ++k) {
+          size_t b = MixHash64(chunk.hashes[k]) % kJoinSpillFanout;
+          auto& file = build_side ? buckets[b].build : buckets[b].probe;
+          if (!file) {
+            file.emplace(
+                ctx.MakeSpillFile(build_side ? "join-build" : "join-probe"));
+            ++files_created;
+          }
+          wrote += file->Append(rows[start + k]);
         }
-        wrote += file->Append(row);
       }
     };
-    scatter(right_part.rows, bound_right, /*build_side=*/true);
-    scatter(left_part.rows, bound_left, /*build_side=*/false);
-    if (files_created > 0) {
-      ctx.profile().Add(nullptr, ProfileCounter::kSpillFiles,
-                        static_cast<int64_t>(files_created));
-    }
-    if (wrote > 0) {
-      ctx.profile().Add(nullptr, ProfileCounter::kSpillBytes, wrote);
-      ctx.engine()
-          .registry()
-          .Histogram("ssql_spill_write_bytes",
-                     "Bytes written per spill event")
-          .Record(wrote);
-    }
+    scatter(right_part.rows, bound.right_keys, /*build_side=*/true);
+    scatter(left_part.rows, bound.left_keys, /*build_side=*/false);
+    ctx.RecordSpill(files_created, wrote);
 
+    size_t cancel_check = 0;
     for (auto& bucket : buckets) {
-      std::vector<Row> build;
+      std::vector<Row> build_rows;
       if (bucket.build) {
         bucket.build->FinishWrites();
-        build.reserve(bucket.build->row_count());
-        SpillFile::Reader reader(*bucket.build);
-        Row row;
-        while (reader.Next(&row)) {
+        build_rows.reserve(bucket.build->row_count());
+        SpillFile::Reader in(*bucket.build);
+        for (Row row; in.Next(&row);) {
           ctx.CheckCancelledEvery(&cancel_check);
-          build.push_back(std::move(row));
+          build_rows.push_back(std::move(row));
         }
       }
       // A bucket that still exceeds the budget is joined anyway
       // (single-level recursion); the overshoot is bounded by the fanout.
-      if (!reservation.EnsureReserved(EstimateBuildBytes(build))) {
-        reservation.ForceGrow(EstimateBuildBytes(build));
-      }
+      build.Index(ctx, build_rows, [](int64_t) { return true; });
+      std::optional<SpillFile::Reader> probe;
       if (bucket.probe) {
         bucket.probe->FinishWrites();
-        SpillFile::Reader reader(*bucket.probe);
-        Row scratch;
-        join_pass(build, [&]() -> const Row* {
-          return reader.Next(&scratch) ? &scratch : nullptr;
-        });
-      } else {
-        join_pass(build, []() -> const Row* { return nullptr; });
+        probe.emplace(*bucket.probe);
       }
-      reservation.Release();
+      join_pass(nullptr, 0, probe ? &*probe : nullptr);
+      build.Clear();
       bucket.build.reset();  // delete each pair as soon as it is joined
       bucket.probe.reset();
     }
@@ -534,35 +422,45 @@ RowDataset ShuffleHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
 }
 
 RowDataset SortMergeJoinExec::ExecuteImpl(QueryContext& ctx) const {
-  AttributeVector left_out = left_->Output();
-  AttributeVector right_out = right_->Output();
-  AttributeVector joined_out = left_out;
-  joined_out.insert(joined_out.end(), right_out.begin(), right_out.end());
+  const BoundJoin bound = Bind(ctx);
+  RowDataset left_shuffled = ShuffleByKeys(ctx, *left_, bound.left_keys);
+  RowDataset right_shuffled = ShuffleByKeys(ctx, *right_, bound.right_keys);
 
-  ExprVector bound_left, bound_right;
-  for (const auto& k : left_keys_) bound_left.push_back(BindReferences(k, left_out));
-  for (const auto& k : right_keys_) {
-    bound_right.push_back(BindReferences(k, right_out));
-  }
-  ExprPtr bound_residual =
-      residual_ ? BindReferences(residual_, joined_out) : nullptr;
-
-  size_t parts = ctx.config().default_parallelism;
-  RowDataset left_shuffled =
-      left_->Execute(ctx).ShuffleByHash(ctx, parts, [&](const Row& row) {
-        return HashRowKeys(row, bound_left);
-      });
-  RowDataset right_shuffled =
-      right_->Execute(ctx).ShuffleByHash(ctx, parts, [&](const Row& row) {
-        return HashRowKeys(row, bound_right);
-      });
-
-  auto key_less = [](const JoinKey& a, const JoinKey& b) {
-    for (size_t i = 0; i < a.values.size(); ++i) {
-      int c = a.values[i].Compare(b.values[i]);
+  // Rows keyed by their boxed join key, in key order. The order is
+  // Value::Compare's, except that NaN sorts after every other double and
+  // equals NaN: the hash joins' key equality, and a strict weak order.
+  struct Keyed {
+    std::vector<Value> key;
+    const Row* row;
+  };
+  auto key_less = [](const Keyed& a, const Keyed& b) {
+    for (size_t i = 0; i < a.key.size(); ++i) {
+      const Value& x = a.key[i];
+      const Value& y = b.key[i];
+      const bool nan = x.type_id() == TypeId::kDouble &&
+                       (std::isnan(x.f64()) || std::isnan(y.f64()));
+      const int c = nan ? std::isnan(x.f64()) - std::isnan(y.f64())
+                        : x.Compare(y);
       if (c != 0) return c < 0;
     }
     return false;
+  };
+  // Null keys never match: an inner join drops them.
+  auto sorted = [&](const RowPartition& part,
+                    const std::vector<BoundCompiled>& keys) {
+    std::vector<Keyed> out;
+    out.reserve(part.rows.size());
+    for (const Row& row : part.rows) {
+      Keyed k{{}, &row};
+      bool null = false;
+      for (const BoundCompiled& e : keys) {
+        k.key.push_back(e.bound->Eval(row));
+        null = null || k.key.back().is_null();
+      }
+      if (!null) out.push_back(std::move(k));
+    }
+    std::sort(out.begin(), out.end(), key_less);
+    return out;
   };
 
   return left_shuffled.MapPartitions(ctx, [&](size_t p, const RowPartition&
@@ -573,58 +471,32 @@ RowDataset SortMergeJoinExec::ExecuteImpl(QueryContext& ctx) const {
                       static_cast<int64_t>(right_part.rows.size()));
     ctx.profile().Add(nullptr, ProfileCounter::kProbeRows,
                       static_cast<int64_t>(left_part.rows.size()));
-
-    // Sort both sides by key (null keys dropped: inner join).
-    struct Keyed {
-      JoinKey key;
-      const Row* row;
-    };
-    std::vector<Keyed> ls, rs;
-    ls.reserve(left_part.rows.size());
-    rs.reserve(right_part.rows.size());
-    for (const Row& row : left_part.rows) {
-      JoinKey k = EvalKey(row, bound_left);
-      if (!k.has_null) ls.push_back({std::move(k), &row});
-    }
-    for (const Row& row : right_part.rows) {
-      JoinKey k = EvalKey(row, bound_right);
-      if (!k.has_null) rs.push_back({std::move(k), &row});
-    }
-    auto cmp = [&](const Keyed& a, const Keyed& b) { return key_less(a.key, b.key); };
-    std::sort(ls.begin(), ls.end(), cmp);
-    std::sort(rs.begin(), rs.end(), cmp);
-
-    size_t i = 0, j = 0;
+    const std::vector<Keyed> ls = sorted(left_part, bound.left_keys);
+    const std::vector<Keyed> rs = sorted(right_part, bound.right_keys);
+    auto l = ls.begin(), r = rs.begin();
     size_t cancel_check = 0;
-    while (i < ls.size() && j < rs.size()) {
+    while (l != ls.end() && r != rs.end()) {
       ctx.CheckCancelledEvery(&cancel_check);
-      if (key_less(ls[i].key, rs[j].key)) {
-        ++i;
-      } else if (key_less(rs[j].key, ls[i].key)) {
-        ++j;
+      if (key_less(*l, *r)) {
+        ++l;
+      } else if (key_less(*r, *l)) {
+        ++r;
       } else {
         // Equal-key runs on both sides.
-        size_t i_end = i;
-        while (i_end < ls.size() && !key_less(ls[i].key, ls[i_end].key) &&
-               !key_less(ls[i_end].key, ls[i].key)) {
-          ++i_end;
-        }
-        size_t j_end = j;
-        while (j_end < rs.size() && !key_less(rs[j].key, rs[j_end].key) &&
-               !key_less(rs[j_end].key, rs[j].key)) {
-          ++j_end;
-        }
-        for (size_t a = i; a < i_end; ++a) {
-          for (size_t b = j; b < j_end; ++b) {
-            Row joined = Row::Concat(*ls[a].row, *rs[b].row);
-            if (bound_residual && !EvalPredicate(*bound_residual, joined)) {
+        auto l_end = l, r_end = r;
+        while (l_end != ls.end() && !key_less(*l, *l_end)) ++l_end;
+        while (r_end != rs.end() && !key_less(*r, *r_end)) ++r_end;
+        for (auto a = l; a != l_end; ++a) {
+          for (auto b = r; b != r_end; ++b) {
+            Row joined = Row::Concat(*a->row, *b->row);
+            if (bound.residual && !EvalPredicate(*bound.residual, joined)) {
               continue;
             }
             out->rows.push_back(std::move(joined));
           }
         }
-        i = i_end;
-        j = j_end;
+        l = l_end;
+        r = r_end;
       }
     }
     return out;
@@ -655,58 +527,14 @@ RowDataset NestedLoopJoinExec::ExecuteImpl(QueryContext& ctx) const {
     throw ExecutionError(
         "NestedLoopJoin does not support right/full outer joins");
   }
-  AttributeVector left_out = left_->Output();
-  AttributeVector right_out = right_->Output();
-  AttributeVector joined_out = left_out;
-  joined_out.insert(joined_out.end(), right_out.begin(), right_out.end());
-  ExprPtr bound =
-      condition_ ? BindReferences(condition_, joined_out) : nullptr;
-
-  std::vector<Row> build = right_->Execute(ctx).Collect();
-  ctx.profile().Add(nullptr, ProfileCounter::kBroadcastRows,
-                    static_cast<int64_t>(build.size()));
-  ctx.profile().Add(nullptr, ProfileCounter::kBuildRows,
-                    static_cast<int64_t>(build.size()));
-  MemoryReservation reservation = ctx.memory().CreateReservation();
-  int64_t build_bytes = EstimateBuildBytes(build);
-  if (!reservation.EnsureReserved(build_bytes)) {
-    throw ExecutionError(
-        "query memory limit of " + std::to_string(ctx.memory().limit_bytes()) +
-        " bytes exceeded by join.nested_loop build side (~" +
-        std::to_string(build_bytes) +
-        " bytes); nested-loop builds cannot spill — raise "
-        "query_memory_limit_bytes");
-  }
-
-  RowDataset stream = left_->Execute(ctx);
-  ctx.profile().Add(nullptr, ProfileCounter::kProbeRows,
-                    static_cast<int64_t>(stream.TotalRows()));
-  bool semi = join_type_ == JoinType::kLeftSemi;
-  bool anti = join_type_ == JoinType::kLeftAnti;
-  bool left_outer = join_type_ == JoinType::kLeftOuter;
-  size_t right_width = right_out.size();
-
-  return stream.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-    auto out = std::make_shared<RowPartition>();
-    size_t cancel_check = 0;
-    for (const Row& row : part.rows) {
-      bool matched = false;
-      for (const Row& other : build) {
-        ctx.CheckCancelledEvery(&cancel_check);
-        Row joined = Row::Concat(row, other);
-        if (bound && !EvalPredicate(*bound, joined)) continue;
-        matched = true;
-        if (semi || anti) break;
-        out->rows.push_back(std::move(joined));
-      }
-      if (semi && matched) out->rows.push_back(row);
-      if (anti && !matched) out->rows.push_back(row);
-      if (left_outer && !matched) {
-        out->rows.push_back(NullExtendRight(row, right_width));
-      }
-    }
-    return out;
-  }, "join.probe");
+  // No key columns: every build row sits on one chain, and the condition
+  // is the residual.
+  AttributeVector joined_out = left_->Output();
+  for (const auto& a : right_->Output()) joined_out.push_back(a);
+  BoundJoin bound;
+  if (condition_) bound.residual = BindReferences(condition_, joined_out);
+  return BroadcastJoin(ctx, *left_, *right_, bound, join_type_,
+                       /*nested_loop=*/true);
 }
 
 std::string NestedLoopJoinExec::Describe() const {

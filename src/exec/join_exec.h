@@ -6,8 +6,18 @@
 
 #include "catalyst/plan/logical_plan.h"
 #include "exec/physical_plan.h"
+#include "exec/scan_exec.h"
 
 namespace ssql {
+
+/// A join's keys bound (and compiled when codegen is on) to each side's
+/// output, their types (equal on both sides), and the residual bound to
+/// the joined row.
+struct BoundJoin {
+  std::vector<BoundCompiled> left_keys, right_keys;
+  std::vector<DataTypePtr> key_types;
+  ExprPtr residual;
+};
 
 /// Shared shape of the equi-join operators: key expressions per side plus
 /// an optional residual (non-equi) condition evaluated on the joined row.
@@ -21,8 +31,10 @@ class JoinExecBase : public PhysicalPlan {
   std::string Describe() const override;
 
  protected:
-  /// Width of a null-extended row for the non-matching side.
-  size_t LeftWidth() const { return left_->Output().size(); }
+  /// Throws when a key's types differ between the sides.
+  BoundJoin Bind(QueryContext& ctx) const;
+
+  /// Width of a null-extended row for the non-matching right side.
   size_t RightWidth() const { return right_->Output().size(); }
 
   PhysPtr left_;
@@ -34,9 +46,9 @@ class JoinExecBase : public PhysicalPlan {
 };
 
 /// Broadcast hash join (Section 4.3.3): the build side — estimated small by
-/// the cost model — is collected once ("broadcast") and hashed; each
+/// the cost model — is collected once ("broadcast") into a key table; each
 /// streamed partition probes it without any shuffle. Supports Inner,
-/// LeftOuter and LeftSemi with the right side as build.
+/// LeftOuter, LeftSemi and LeftAnti with the right side as build.
 class BroadcastHashJoinExec : public JoinExecBase {
  public:
   using JoinExecBase::JoinExecBase;
@@ -44,8 +56,9 @@ class BroadcastHashJoinExec : public JoinExecBase {
   RowDataset ExecuteImpl(QueryContext& ctx) const override;
 
   /// Batched probe: the streamed side flows in as batches (probe keys
-  /// evaluate as whole columns), matches emit into output batches. The
-  /// build side is still collected as rows — it is small by construction.
+  /// evaluate as whole columns and hash into the key table), and only rows
+  /// that produce output are boxed into the output batches. The build side
+  /// is still collected as rows — it is small by construction.
   bool SupportsBatches() const override { return true; }
   /// The build side always collects as rows (index 1); only the streamed
   /// probe side (index 0) flows in as batches.

@@ -22,6 +22,10 @@ void RecordMisestimate(QueryContext& ctx, const CardinalityEstimate& est,
       .Record(std::llround(MisestimateRatio(est.rows, actual_rows)));
 }
 
+/// How many unprofiled operators this thread is inside: a plan's operators
+/// execute their children on the thread that executes them.
+thread_local int undetailed_depth = 0;
+
 }  // namespace
 
 /// Shared profiling shell of Execute/ExecuteBatches: runs `work` inside an
@@ -36,9 +40,22 @@ static auto RunProfiled(const PhysicalPlan& node,
   HistogramMetric& op_wall = ctx.engine().registry().Histogram(
       "ssql_operator_wall_us", "Per-operator wall time, microseconds");
   if (!profile.detailed()) {
+    // No operator spans: the counters land on the root span, summed the
+    // way the spans would sum them. An operator nested in another is its
+    // parent's input, so its rows also count as rows_in; the outermost
+    // operator's rows are the query's output (rows_out - rows_in).
+    struct Nest {
+      Nest() { ++undetailed_depth; }
+      ~Nest() { --undetailed_depth; }
+    } nest;
     const int64_t start_ns = TraceNowNs();
     auto out = work();
     op_wall.Record((TraceNowNs() - start_ns) / 1000);
+    profile.Add(nullptr, ProfileCounter::kRowsOut, out.rows);
+    profile.Add(nullptr, ProfileCounter::kBatches, out.batches);
+    if (undetailed_depth > 1) {
+      profile.Add(nullptr, ProfileCounter::kRowsIn, out.rows);
+    }
     RecordMisestimate(ctx, est, out.rows);
     return std::move(out.data);
   }

@@ -81,12 +81,7 @@ std::shared_ptr<RowPartition> SortExec::ExternalSortPartition(
     int64_t wrote = 0;
     for (const Row& r : buffer) wrote += run.Append(r);
     run.FinishWrites();
-    ctx.profile().Add(nullptr, ProfileCounter::kSpillFiles, 1);
-    ctx.profile().Add(nullptr, ProfileCounter::kSpillBytes, wrote);
-    ctx.engine()
-        .registry()
-        .Histogram("ssql_spill_write_bytes", "Bytes written per spill event")
-        .Record(wrote);
+    ctx.RecordSpill(1, wrote);
     runs.push_back(std::move(run));
     buffer.clear();
     used = 0;

@@ -13,17 +13,6 @@ int64_t JournalNowUnixMs() {
       .count();
 }
 
-// Round-robin shard assignment: each thread grabs a stable cursor once.
-// The mapping is journal-independent, so one thread hits the same shard
-// index in every journal — fine, since shards are symmetric.
-std::atomic<uint32_t> g_shard_cursor{0};
-
-size_t ThisThreadShard() {
-  thread_local const uint32_t slot =
-      g_shard_cursor.fetch_add(1, std::memory_order_relaxed);
-  return slot % EventJournal::kShards;
-}
-
 }  // namespace
 
 const char* EngineEventKindName(EngineEventKind kind) {
@@ -89,31 +78,25 @@ const char* EventSeverityName(EventSeverity severity) {
 }
 
 void EventJournal::Configure(size_t capacity) {
-  const size_t per_shard =
-      capacity == 0 ? 0 : std::max<size_t>(1, capacity / kShards);
   // Disable emission first so writers racing the reset see either the old
-  // ring or the new one, never a half-cleared shard.
-  shard_capacity_.store(0, std::memory_order_seq_cst);
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.slots.clear();
-    if (per_shard > 0) shard.slots.resize(per_shard);
-    shard.head = 0;
+  // ring or the new one, never a half-cleared one.
+  capacity_.store(0, std::memory_order_seq_cst);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    slots_.assign(capacity, EngineEvent{});
+    head_ = 0;
+    appended_.store(0, std::memory_order_relaxed);
+    dropped_.store(0, std::memory_order_relaxed);
   }
-  next_seq_.store(0, std::memory_order_relaxed);
-  appended_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-  shard_capacity_.store(per_shard, std::memory_order_seq_cst);
+  capacity_.store(capacity, std::memory_order_seq_cst);
 }
 
 void EventJournal::Emit(EngineEventKind kind, EventSeverity severity,
                         uint64_t query_id, int64_t value,
                         std::string_view detail) {
-  const size_t per_shard = shard_capacity_.load(std::memory_order_relaxed);
-  if (per_shard == 0) return;  // disabled: this load is the whole cost
+  if (capacity_.load(std::memory_order_relaxed) == 0) return;  // disabled
 
   EngineEvent event;
-  event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   event.unix_ms = JournalNowUnixMs();
   event.query_id = query_id;
   event.kind = kind;
@@ -123,36 +106,27 @@ void EventJournal::Emit(EngineEventKind kind, EventSeverity severity,
   if (n > 0) std::memcpy(event.detail, detail.data(), n);
   event.detail[n] = '\0';
 
-  Shard& shard = shards_[ThisThreadShard()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Configure may have swapped capacity under us; honour whatever the
-  // shard actually holds right now.
-  const size_t slots = shard.slots.size();
+  std::lock_guard<std::mutex> lock(mu_);
+  // Configure may have swapped the ring under us; honour whatever it
+  // holds right now.
+  const size_t slots = slots_.size();
   if (slots == 0) return;
-  if (shard.head >= slots) dropped_.fetch_add(1, std::memory_order_relaxed);
-  shard.slots[shard.head % slots] = event;
-  ++shard.head;
+  if (head_ >= slots) dropped_.fetch_add(1, std::memory_order_relaxed);
+  event.seq = head_;
+  slots_[head_ % slots] = event;
+  ++head_;
   appended_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<EngineEvent> EventJournal::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const size_t slots = slots_.size();
+  const size_t valid = std::min<uint64_t>(head_, slots);
   std::vector<EngineEvent> out;
-  out.reserve(capacity());
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const size_t slots = shard.slots.size();
-    if (slots == 0) continue;  // disabled (head >= slots would div-by-zero)
-    const size_t valid = std::min<uint64_t>(shard.head, slots);
-    // Oldest-first within the shard; the global sort below interleaves.
-    const size_t start = shard.head >= slots ? shard.head % slots : 0;
-    for (size_t i = 0; i < valid; ++i) {
-      out.push_back(shard.slots[(start + i) % slots]);
-    }
+  out.reserve(valid);
+  for (uint64_t seq = head_ - valid; seq < head_; ++seq) {
+    out.push_back(slots_[seq % slots]);
   }
-  std::sort(out.begin(), out.end(),
-            [](const EngineEvent& a, const EngineEvent& b) {
-              return a.seq < b.seq;
-            });
   return out;
 }
 

@@ -1,19 +1,18 @@
 #pragma once
-// Engine flight recorder: an always-on, bounded, sharded ring journal of
-// structured engine events (admission, tasks, spills, memory, watchdog,
-// query lifecycle). Emission is designed to cost nanoseconds when nobody
-// is reading: the disabled check is a single relaxed atomic load, and the
-// enabled path is one relaxed fetch_add plus a copy of a small POD slot
-// into a per-shard ring under a shard-local mutex. Threads are spread
-// round-robin over the shards, so in steady state each shard mutex is
-// touched by very few writers and acquisition is an uncontended CAS;
-// readers (the `system.events` table, diagnostics bundles) briefly lock
-// each shard in turn to copy its tail out.
+// Engine flight recorder: an always-on, bounded ring journal of structured
+// engine events (admission, tasks, spills, memory, watchdog, query
+// lifecycle). Emission is designed to cost nanoseconds when nobody is
+// reading: the disabled check is a single relaxed atomic load, and the
+// enabled path copies a small POD slot into one ring under one mutex,
+// assigning the event's sequence number under the same lock. Events are
+// emitted per task attempt, spill or query, never per row, so the lock is
+// rarely contended; readers (the `system.events` table, diagnostics
+// bundles) hold it briefly to copy the ring out.
 //
-// Overwrite semantics: once a shard ring is full the oldest slot is
-// replaced and the global drop counter advances — the journal always
-// holds the most recent `capacity` events (per-shard granularity) and
-// never blocks or allocates on the emit path.
+// Overwrite semantics: once the ring is full the oldest slot is replaced
+// and the drop counter advances — the journal always holds the most recent
+// `capacity` events, whichever threads emitted them, and never blocks on
+// I/O or allocates on the emit path.
 
 #include <atomic>
 #include <cstdint>
@@ -69,7 +68,7 @@ const char* EventSeverityName(EventSeverity severity);
 /// partition for task events, queue depth for admission, duration_ms for
 /// query finish, ...).
 struct EngineEvent {
-  uint64_t seq = 0;       // global emission order across all shards
+  uint64_t seq = 0;       // emission order
   int64_t unix_ms = 0;    // wall-clock milliseconds since the epoch
   uint64_t query_id = 0;  // 0 = engine-level event (no owning query)
   EngineEventKind kind = EngineEventKind::kQueryBegin;
@@ -80,35 +79,29 @@ struct EngineEvent {
 
 class EventJournal {
  public:
-  /// Number of independent rings. Writers are spread over shards
-  /// round-robin by a thread-local cursor; the total capacity knob is
-  /// divided evenly between them.
-  static constexpr size_t kShards = 8;
-
   explicit EventJournal(size_t capacity = 0) { Configure(capacity); }
 
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
 
-  /// (Re)arms the journal with a new total capacity; 0 disables emission
+  /// (Re)arms the journal with a new capacity; 0 disables emission
   /// entirely. Existing events are discarded and counters reset. Safe to
   /// call concurrently with Emit/Snapshot, but intended for engine
   /// configuration time.
   void Configure(size_t capacity);
 
   bool enabled() const {
-    return shard_capacity_.load(std::memory_order_relaxed) > 0;
+    return capacity_.load(std::memory_order_relaxed) > 0;
   }
 
   /// Records one event. No-op (one atomic load) when the journal is
-  /// disabled. Never blocks on readers for more than a brief slot copy
+  /// disabled. Never blocks on readers for more than a brief ring copy
   /// and never allocates; `detail` is truncated to the inline buffer.
   void Emit(EngineEventKind kind, EventSeverity severity, uint64_t query_id,
             int64_t value, std::string_view detail);
 
-  /// Copies the current journal tail out of every shard and returns it
-  /// merged in global emission (seq) order. Bounded by the configured
-  /// capacity.
+  /// Copies the ring out, oldest event first (seq order). Bounded by the
+  /// configured capacity.
   std::vector<EngineEvent> Snapshot() const;
 
   /// Total events ever emitted (while enabled) since the last Configure.
@@ -121,24 +114,16 @@ class EventJournal {
   /// when no emitter is mid-flight.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
-  /// Total configured capacity (sum over shards).
-  size_t capacity() const {
-    return shard_capacity_.load(std::memory_order_relaxed) * kShards;
-  }
+  size_t capacity() const { return capacity_.load(std::memory_order_relaxed); }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<EngineEvent> slots;  // ring of size shard_capacity_
-    uint64_t head = 0;               // events ever appended to this shard
-  };
-
-  // Per-shard slot count; 0 = disabled. Read on every Emit (relaxed).
-  std::atomic<size_t> shard_capacity_{0};
-  std::atomic<uint64_t> next_seq_{0};
+  // Slot count; 0 = disabled. Read on every Emit (relaxed).
+  std::atomic<size_t> capacity_{0};
   std::atomic<uint64_t> appended_{0};
   std::atomic<uint64_t> dropped_{0};
-  Shard shards_[kShards];
+  mutable std::mutex mu_;
+  std::vector<EngineEvent> slots_;  // the ring; guarded by mu_
+  uint64_t head_ = 0;               // events ever appended; guarded by mu_
 };
 
 }  // namespace ssql

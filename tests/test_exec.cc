@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <functional>
 #include <random>
+#include <tuple>
 
 #include "api/sql_context.h"
 #include "catalyst/expr/literal.h"
@@ -193,6 +199,230 @@ TEST(JoinExecTest, ResidualConditionFiltersMatches) {
   auto rows = join.Execute(ctx).Collect();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].GetInt32(1), 10);
+}
+
+// ---- Join key sweep ------------------------------------------------------
+
+/// One key shape of the sweep: the key column types and a draw of one
+/// non-null value for key column `c`.
+struct JoinKeyShape {
+  const char* name;
+  std::vector<DataTypePtr> types;
+  std::function<Value(size_t c, std::mt19937_64& rng)> draw;
+};
+
+std::vector<JoinKeyShape> JoinKeyShapes() {
+  auto pick = [](std::vector<Value> domain) {
+    return [domain](size_t, std::mt19937_64& rng) {
+      return domain[rng() % domain.size()];
+    };
+  };
+  // Longer than the key table's largest arena block (64 KiB).
+  const std::string long_key = std::string(64 * 1024 + 17, 'q') + "!";
+  const std::string nul_a("ab\0c", 4), nul_b("ab\0d", 4);
+  auto dec = [](int64_t unscaled) { return Value(Decimal(unscaled, 10, 2)); };
+  return {
+      {"int32", {DataType::Int32()},
+       pick({int32_t{-3}, int32_t{0}, int32_t{1}, int32_t{7}, int32_t{42},
+             int32_t{2147483647}})},
+      {"int64", {DataType::Int64()},
+       pick({int64_t{-5}, int64_t{0}, int64_t{1} << 40, int64_t{3},
+             int64_t{9000000000000000000}})},
+      {"date", {DataType::Date()},
+       pick({DateValue{-1}, DateValue{0}, DateValue{18000}, DateValue{18001},
+             DateValue{20000}})},
+      {"double", {DataType::Double()},
+       pick({std::nan(""), 0.0, -0.0, 1.5, -2.25, 1e300, 3.0})},
+      {"string", {DataType::String()},
+       pick({"", "a", "ab", nul_a, nul_b, long_key,
+             "a key longer than eight bytes"})},
+      {"decimal", {DecimalType::Make(10, 2)},
+       pick({dec(-150), dec(0), dec(1), dec(250), dec(99999)})},
+      {"string_int", {DataType::String(), DataType::Int32()},
+       [nul_a](size_t c, std::mt19937_64& rng) {
+         static const std::vector<Value> strs = {"", "x", "yy"};
+         if (c == 1) return Value(static_cast<int32_t>(rng() % 3));
+         return rng() % 4 == 0 ? Value(nul_a) : strs[rng() % strs.size()];
+       }},
+  };
+}
+
+/// (shape index, null fraction, with a residual condition).
+using JoinSweepParam = std::tuple<int, double, bool>;
+
+class JoinKeySweepTest : public ::testing::TestWithParam<JoinSweepParam> {
+ protected:
+  /// Rows [key..., payload]; each key cell is null with `null_fraction`.
+  static std::vector<Row> Rows(const JoinKeyShape& shape, size_t n,
+                               double null_fraction, int32_t first_payload,
+                               std::mt19937_64* rng) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < n; ++i) {
+      Row row;
+      for (size_t c = 0; c < shape.types.size(); ++c) {
+        bool null =
+            std::uniform_real_distribution<>(0, 1)(*rng) < null_fraction;
+        row.Append(null ? Value::Null() : shape.draw(c, *rng));
+      }
+      row.Append(Value(first_payload + static_cast<int32_t>(i)));
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  }
+
+  static AttributeVector Attrs(const JoinKeyShape& shape, const char* side) {
+    AttributeVector attrs;
+    for (size_t c = 0; c < shape.types.size(); ++c) {
+      attrs.push_back(AttributeReference::Make(
+          std::string(side) + "k" + std::to_string(c), shape.types[c], true));
+    }
+    attrs.push_back(AttributeReference::Make(std::string(side) + "v",
+                                             DataType::Int32(), false));
+    return attrs;
+  }
+
+  /// Equi-join key equality: a null never matches, NaN matches NaN and
+  /// -0.0 matches 0.0; everything else compares by value.
+  static bool KeysMatch(const Row& l, const Row& r, size_t width) {
+    for (size_t c = 0; c < width; ++c) {
+      const Value& a = l.Get(c);
+      const Value& b = r.Get(c);
+      if (a.is_null() || b.is_null()) return false;
+      if (a.type_id() == TypeId::kDouble &&
+          std::isnan(a.f64()) != std::isnan(b.f64())) {
+        return false;
+      }
+      if (a.type_id() == TypeId::kDouble && std::isnan(a.f64())) continue;
+      if (!a.Equals(b)) return false;
+    }
+    return true;
+  }
+
+  /// Brute-force join of every type; `residual` adds lv < rv.
+  static std::vector<Row> Expected(const std::vector<Row>& left,
+                                   const std::vector<Row>& right, size_t width,
+                                   JoinType type, bool residual) {
+    const size_t lw = width + 1, rw = width + 1;
+    std::vector<Row> out;
+    std::vector<bool> right_matched(right.size(), false);
+    for (const Row& l : left) {
+      bool matched = false;
+      for (size_t j = 0; j < right.size(); ++j) {
+        const Row& r = right[j];
+        if (!KeysMatch(l, r, width)) continue;
+        if (residual && !(l.GetInt32(width) < r.GetInt32(width))) continue;
+        matched = true;
+        right_matched[j] = true;
+        if (type != JoinType::kLeftSemi && type != JoinType::kLeftAnti) {
+          out.push_back(Row::Concat(l, r));
+        }
+      }
+      if ((type == JoinType::kLeftSemi && matched) ||
+          (type == JoinType::kLeftAnti && !matched)) {
+        out.push_back(l);
+      }
+      if ((type == JoinType::kLeftOuter || type == JoinType::kFullOuter) &&
+          !matched) {
+        out.push_back(Row::Concat(l, Row(std::vector<Value>(rw))));
+      }
+    }
+    if (type == JoinType::kRightOuter || type == JoinType::kFullOuter) {
+      for (size_t j = 0; j < right.size(); ++j) {
+        if (!right_matched[j]) {
+          out.push_back(Row::Concat(Row(std::vector<Value>(lw)), right[j]));
+        }
+      }
+    }
+    return out;
+  }
+};
+
+TEST_P(JoinKeySweepTest, EveryAlgorithmMatchesBruteForce) {
+  const auto [shape_index, null_fraction, with_residual] = GetParam();
+  const JoinKeyShape shape = JoinKeyShapes()[shape_index];
+  const size_t width = shape.types.size();
+  std::mt19937_64 rng(shape_index * 131 + (with_residual ? 7 : 0) +
+                      static_cast<int>(null_fraction * 10));
+  const std::vector<Row> left = Rows(shape, 60, null_fraction, 0, &rng);
+  const std::vector<Row> right = Rows(shape, 50, null_fraction, 30, &rng);
+  const AttributeVector la = Attrs(shape, "l");
+  const AttributeVector ra = Attrs(shape, "r");
+  const ExprVector lk(la.begin(), la.begin() + width);
+  const ExprVector rk(ra.begin(), ra.begin() + width);
+  const ExprPtr residual =
+      with_residual ? LessThan::Make(la[width], ra[width]) : nullptr;
+
+  EngineConfig config = TestConfig();
+  config.default_parallelism = 2;
+  config.vectorized_enabled = true;
+  ExecContext unlimited(config);
+  const std::string scratch =
+      ::testing::TempDir() + "/ssql-join-sweep-" + std::to_string(::getpid());
+  config.query_memory_limit_bytes = 1024;  // forces the Grace fallback
+  config.spill_dir = scratch;
+  ExecContext limited(config);
+
+  auto check = [&](const PhysicalPlan& join, JoinType type, bool batched,
+                   ExecContext& engine, const char* algorithm) {
+    QueryContextPtr query = engine.BeginQuery();
+    std::vector<Row> got =
+        batched ? join.ExecuteBatches(*query).ToRowDataset(*query).Collect()
+                : join.Execute(*query).Collect();
+    EXPECT_EQ(Canonical(got),
+              Canonical(Expected(left, right, width, type, with_residual)))
+        << algorithm << " " << JoinTypeName(type);
+    if (&engine == &limited) {
+      EXPECT_GT(query->profile().Total(ProfileCounter::kSpillBytes), 0)
+          << algorithm << " " << JoinTypeName(type);
+    }
+    query->Finish("ok");
+  };
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
+                        JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    BroadcastHashJoinExec broadcast(ScanOf(la, left), ScanOf(ra, right), lk,
+                                    rk, type, residual);
+    check(broadcast, type, false, unlimited, "broadcast");
+    check(broadcast, type, true, unlimited, "broadcast batched");
+  }
+  for (JoinType type :
+       {JoinType::kInner, JoinType::kLeftOuter, JoinType::kRightOuter,
+        JoinType::kFullOuter, JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    ShuffleHashJoinExec shuffle(ScanOf(la, left), ScanOf(ra, right), lk, rk,
+                                type, residual);
+    check(shuffle, type, false, unlimited, "shuffle hash");
+    check(shuffle, type, false, limited, "shuffle hash (Grace)");
+  }
+  SortMergeJoinExec merge(ScanOf(la, left), ScanOf(ra, right), lk, rk,
+                          JoinType::kInner, residual);
+  check(merge, JoinType::kInner, false, unlimited, "sort-merge");
+  std::filesystem::remove_all(scratch);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, JoinKeySweepTest,
+    ::testing::Combine(::testing::Range(0, 7), ::testing::Values(0.0, 0.3),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<JoinSweepParam>& info) {
+      return std::string(JoinKeyShapes()[std::get<0>(info.param)].name) +
+             (std::get<1>(info.param) > 0 ? "_nulls" : "_no_nulls") +
+             (std::get<2>(info.param) ? "_residual" : "");
+    });
+
+TEST(JoinExecTest, MismatchedKeyTypesAreRejected) {
+  // Analysis casts both sides of an equi-join key to one type; a plan that
+  // bypasses it fails with a typed error rather than comparing int32 lanes
+  // against int64 ones.
+  ExecContext engine(TestConfig());
+  QueryContextPtr query = engine.BeginQuery();
+  AttributeVector la = KeyedAttrs("lk", "lv");
+  AttributeVector ra = {
+      AttributeReference::Make("rk", DataType::Int64(), true),
+      AttributeReference::Make("rv", DataType::Int32(), false)};
+  std::vector<Row> left = {Row({Value(int32_t{1}), Value(int32_t{10})})};
+  std::vector<Row> right = {Row({Value(int64_t{1}), Value(int32_t{15})})};
+  ShuffleHashJoinExec join(ScanOf(la, left), ScanOf(ra, right), {la[0]},
+                           {ra[0]}, JoinType::kInner, nullptr);
+  EXPECT_THROW(join.Execute(*query), ExecutionError);
 }
 
 // ---------------------------------------------------------------------------

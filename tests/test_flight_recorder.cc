@@ -104,22 +104,36 @@ TEST(EventJournalTest, LongDetailIsTruncatedNotRejected) {
 }
 
 TEST(EventJournalTest, WraparoundKeepsNewestAndCountsDrops) {
-  // 16 total slots over 8 shards = 2 per shard; a single emitting thread
-  // lands in exactly one shard, so its ring holds the 2 newest events.
+  // One ring of 16 slots: 20 events keep the 16 newest and drop 4.
   EventJournal journal(16);
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 20; ++i) {
     journal.Emit(EngineEventKind::kTaskStart, EventSeverity::kDebug, 1, i,
                  "stage");
   }
-  EXPECT_EQ(journal.appended(), 10u);
-  EXPECT_EQ(journal.dropped(), 8u);
+  EXPECT_EQ(journal.appended(), 20u);
+  EXPECT_EQ(journal.dropped(), 4u);
   auto events = journal.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
+  ASSERT_EQ(events.size(), 16u);
   EXPECT_EQ(journal.appended() - journal.dropped(), events.size());
-  // The survivors are the newest, in seq order.
-  EXPECT_EQ(events[0].value, 8);
-  EXPECT_EQ(events[1].value, 9);
-  EXPECT_LT(events[0].seq, events[1].seq);
+  // The survivors are the newest, oldest first, in seq order.
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].value, static_cast<int64_t>(i + 4));
+    if (i > 0) {
+      EXPECT_LT(events[i - 1].seq, events[i].seq);
+    }
+  }
+}
+
+TEST(EventJournalTest, OneBusyThreadDropsNothingBelowCapacity) {
+  // A single emitting thread (a spilling query's own thread) may fill the
+  // whole journal, not a fraction of it.
+  EventJournal journal(4096);
+  for (int i = 0; i < 2048; ++i) {
+    journal.Emit(EngineEventKind::kSpillWrite, EventSeverity::kDebug, 1, i,
+                 "spill");
+  }
+  EXPECT_EQ(journal.dropped(), 0u);
+  EXPECT_EQ(journal.Snapshot().size(), 2048u);
 }
 
 TEST(EventJournalTest, ReconfigureDiscardsAndResets) {
@@ -138,7 +152,7 @@ TEST(EventJournalTest, ReconfigureDiscardsAndResets) {
   EXPECT_EQ(journal.appended(), 0u);
 }
 
-// The ThreadSanitizer stress: writers on every shard racing snapshot
+// The ThreadSanitizer stress: eight writer threads racing snapshot
 // readers and a mid-flight Configure. The post-join accounting invariant
 // (appended - dropped == snapshot size) must hold exactly once the
 // emitters are quiesced.
@@ -153,7 +167,7 @@ TEST(EventJournalTest, ConcurrentEmittersAndReaders) {
     readers.emplace_back([&journal, &stop] {
       while (!stop.load(std::memory_order_acquire)) {
         auto events = journal.Snapshot();
-        // Seq order must survive the per-shard merge.
+        // Snapshots come out in seq order.
         for (size_t i = 1; i < events.size(); ++i) {
           ASSERT_LT(events[i - 1].seq, events[i].seq);
         }

@@ -736,6 +736,35 @@ TEST(ProfilingDisabledTest, SystemQueriesReportsSpillAndPeak) {
   std::filesystem::remove_all(config.spill_dir);
 }
 
+TEST(ProfilingDisabledTest, RowCountsMatchTheProfiledRun) {
+  // Without operator spans the query's output rows and the registry's row
+  // totals must still read what a profiled run of the same query reads.
+  struct Counts {
+    int64_t rows_out, rows_out_total, rows_in_total, batches_total;
+  };
+  auto run = [](bool profiled) {
+    EngineConfig config;
+    config.profiling_enabled = profiled;
+    SqlContext ctx(config);
+    Numbers(ctx, 200).RegisterTempTable("t");
+    EXPECT_EQ(
+        ctx.Sql("SELECT k, sum(x) FROM t GROUP BY k").Collect().size(), 10u);
+    Counts counts{0, RegistryTotal(ctx, ProfileCounter::kRowsOut),
+                  RegistryTotal(ctx, ProfileCounter::kRowsIn),
+                  RegistryTotal(ctx, ProfileCounter::kBatches)};
+    counts.rows_out = OnlyFinishedQuery(ctx).GetInt64(1);
+    return counts;
+  };
+  const Counts profiled = run(true);
+  const Counts unprofiled = run(false);
+  EXPECT_EQ(profiled.rows_out, 10);
+  EXPECT_EQ(unprofiled.rows_out, profiled.rows_out);
+  EXPECT_GT(profiled.rows_out_total, profiled.rows_out);
+  EXPECT_EQ(unprofiled.rows_out_total, profiled.rows_out_total);
+  EXPECT_EQ(unprofiled.rows_in_total, profiled.rows_in_total);
+  EXPECT_EQ(unprofiled.batches_total, profiled.batches_total);
+}
+
 TEST(ProfilingDisabledTest, TracePathRequiresProfiling) {
   EngineConfig config;
   config.profiling_enabled = false;
