@@ -7,6 +7,7 @@
 
 #include "bench/workloads.h"
 #include "columnar/columnar_cache.h"
+#include "datasources/chunk_reader.h"
 #include "datasources/colf_format.h"
 
 namespace ssql {
@@ -63,20 +64,26 @@ void BM_Cache_BuildColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_Cache_BuildColumnar)->Unit(benchmark::kMillisecond)->Iterations(3);
 
-void BM_Cache_ScanOneColumn(benchmark::State& state) {
+/// Unfiltered scans of the cache through its data source (the path
+/// queries take): one chunk-reader task per chunk, unpacked into rows.
+void RunScan(benchmark::State& state, const std::vector<int>& columns) {
+  ExecContext engine(SparkSqlConfig());
+  CachedTableSource source(F().table, "bench");
   for (auto _ : state) {
-    auto data = F().table->Scan({3});  // score only: pruned decode
+    QueryContextPtr query = engine.BeginQuery();
+    auto data = source.ScanPartitions(*query, columns, {});
     benchmark::DoNotOptimize(data.TotalRows());
   }
+}
+
+void BM_Cache_ScanOneColumn(benchmark::State& state) {
+  RunScan(state, {3});  // score only: pruned decode
   state.SetLabel("decode 1 of 4 columns from the cache");
 }
 BENCHMARK(BM_Cache_ScanOneColumn)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 void BM_Cache_ScanAllColumns(benchmark::State& state) {
-  for (auto _ : state) {
-    auto data = F().table->Scan({0, 1, 2, 3});
-    benchmark::DoNotOptimize(data.TotalRows());
-  }
+  RunScan(state, {0, 1, 2, 3});
   state.SetLabel("decode all 4 columns from the cache");
 }
 BENCHMARK(BM_Cache_ScanAllColumns)->Unit(benchmark::kMillisecond)->Iterations(3);

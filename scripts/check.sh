@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 check: full build + test suite, then the fault-tolerance,
-# memory/spill, observability and vectorized/columnar tests again under
-# AddressSanitizer/UBSan (retry, cancellation, reservation accounting,
-# spill-file cleanup, concurrent span/counter updates, and selection-vector
-# indexing into raw column banks exercise concurrent code and raw buffers
-# worth running instrumented), then the concurrency + vectorized suites
+# memory/spill, observability, vectorized/columnar and data source tests
+# again under AddressSanitizer/UBSan (retry, cancellation, reservation
+# accounting, spill-file cleanup, concurrent span/counter updates,
+# selection-vector indexing into raw column banks, and encoded chunks read
+# from disk exercise concurrent code and raw buffers worth running
+# instrumented), then the concurrency, vectorized and columnar suites
 # under ThreadSanitizer, then the chaos harness under both — including a
 # batch_size=1 lane over cached (natively columnar) tables. Finishes with a
 # quick overhead sanity pass of bench_observe (profiled vs un-profiled
@@ -17,7 +18,7 @@ cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
 cmake -B build-sanitize -S . -DSSQL_SANITIZE=address >/dev/null
-cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_exec >/dev/null
+cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_exec --target test_datasources >/dev/null
 ./build-sanitize/tests/test_fault_tolerance
 ./build-sanitize/tests/test_memory
 ./build-sanitize/tests/test_observability
@@ -32,6 +33,10 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 ./build-sanitize/tests/test_vectorized
 ./build-sanitize/tests/test_columnar
 ./build-sanitize/tests/test_property_end_to_end
+# The data source suite under ASan: the chunk reader indexes dictionary
+# codes, runs and string views into encoded payloads read from disk, and
+# the colf byte-mutation smoke test feeds it corrupt files.
+./build-sanitize/tests/test_datasources
 # The aggregation sweep under ASan: the group table's open-addressing
 # index, arena-backed string keys and spill drain are raw-memory surface.
 ./build-sanitize/tests/test_aggregate
@@ -56,7 +61,7 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # re-registration and the copy-on-write staleness swap are its TSan
 # surface, and the HLL/histogram buffers its ASan surface.
 cmake -B build-tsan -S . -DSSQL_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_observability --target test_exec >/dev/null
+cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_observability --target test_exec --target test_columnar >/dev/null
 ./build-tsan/tests/test_concurrency
 ./build-tsan/tests/test_system_tables
 ./build-tsan/tests/test_fault_tolerance
@@ -67,6 +72,10 @@ cmake --build build-tsan -j --target test_concurrency --target test_system_table
 # the same shapes through the speculatable task runner.
 ./build-tsan/tests/test_vectorized
 ./build-tsan/tests/test_property_end_to_end
+# Columnar suite under TSan: cache chunks and colf row groups are read by
+# parallel scan tasks that share one chunk reader and the immutable
+# encoded columns.
+./build-tsan/tests/test_columnar
 # Flight recorder under TSan: emitters on every engine thread race
 # snapshot readers, the ticker thread's sampler, and a mid-flight
 # reconfigure.

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "catalyst/planner/planner.h"
-#include "columnar/column_vector.h"
+#include "datasources/chunk_reader.h"
 #include "datasources/system_tables.h"
 #include "exec/scan_exec.h"
 #include "sql/parser.h"
@@ -14,178 +14,6 @@
 #include "util/string_util.h"
 
 namespace ssql {
-
-namespace {
-
-/// Exposes a CachedTable through the data source API so cached subtrees
-/// benefit from the same column pruning as external sources: a query that
-/// touches 2 of 10 cached columns decodes exactly 2 (Section 3.6 + 4.4.1
-/// composing).
-class CachedTableSource : public BaseRelation,
-                          public PrunedFilteredScan,
-                          public PartitionedScan,
-                          public BatchedScan {
- public:
-  CachedTableSource(std::shared_ptr<const CachedTable> table, std::string label)
-      : table_(std::move(table)), label_(std::move(label)) {}
-
-  std::string name() const override { return "cache:" + label_; }
-  SchemaPtr schema() const override { return table_->schema(); }
-  std::optional<uint64_t> EstimatedSizeBytes() const override {
-    return table_->MemoryBytes();
-  }
-
-  std::vector<Row> ScanFiltered(
-      QueryContext& ctx, const std::vector<int>& columns,
-      const std::vector<FilterSpec>& filters) const override {
-    return ScanPartitions(ctx, columns, filters).Collect();
-  }
-
-  RowDataset ScanPartitions(
-      QueryContext& ctx, const std::vector<int>& columns,
-      const std::vector<FilterSpec>& filters) const override {
-    if (filters.empty()) return table_->Scan(columns, &ctx.engine());
-
-    // Bind filter columns to ordinals once.
-    SchemaPtr sch = table_->schema();
-    std::vector<std::pair<int, const FilterSpec*>> bound;
-    bound.reserve(filters.size());
-    for (const auto& f : filters) {
-      int idx = sch->FieldIndex(f.column);
-      if (idx < 0) {
-        throw ExecutionError("cache: unknown filter column " + f.column);
-      }
-      bound.emplace_back(idx, &f);
-    }
-
-    size_t chunks = table_->num_chunks();
-    std::vector<RowPartitionPtr> partitions(chunks);
-    auto scan_chunk = [&](size_t idx) -> TaskRunner::TaskCommitFn {
-      auto part = std::make_shared<RowPartition>();
-      auto commit = [&partitions, idx, part]() { partitions[idx] = part; };
-      const auto& cols = table_->chunk_columns(idx);
-      // Zone-map skipping over cached chunks, like colf row groups.
-      for (const auto& [c, spec] : bound) {
-        if (!ColumnChunkMayMatch(cols[c], *spec)) return commit;
-      }
-      uint32_t n = table_->chunk_rows(idx);
-      // Decode filter + requested columns only.
-      std::vector<ColumnVector> decoded;
-      std::vector<int> ordinal(sch->num_fields(), -1);
-      auto ensure = [&](int c) {
-        if (ordinal[c] >= 0) return;
-        ordinal[c] = static_cast<int>(decoded.size());
-        decoded.push_back(DecodeColumn(cols[c]));
-      };
-      for (const auto& [c, spec] : bound) ensure(c);
-      for (int c : columns) ensure(c);
-      for (uint32_t r = 0; r < n; ++r) {
-        bool keep = true;
-        for (const auto& [c, spec] : bound) {
-          if (!spec->Matches(decoded[ordinal[c]].GetValue(r))) {
-            keep = false;
-            break;
-          }
-        }
-        if (!keep) continue;
-        Row row;
-        row.Reserve(columns.size());
-        for (int c : columns) row.Append(decoded[ordinal[c]].GetValue(r));
-        part->rows.push_back(std::move(row));
-      }
-      return commit;
-    };
-    // Each chunk scan is idempotent (rebuilds its partition from the
-    // immutable cached columns), so failed chunks can be retried — and the
-    // two-phase shape lets a straggling chunk race a speculative duplicate,
-    // with only the winner's commit publishing into `partitions`.
-    TaskRunner(ctx).RunStageSpeculatable("scan", chunks, scan_chunk);
-    return RowDataset(std::move(partitions));
-  }
-
-  /// Columnar form of ScanPartitions: each chunk decodes straight into
-  /// shared ColumnVectors and pushed filters refine a selection vector —
-  /// no row is ever boxed. Zone-map chunk skipping applies as in the row
-  /// scan; batches are zero-copy index windows over the decoded chunk.
-  BatchDataset ScanBatches(QueryContext& ctx, const std::vector<int>& columns,
-                           const std::vector<FilterSpec>& filters,
-                           size_t batch_size) const override {
-    if (batch_size == 0) batch_size = 1;
-    SchemaPtr sch = table_->schema();
-    std::vector<std::pair<int, const FilterSpec*>> bound;
-    bound.reserve(filters.size());
-    for (const auto& f : filters) {
-      int idx = sch->FieldIndex(f.column);
-      if (idx < 0) {
-        throw ExecutionError("cache: unknown filter column " + f.column);
-      }
-      bound.emplace_back(idx, &f);
-    }
-    size_t chunks = table_->num_chunks();
-    std::vector<BatchPartitionPtr> partitions(chunks);
-    auto scan_chunk = [&](size_t idx) -> TaskRunner::TaskCommitFn {
-      auto part = std::make_shared<BatchPartition>();
-      auto commit = [&partitions, idx, part]() { partitions[idx] = part; };
-      const auto& cols = table_->chunk_columns(idx);
-      for (const auto& [c, spec] : bound) {
-        if (!ColumnChunkMayMatch(cols[c], *spec)) return commit;
-      }
-      uint32_t n = table_->chunk_rows(idx);
-      // Decode filter + requested columns once; every batch of this chunk
-      // shares the decoded vectors.
-      std::vector<std::shared_ptr<ColumnVector>> decoded(sch->num_fields());
-      auto ensure = [&](int c) {
-        if (!decoded[c]) {
-          decoded[c] = std::make_shared<ColumnVector>(DecodeColumn(cols[c]));
-        }
-      };
-      for (const auto& [c, spec] : bound) ensure(c);
-      for (int c : columns) ensure(c);
-      std::vector<std::shared_ptr<ColumnVector>> out_cols;
-      out_cols.reserve(columns.size());
-      for (int c : columns) out_cols.push_back(decoded[c]);
-      auto whole = std::make_shared<const RowBatch>(std::move(out_cols));
-      const bool filtered = !bound.empty();
-      std::vector<uint32_t> sel;
-      if (filtered) {
-        sel.reserve(n);
-        for (uint32_t r = 0; r < n; ++r) {
-          bool keep = true;
-          for (const auto& [c, spec] : bound) {
-            if (!spec->Matches(decoded[c]->GetValue(r))) {
-              keep = false;
-              break;
-            }
-          }
-          if (keep) sel.push_back(r);
-        }
-      }
-      const size_t live = filtered ? sel.size() : n;
-      if (!filtered && live <= batch_size) {
-        if (live > 0) part->batches.push_back(std::move(whole));
-        return commit;
-      }
-      for (size_t start = 0; start < live; start += batch_size) {
-        size_t end = std::min(start + batch_size, live);
-        std::vector<uint32_t> window;
-        window.reserve(end - start);
-        for (size_t k = start; k < end; ++k) {
-          window.push_back(filtered ? sel[k] : static_cast<uint32_t>(k));
-        }
-        part->batches.push_back(RowBatch::FilterView(whole, std::move(window)));
-      }
-      return commit;
-    };
-    TaskRunner(ctx).RunStageSpeculatable("scan", chunks, scan_chunk);
-    return BatchDataset(std::move(partitions));
-  }
-
- private:
-  std::shared_ptr<const CachedTable> table_;
-  std::string label_;
-};
-
-}  // namespace
 
 SqlContext::SqlContext(EngineConfig config)
     : exec_(config),

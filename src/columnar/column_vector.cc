@@ -75,7 +75,24 @@ void ColumnVector::Append(const Value& v) {
          "ColumnVector banks out of lockstep");
 }
 
-void ColumnVector::AppendNull() { Append(Value::Null()); }
+void ColumnVector::AppendNull() {
+  nulls_.push_back(1);
+  switch (bank_) {
+    case Bank::kInt:
+      ints_.push_back(0);
+      break;
+    case Bank::kDouble:
+      doubles_.push_back(0.0);
+      break;
+    case Bank::kString:
+      strings_.emplace_back();
+      break;
+    case Bank::kBoxed:
+      boxed_.emplace_back();
+      break;
+  }
+  ++size_;
+}
 
 void ColumnVector::AppendString(const std::string& v) {
   assert(bank_ == Bank::kString && "AppendString on a non-string bank");

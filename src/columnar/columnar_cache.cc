@@ -23,35 +23,6 @@ std::shared_ptr<CachedTable> CachedTable::Build(const SchemaPtr& schema,
   return table;
 }
 
-RowDataset CachedTable::Scan(const std::vector<int>& columns,
-                             ExecContext* ctx) const {
-  std::vector<RowPartitionPtr> partitions(chunks_.size());
-  auto decode_chunk = [&](size_t idx) {
-    const Chunk& chunk = chunks_[idx];
-    auto part = std::make_shared<RowPartition>();
-    part->rows.resize(chunk.num_rows);
-    for (auto& row : part->rows) row.Reserve(columns.size());
-    for (int c : columns) {
-      ColumnVector decoded = DecodeColumn(chunk.columns[c]);
-      for (uint32_t i = 0; i < chunk.num_rows; ++i) {
-        part->rows[i].Append(decoded.GetValue(i));
-      }
-    }
-    partitions[idx] = std::move(part);
-  };
-  if (ctx != nullptr && chunks_.size() > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks_.size());
-    for (size_t i = 0; i < chunks_.size(); ++i) {
-      tasks.push_back([&decode_chunk, i] { decode_chunk(i); });
-    }
-    ctx->pool().RunAll(std::move(tasks));
-  } else {
-    for (size_t i = 0; i < chunks_.size(); ++i) decode_chunk(i);
-  }
-  return RowDataset(std::move(partitions));
-}
-
 size_t CachedTable::MemoryBytes() const {
   size_t bytes = 0;
   for (const Chunk& chunk : chunks_) {

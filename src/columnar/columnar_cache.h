@@ -10,7 +10,6 @@
 #include "columnar/batch_dataset.h"
 #include "columnar/encoding.h"
 #include "engine/dataset.h"
-#include "engine/exec_context.h"
 #include "types/schema.h"
 
 namespace ssql {
@@ -29,13 +28,6 @@ class CachedTable {
   size_t num_rows() const { return num_rows_; }
   size_t num_chunks() const { return chunks_.size(); }
 
-  /// Decodes the requested columns back into rows, one partition per chunk.
-  /// `columns` are field ordinals; empty means "no columns" (rows carry
-  /// only their existence, for COUNT(*)). When `ctx` is provided, chunks
-  /// decode in parallel on the engine's worker pool.
-  RowDataset Scan(const std::vector<int>& columns,
-                  ExecContext* ctx = nullptr) const;
-
   /// Total compressed footprint in bytes.
   size_t MemoryBytes() const;
 
@@ -44,8 +36,9 @@ class CachedTable {
   /// comparison.
   size_t EstimatedRowCacheBytes() const;
 
-  /// Raw chunk access for filtered scans layered above (zone-map skipping
-  /// over cached chunks lives in the datasources layer).
+  /// Raw chunk access for the scans layered above: CachedTableSource
+  /// (datasources/chunk_reader.h) reads the chunks through the chunk
+  /// reader.
   uint32_t chunk_rows(size_t chunk) const { return chunks_[chunk].num_rows; }
   const std::vector<EncodedColumn>& chunk_columns(size_t chunk) const {
     return chunks_[chunk].columns;

@@ -1,5 +1,6 @@
 #include "columnar/encoding.h"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 
@@ -10,6 +11,9 @@ namespace ssql {
 namespace {
 
 enum class Bank : uint8_t { kInt, kDouble, kString, kBoxed };
+
+/// A dictionary code marking a null row.
+constexpr uint32_t kNullCode = 0xFFFFFFFFu;
 
 Bank BankFor(const DataType& t) {
   switch (t.id()) {
@@ -228,7 +232,7 @@ EncodedColumn EncodeColumnAs(const ColumnVector& column, ColumnEncoding scheme) 
       std::vector<uint32_t> codes(column.size());
       for (size_t i = 0; i < column.size(); ++i) {
         if (column.IsNull(i)) {
-          codes[i] = 0xFFFFFFFFu;
+          codes[i] = kNullCode;
           continue;
         }
         std::string key = RunKey(column, bank, i);
@@ -262,52 +266,184 @@ EncodedColumn EncodeColumn(const ColumnVector& column) {
   return std::move(*best);
 }
 
-ColumnVector DecodeColumn(const EncodedColumn& column) {
-  ColumnVector out(column.type);
-  out.Reserve(column.num_rows);
-  Bank bank = BankFor(*column.type);
+namespace {
 
+uint32_t LoadU32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+/// Appends one slot: a null (its lane gets a defined zero) or the next
+/// value in `r`.
+void AppendSlot(Reader* r, Bank bank, bool null, ChunkValues* out) {
+  out->nulls.push_back(null ? 1 : 0);
+  switch (bank) {
+    case Bank::kInt:
+      out->ints.push_back(null ? 0 : r->I64());
+      break;
+    case Bank::kDouble:
+      out->doubles.push_back(null ? 0.0 : r->F64());
+      break;
+    case Bank::kString: {
+      const uint32_t len = null ? 0 : r->U32();
+      r->Need(len);
+      out->strings.emplace_back(reinterpret_cast<const char*>(r->p + r->pos),
+                                len);
+      r->pos += len;
+      break;
+    }
+    case Bank::kBoxed:
+      break;
+  }
+}
+
+/// Appends the value of slot `slot_of(k)` for k in [0, n) to `out`.
+template <typename SlotOf>
+void AppendSlots(const ChunkValues& v, size_t n, SlotOf slot_of,
+                 ColumnVector* out) {
+  auto each = [&](auto append) {
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t s = slot_of(k);
+      if (v.nulls[s] != 0) {
+        out->AppendNull();
+      } else {
+        append(s);
+      }
+    }
+  };
+  switch (BankFor(*v.column->type)) {
+    case Bank::kInt:
+      each([&](uint32_t s) { out->AppendInt64(v.ints[s]); });
+      break;
+    case Bank::kDouble:
+      each([&](uint32_t s) { out->AppendDouble(v.doubles[s]); });
+      break;
+    case Bank::kString:
+      each([&](uint32_t s) { out->AppendString(std::string(v.strings[s])); });
+      break;
+    case Bank::kBoxed:
+      break;
+  }
+}
+
+/// Appends the values of rows `row_at(k)` for k in [0, n), ascending.
+template <typename RowAt>
+void Gather(const ChunkValues& v, size_t n, RowAt row_at, ColumnVector* out) {
+  const EncodedColumn& col = *v.column;
+  out->Reserve(out->size() + n);
+  switch (col.encoding) {
+    case ColumnEncoding::kBoxed:
+      for (size_t k = 0; k < n; ++k) out->Append(col.boxed[row_at(k)]);
+      break;
+    case ColumnEncoding::kPlain:
+      AppendSlots(v, n, row_at, out);
+      break;
+    case ColumnEncoding::kDictionary:
+      AppendSlots(v, n, [&](size_t k) { return v.codes[row_at(k)]; }, out);
+      break;
+    case ColumnEncoding::kRunLength: {
+      if (n == 0) break;
+      uint32_t run = static_cast<uint32_t>(
+          std::upper_bound(v.run_ends.begin(), v.run_ends.end(), row_at(0)) -
+          v.run_ends.begin());
+      AppendSlots(v, n, [&](size_t k) {
+        const uint32_t row = row_at(k);
+        while (v.run_ends[run] <= row) ++run;
+        return run;
+      }, out);
+      break;
+    }
+  }
+}
+
+}  // namespace
+
+ChunkValues ReadChunkValues(const EncodedColumn& column) {
+  ChunkValues out;
+  out.column = &column;
+  const uint32_t n = column.num_rows;
+  const Bank bank = BankFor(*column.type);
   if (column.encoding == ColumnEncoding::kBoxed) {
-    for (const auto& v : column.boxed) out.Append(v);
+    if (column.boxed.size() != n) {
+      throw IoError("corrupt boxed column: " +
+                    std::to_string(column.boxed.size()) + " values for " +
+                    std::to_string(n) + " rows");
+    }
     return out;
   }
-
+  if (bank == Bank::kBoxed) {
+    throw IoError("corrupt column: type " + column.type->ToString() +
+                  " is stored only boxed");
+  }
   Reader r{column.data.data(), column.data.size()};
   switch (column.encoding) {
     case ColumnEncoding::kPlain: {
-      for (uint32_t i = 0; i < column.num_rows; ++i) {
-        bool is_null = r.U8() != 0;
-        out.Append(is_null ? Value::Null() : ReadBankValue(&r, bank, column.type));
-      }
+      // Every row takes at least its null byte.
+      r.Need(n);
+      out.nulls.reserve(n);
+      for (uint32_t i = 0; i < n; ++i) AppendSlot(&r, bank, r.U8() != 0, &out);
       break;
     }
     case ColumnEncoding::kRunLength: {
       uint32_t produced = 0;
-      while (produced < column.num_rows) {
-        uint32_t run = r.U32();
-        bool is_null = r.U8() != 0;
-        Value v = is_null ? Value::Null() : ReadBankValue(&r, bank, column.type);
-        for (uint32_t k = 0; k < run; ++k) out.Append(v);
+      while (produced < n) {
+        const uint32_t run = r.U32();
+        if (run == 0 || run > n - produced) {
+          throw IoError("corrupt run-length column: a run of " +
+                        std::to_string(run) + " rows at row " +
+                        std::to_string(produced) + " does not fit its " +
+                        std::to_string(n) + " rows");
+        }
+        AppendSlot(&r, bank, r.U8() != 0, &out);
         produced += run;
+        out.run_ends.push_back(produced);
       }
       break;
     }
     case ColumnEncoding::kDictionary: {
-      uint32_t dict_size = r.U32();
-      std::vector<Value> dict;
-      dict.reserve(dict_size);
-      for (uint32_t i = 0; i < dict_size; ++i) {
-        dict.push_back(ReadBankValue(&r, bank, column.type));
+      const uint32_t size = r.U32();
+      // An entry is at least an 8-byte number or a 4-byte string length.
+      const size_t min_entry = bank == Bank::kString ? 4 : 8;
+      if (size > (r.n - r.pos) / min_entry) {
+        throw IoError("corrupt dictionary column: " + std::to_string(size) +
+                      " entries cannot fit in " +
+                      std::to_string(r.n - r.pos) + " bytes");
       }
-      for (uint32_t i = 0; i < column.num_rows; ++i) {
-        uint32_t code = r.U32();
-        out.Append(code == 0xFFFFFFFFu ? Value::Null() : dict[code]);
+      for (uint32_t i = 0; i < size; ++i) AppendSlot(&r, bank, false, &out);
+      AppendSlot(&r, bank, true, &out);  // slot `size`: the null code's rows
+      r.Need(size_t{n} * 4);
+      out.codes.resize(n);
+      const uint8_t* codes = r.p + r.pos;
+      for (uint32_t i = 0; i < n; ++i) {
+        uint32_t code = LoadU32(codes + size_t{i} * 4);
+        if (code == kNullCode) {
+          code = size;
+        } else if (code >= size) {
+          throw IoError("corrupt dictionary column: code " +
+                        std::to_string(code) + " at row " + std::to_string(i) +
+                        " is past its " + std::to_string(size) + " entries");
+        }
+        out.codes[i] = code;
       }
       break;
     }
-    case ColumnEncoding::kBoxed:
-      break;
+    default:
+      throw IoError("corrupt column: unknown encoding " +
+                    std::to_string(static_cast<int>(column.encoding)));
   }
+  return out;
+}
+
+void GatherRows(const ChunkValues& values, const uint32_t* rows, size_t n,
+                ColumnVector* out) {
+  Gather(values, n, [rows](size_t k) { return rows[k]; }, out);
+}
+
+ColumnVector DecodeColumn(const EncodedColumn& column) {
+  ColumnVector out(column.type);
+  const ChunkValues values = ReadChunkValues(column);
+  Gather(values, column.num_rows,
+         [](size_t k) { return static_cast<uint32_t>(k); }, &out);
   return out;
 }
 
@@ -352,7 +488,12 @@ EncodedColumn DeserializeColumn(const std::string& in, size_t* offset,
   col.type = type;
   Reader r{reinterpret_cast<const uint8_t*>(in.data()), in.size()};
   r.pos = *offset;
-  col.encoding = static_cast<ColumnEncoding>(r.U8());
+  const uint8_t encoding = r.U8();
+  if (encoding > static_cast<uint8_t>(ColumnEncoding::kDictionary)) {
+    throw IoError("corrupt column: unknown encoding " +
+                  std::to_string(encoding));
+  }
+  col.encoding = static_cast<ColumnEncoding>(encoding);
   col.num_rows = r.U32();
   col.has_nulls = r.U8() != 0;
   Bank bank = BankFor(*type);

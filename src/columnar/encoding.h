@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "columnar/column_vector.h"
@@ -44,12 +45,39 @@ EncodedColumn EncodeColumn(const ColumnVector& column);
 /// ablation bench). Falls back to plain for unsupported combinations.
 EncodedColumn EncodeColumnAs(const ColumnVector& column, ColumnEncoding scheme);
 
-/// Decodes back to a ColumnVector; exact round-trip.
-ColumnVector DecodeColumn(const EncodedColumn& column);
+/// A parsed, validated view of one encoded chunk, with no value boxed.
+/// Values live once per *slot*: one slot per row (plain), per run
+/// (run-length), or per dictionary entry plus one null slot (dictionary).
+/// Each slot's value sits in the lane of its type's bank, and every slot
+/// of that lane is defined (0 / 0.0 / "" under a null). String slots view
+/// the column's payload, so the EncodedColumn must outlive this view. A
+/// kBoxed chunk has no slots; its rows are the column's own Values.
+struct ChunkValues {
+  const EncodedColumn* column = nullptr;
+  std::vector<uint8_t> nulls;             // per slot
+  std::vector<int64_t> ints;              // per slot: bool, int, date, ...
+  std::vector<double> doubles;            // per slot: double
+  std::vector<std::string_view> strings;  // per slot: string
+  std::vector<uint32_t> codes;     // dictionary: the slot of each row
+  std::vector<uint32_t> run_ends;  // run-length: one past each run's last row
 
-/// Forward declaration: FilterSpec lives in the datasources layer; the
-/// zone-map check is declared there (ColumnChunkMayMatch in
-/// datasources/data_source.h) to keep this layer below it.
+  size_t num_slots() const { return nulls.size(); }
+};
+
+/// Parses `column`'s payload into slots. Throws IoError when the payload is
+/// corrupt: a dictionary code past the dictionary, runs that do not sum to
+/// num_rows, or a count larger than the payload can hold (checked before
+/// anything is reserved).
+ChunkValues ReadChunkValues(const EncodedColumn& column);
+
+/// Appends the values of rows `rows[0..n)` (ascending) to `out`, straight
+/// into its typed bank.
+void GatherRows(const ChunkValues& values, const uint32_t* rows, size_t n,
+                ColumnVector* out);
+
+/// Decodes back to a ColumnVector; exact round-trip. Throws IoError on a
+/// corrupt payload (see ReadChunkValues).
+ColumnVector DecodeColumn(const EncodedColumn& column);
 
 /// Serializes / deserializes an encoded column for the colf file format.
 /// Boxed columns are not supported on disk.

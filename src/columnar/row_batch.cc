@@ -20,6 +20,12 @@ RowBatch::RowBatch(std::vector<std::shared_ptr<ColumnVector>> columns)
   }
 }
 
+RowBatchPtr RowBatch::NoColumns(size_t num_rows) {
+  auto out = std::make_shared<RowBatch>(std::vector<DataTypePtr>{});
+  out->num_rows_ = num_rows;
+  return out;
+}
+
 RowBatchPtr RowBatch::FilterView(const RowBatchPtr& src,
                                  std::vector<uint32_t> sel) {
   auto out = std::make_shared<RowBatch>(src->columns_);

@@ -32,9 +32,13 @@ class RowBatch {
   /// An empty batch with one empty column per type.
   explicit RowBatch(const std::vector<DataTypePtr>& types);
 
-  /// Wraps already-built columns (all the same size). Used by the columnar
-  /// cache's native batch scan and by operators assembling output columns.
+  /// Wraps already-built columns (all the same size). Used by the chunk
+  /// reader's scans and by operators assembling output columns.
   explicit RowBatch(std::vector<std::shared_ptr<ColumnVector>> columns);
+
+  /// `num_rows` rows with no columns: what a scan that needs only row
+  /// existence (COUNT(*)) produces.
+  static RowBatchPtr NoColumns(size_t num_rows);
 
   /// A filter view: shares `src`'s columns, live rows restricted to `sel`
   /// (physical indices into src's columns, ascending).

@@ -2,10 +2,13 @@
 
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <sys/stat.h>
 
 #include "columnar/column_vector.h"
+#include "datasources/chunk_reader.h"
+#include "engine/task_runner.h"
 #include "util/fault_points.h"
 #include "util/string_util.h"
 
@@ -109,7 +112,11 @@ SchemaPtr ReadColfSchema(const std::string& path) {
     throw IoError("truncated colf file: " + path +
                   " (schema extends past end of file)");
   }
-  return ParseSchemaString(data.substr(pos, len));
+  try {
+    return ParseSchemaString(data.substr(pos, len));
+  } catch (const SsqlError& e) {
+    throw IoError("corrupt colf schema in " + path + ": " + e.what());
+  }
 }
 
 ColfRelation::ColfRelation(std::string path, SchemaPtr schema)
@@ -130,91 +137,93 @@ std::optional<uint64_t> ColfRelation::EstimatedSizeBytes() const {
   return static_cast<uint64_t>(st.st_size);
 }
 
-std::vector<Row> ColfRelation::ScanFiltered(
-    QueryContext& ctx, const std::vector<int>& columns,
-    const std::vector<FilterSpec>& filters) const {
-  const FaultPointSet& faults = ctx.fault_points();
-  std::string data = ReadWholeFile(path_, faults, ctx.io_retry_policy());
+namespace {
+
+struct RowGroup {
+  uint32_t num_rows = 0;
+  std::vector<EncodedColumn> columns;  // one per field
+};
+
+/// Splits a colf file into its row groups, checking the layout (magic,
+/// counts, every column header) before anything is reserved.
+std::vector<RowGroup> ReadRowGroups(const std::string& data,
+                                    const StructType& schema,
+                                    const std::string& path) {
   if (data.size() < kMagicLen ||
       std::memcmp(data.data(), kMagic, kMagicLen) != 0) {
-    throw IoError("not a colf file: " + path_);
+    throw IoError("not a colf file: " + path);
   }
   size_t pos = kMagicLen;
-  uint32_t schema_len = GetU32(data, &pos, path_);
+  uint32_t schema_len = GetU32(data, &pos, path);
   if (pos + schema_len > data.size()) {
-    throw IoError("truncated colf file: " + path_ +
+    throw IoError("truncated colf file: " + path +
                   " (schema extends past end of file)");
   }
   pos += schema_len;
-  uint32_t num_groups = GetU32(data, &pos, path_);
-
-  // Map filter column names to ordinals once.
-  struct BoundFilter {
-    int column;
-    const FilterSpec* spec;
-  };
-  std::vector<BoundFilter> bound;
-  bound.reserve(filters.size());
-  for (const auto& f : filters) {
-    int idx = schema_->FieldIndex(f.column);
-    if (idx < 0) throw ExecutionError("colf: unknown filter column " + f.column);
-    bound.push_back({idx, &f});
+  const uint32_t num_groups = GetU32(data, &pos, path);
+  // A row group takes at least its 4-byte row count.
+  if (num_groups > (data.size() - pos) / 4) {
+    throw IoError("truncated colf file: " + path + " (" +
+                  std::to_string(num_groups) + " row groups cannot fit in " +
+                  std::to_string(data.size() - pos) + " bytes)");
   }
+  std::vector<RowGroup> groups(num_groups);
+  for (RowGroup& group : groups) {
+    group.num_rows = GetU32(data, &pos, path);
+    group.columns.reserve(schema.num_fields());
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      group.columns.push_back(
+          DeserializeColumn(data, &pos, schema.field(c).type));
+    }
+  }
+  return groups;
+}
 
+}  // namespace
+
+std::vector<Row> ColfRelation::ScanFiltered(
+    QueryContext& ctx, const std::vector<int>& columns,
+    const std::vector<FilterSpec>& filters) const {
   std::vector<Row> out;
-  int64_t rows_scanned = 0;
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    faults.MaybeFail("source.read", path_);
-    uint32_t group_rows = GetU32(data, &pos, path_);
-    // Deserialize all column headers/payloads of this group (cheap: the
-    // payload bytes are only decoded on demand below).
-    std::vector<EncodedColumn> cols;
-    cols.reserve(schema_->num_fields());
-    for (size_t c = 0; c < schema_->num_fields(); ++c) {
-      cols.push_back(DeserializeColumn(data, &pos, schema_->field(c).type));
-    }
-    // Zone-map pruning.
-    bool may_match = true;
-    for (const auto& bf : bound) {
-      if (!ColumnChunkMayMatch(cols[bf.column], *bf.spec)) {
-        may_match = false;
-        break;
-      }
-    }
-    if (!may_match) continue;
-    rows_scanned += group_rows;
-    // Decode filter columns + requested columns.
-    std::vector<ColumnVector> decoded;
-    std::vector<int> decoded_ordinal(schema_->num_fields(), -1);
-    auto ensure_decoded = [&](int c) {
-      if (decoded_ordinal[c] >= 0) return;
-      decoded_ordinal[c] = static_cast<int>(decoded.size());
-      decoded.push_back(DecodeColumn(cols[c]));
-    };
-    for (const auto& bf : bound) ensure_decoded(bf.column);
-    for (int c : columns) ensure_decoded(c);
-
-    for (uint32_t r = 0; r < group_rows; ++r) {
-      bool keep = true;
-      for (const auto& bf : bound) {
-        const ColumnVector& cv = decoded[decoded_ordinal[bf.column]];
-        if (!bf.spec->Matches(cv.GetValue(r))) {
-          keep = false;
-          break;
-        }
-      }
-      if (!keep) continue;
-      Row row;
-      row.Reserve(columns.size());
-      for (int c : columns) {
-        row.Append(decoded[decoded_ordinal[c]].GetValue(r));
-      }
-      out.push_back(std::move(row));
+  const BatchDataset batches =
+      ScanBatches(ctx, columns, filters, ctx.config().batch_size);
+  out.reserve(batches.TotalRows());
+  for (const BatchPartitionPtr& part : batches.partitions()) {
+    for (const RowBatchPtr& batch : part->batches) {
+      batch->AppendActiveRowsTo(&out);
     }
   }
-  ctx.profile().Add(nullptr, ProfileCounter::kRowsScanned, rows_scanned);
+  return out;
+}
+
+BatchDataset ColfRelation::ScanBatches(QueryContext& ctx,
+                                       const std::vector<int>& columns,
+                                       const std::vector<FilterSpec>& filters,
+                                       size_t batch_size) const {
+  const ChunkReader reader(*schema_, columns, filters, "colf " + path_);
+  const FaultPointSet& faults = ctx.fault_points();
+  const std::vector<RowGroup> groups =
+      ReadRowGroups(ReadWholeFile(path_, faults, ctx.io_retry_policy()),
+                    *schema_, path_);
+  std::vector<BatchPartitionPtr> partitions(groups.size());
+  std::vector<int64_t> scanned(groups.size(), 0);
+  TaskRunner(ctx).RunStageSpeculatable(
+      "scan", groups.size(), [&](size_t g) -> TaskRunner::TaskCommitFn {
+        faults.MaybeFail("source.read", path_);
+        auto part = std::make_shared<BatchPartition>();
+        const bool read = reader.Read(groups[g].columns, groups[g].num_rows,
+                                      batch_size, &part->batches);
+        const int64_t rows = read ? groups[g].num_rows : 0;
+        return [&partitions, &scanned, g, part, rows]() {
+          partitions[g] = part;
+          scanned[g] = rows;
+        };
+      });
+  BatchDataset out(std::move(partitions));
+  ctx.profile().Add(nullptr, ProfileCounter::kRowsScanned,
+                    std::accumulate(scanned.begin(), scanned.end(), int64_t{0}));
   ctx.profile().Add(nullptr, ProfileCounter::kRowsReturned,
-                    static_cast<int64_t>(out.size()));
+                    static_cast<int64_t>(out.TotalRows()));
   return out;
 }
 

@@ -20,10 +20,14 @@ namespace ssql {
 ///   per row group: u32 row count, then one serialized EncodedColumn per
 ///   field (dictionary/RLE/plain chosen per chunk, with min/max zone maps)
 ///
-/// Scans prune columns (only requested columns are decoded) and use the
-/// zone maps to skip whole row groups that cannot match the pushed
-/// filters; surviving rows are then filtered exactly.
-class ColfRelation : public BaseRelation, public PrunedFilteredScan {
+/// Scans run one task per row group through the chunk reader
+/// (datasources/chunk_reader.h), the same one the columnar cache uses:
+/// zone maps skip row groups that cannot match the pushed filters, the
+/// filters run on the encoded columns, and only the surviving rows of the
+/// requested columns are decoded.
+class ColfRelation : public BaseRelation,
+                    public PrunedFilteredScan,
+                    public BatchedScan {
  public:
   ColfRelation(std::string path, SchemaPtr schema);
 
@@ -33,9 +37,14 @@ class ColfRelation : public BaseRelation, public PrunedFilteredScan {
   SchemaPtr schema() const override { return schema_; }
   std::optional<uint64_t> EstimatedSizeBytes() const override;
 
+  /// The row form of ScanBatches: the same row-group reads, unpacked.
   std::vector<Row> ScanFiltered(
       QueryContext& ctx, const std::vector<int>& columns,
       const std::vector<FilterSpec>& filters) const override;
+
+  BatchDataset ScanBatches(QueryContext& ctx, const std::vector<int>& columns,
+                           const std::vector<FilterSpec>& filters,
+                           size_t batch_size) const override;
 
  private:
   std::string path_;

@@ -1,7 +1,6 @@
 #include "exec/join_exec.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <optional>
 
@@ -426,21 +425,16 @@ RowDataset SortMergeJoinExec::ExecuteImpl(QueryContext& ctx) const {
   RowDataset left_shuffled = ShuffleByKeys(ctx, *left_, bound.left_keys);
   RowDataset right_shuffled = ShuffleByKeys(ctx, *right_, bound.right_keys);
 
-  // Rows keyed by their boxed join key, in key order. The order is
-  // Value::Compare's, except that NaN sorts after every other double and
-  // equals NaN: the hash joins' key equality, and a strict weak order.
+  // Rows keyed by their boxed join key, in CompareNanLast order: NaN
+  // equals NaN, as in the hash joins' key equality, and the order is
+  // strict weak.
   struct Keyed {
     std::vector<Value> key;
     const Row* row;
   };
   auto key_less = [](const Keyed& a, const Keyed& b) {
     for (size_t i = 0; i < a.key.size(); ++i) {
-      const Value& x = a.key[i];
-      const Value& y = b.key[i];
-      const bool nan = x.type_id() == TypeId::kDouble &&
-                       (std::isnan(x.f64()) || std::isnan(y.f64()));
-      const int c = nan ? std::isnan(x.f64()) - std::isnan(y.f64())
-                        : x.Compare(y);
+      const int c = CompareNanLast(a.key[i], b.key[i]);
       if (c != 0) return c < 0;
     }
     return false;

@@ -23,7 +23,7 @@ RowDataset SortExec::ExecuteImpl(QueryContext& ctx) const {
 
   auto less = [&bound](const Row& a, const Row& b) {
     for (const auto& o : bound) {
-      int c = o.expr->Eval(a).Compare(o.expr->Eval(b));
+      int c = CompareNanLast(o.expr->Eval(a), o.expr->Eval(b));
       if (c != 0) return o.ascending ? c < 0 : c > 0;
     }
     return false;

@@ -1,5 +1,6 @@
 #include "types/value.h"
 
+#include <cmath>
 #include <cstdio>
 
 #include "util/string_util.h"
@@ -212,6 +213,13 @@ int Value::Compare(const Value& other) const {
     default:
       return 0;  // complex types are not ordered
   }
+}
+
+int CompareNanLast(const Value& a, const Value& b) {
+  const bool a_nan = a.type_id() == TypeId::kDouble && std::isnan(a.f64());
+  const bool b_nan = b.type_id() == TypeId::kDouble && std::isnan(b.f64());
+  if (a_nan || b_nan) return static_cast<int>(a_nan) - static_cast<int>(b_nan);
+  return a.Compare(b);
 }
 
 uint64_t Value::Hash() const {

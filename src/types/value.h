@@ -123,6 +123,12 @@ class Value {
   Variant v_;
 };
 
+/// The sort order of ORDER BY and the sort-merge join: Value::Compare,
+/// except that NaN sorts after every other value and equals NaN. Compare
+/// makes NaN equal to every number, which is not a strict weak order, so
+/// sorting with it leaves rows unsorted.
+int CompareNanLast(const Value& a, const Value& b);
+
 /// Parses "YYYY-MM-DD" into days-since-epoch. Returns false on bad input.
 bool ParseDate(const std::string& text, DateValue* out);
 

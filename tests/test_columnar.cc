@@ -1,16 +1,28 @@
 // Columnar storage tests (Section 3.6): encodings round-trip exactly
-// (property-swept), compression actually shrinks compressible data, and
-// the in-memory cache serves pruned scans with an order-of-magnitude
-// smaller footprint than boxed rows.
+// (property-swept), compression actually shrinks compressible data,
+// corrupt chunks raise IoError, the chunk reader's filter kernels agree
+// with FilterSpec::Matches over every op, type and encoding, and the
+// in-memory cache serves pruned scans with an order-of-magnitude smaller
+// footprint than boxed rows.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <limits>
+#include <numeric>
 #include <random>
 
 #include "columnar/column_vector.h"
 #include "columnar/columnar_cache.h"
 #include "columnar/encoding.h"
 #include "columnar/row_batch.h"
+#include "datasources/chunk_reader.h"
+#include "datasources/colf_format.h"
+#include "engine/exec_context.h"
 #include "util/status.h"
 
 namespace ssql {
@@ -211,8 +223,12 @@ TEST(CachedTableTest, BuildScanAndPrune) {
   EXPECT_EQ(table->num_rows(), 100u);
   EXPECT_EQ(table->num_chunks(), 4u);
 
-  // Pruned scan: only column c, partition structure preserved.
-  RowDataset scanned = table->Scan({2});
+  // Pruned scan through the cache's data source: only column c,
+  // partition structure preserved.
+  CachedTableSource cache(table, "t");
+  ExecContext engine{EngineConfig()};
+  QueryContextPtr query = engine.BeginQuery();
+  RowDataset scanned = cache.ScanPartitions(*query, {2}, {});
   EXPECT_EQ(scanned.num_partitions(), 4u);
   auto out = scanned.Collect();
   ASSERT_EQ(out.size(), 100u);
@@ -220,7 +236,7 @@ TEST(CachedTableTest, BuildScanAndPrune) {
   EXPECT_DOUBLE_EQ(out[10].GetDouble(0), 5.0);
 
   // Multi-column scan in requested order.
-  auto two = table->Scan({1, 0}).Collect();
+  auto two = cache.ScanPartitions(*query, {1, 0}, {}).Collect();
   EXPECT_EQ(two[0].GetString(0), "cat0");
   EXPECT_EQ(two[0].GetInt64(1), 0);
 }
@@ -360,6 +376,322 @@ TEST(RowBatchTest, PackRowsIntoBatchesSplitsAndRoundTrips) {
   batches.clear();
   PackRowsIntoBatches({}, types, 4, &batches);
   EXPECT_TRUE(batches.empty());  // zero rows → zero batches
+}
+
+// ---------------------------------------------------------------------------
+// Corrupt encoded chunks
+// ---------------------------------------------------------------------------
+
+TEST(CorruptChunkTest, DictionaryCodePastTheDictionaryThrowsIoError) {
+  ColumnVector col = MakeColumn(
+      DataType::Int64(), {Value(int64_t{1}), Value(int64_t{2}),
+                          Value(int64_t{1}), Value(int64_t{2})});
+  EncodedColumn encoded = EncodeColumnAs(col, ColumnEncoding::kDictionary);
+  ASSERT_EQ(encoded.encoding, ColumnEncoding::kDictionary);
+  // The payload ends with one little-endian u32 code per row: point the
+  // last row at entry 7 of a two-entry dictionary.
+  const size_t last = encoded.data.size() - 4;
+  encoded.data[last] = 7;
+  encoded.data[last + 1] = 0;
+  encoded.data[last + 2] = 0;
+  encoded.data[last + 3] = 0;
+  EXPECT_THROW(DecodeColumn(encoded), IoError);
+}
+
+TEST(CorruptChunkTest, RunsPastTheRowCountThrowsIoError) {
+  ColumnVector col = MakeColumn(
+      DataType::Int64(), {Value(int64_t{9}), Value(int64_t{9}),
+                          Value(int64_t{9}), Value(int64_t{9})});
+  EncodedColumn encoded = EncodeColumnAs(col, ColumnEncoding::kRunLength);
+  ASSERT_EQ(encoded.encoding, ColumnEncoding::kRunLength);
+  ASSERT_EQ(encoded.data.size(), 4u + 1u + 8u);  // one run: length, null, value
+  // Rewrite the one run of 4 rows as a run of 5,000,000 rows.
+  const uint32_t run = 5000000;
+  for (int i = 0; i < 4; ++i) {
+    encoded.data[i] = static_cast<uint8_t>(run >> (8 * i));
+  }
+  EXPECT_THROW(DecodeColumn(encoded), IoError);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel oracle sweep: every FilterSpec op x type x encoding x null share,
+// each kernel's selection against a Matches loop over DecodeColumn.
+// ---------------------------------------------------------------------------
+
+struct TypeCase {
+  const char* name;
+  DataTypePtr type;
+  std::vector<Value> domain;    // what the column draws its values from
+  std::vector<Value> literals;  // comparison literals, cross-type included
+};
+
+std::vector<TypeCase> TypeCases() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string nul("a\0b", 3);
+  return {
+      {"int32",
+       DataType::Int32(),
+       {Value(int32_t{-2}), Value(int32_t{0}), Value(int32_t{1}),
+        Value(int32_t{7})},
+       {Value(int32_t{0}), Value(int32_t{7}), Value(int64_t{1}), Value(0.5),
+        Value(nan), Value(-0.0), Value(Decimal(150, 5, 2)), Value("x"),
+        Value(true)}},
+      {"int64",
+       DataType::Int64(),
+       {Value(int64_t{-3}), Value(int64_t{0}), Value(int64_t{5}),
+        Value(int64_t{1} << 40)},
+       {Value(int64_t{5}), Value(int32_t{0}), Value(5.0), Value(4.9),
+        Value(nan), Value("s")}},
+      {"date",
+       DataType::Date(),
+       {Value(DateValue{-5}), Value(DateValue{0}), Value(DateValue{100}),
+        Value(DateValue{18000})},
+       {Value(DateValue{100}), Value(DateValue{-1})}},
+      {"timestamp",
+       DataType::Timestamp(),
+       {Value(TimestampValue{-7}), Value(TimestampValue{0}),
+        Value(TimestampValue{1000}), Value(TimestampValue{1000000000000})},
+       {Value(TimestampValue{1000}), Value(TimestampValue{1})}},
+      {"decimal",
+       DecimalType::Make(7, 2),
+       {Value(Decimal(-150, 7, 2)), Value(Decimal(0, 7, 2)),
+        Value(Decimal(5, 7, 2)), Value(Decimal(12345, 7, 2))},
+       {Value(Decimal(5, 7, 2)), Value(Decimal(1, 3, 1)), Value(int32_t{0}),
+        Value(0.05), Value(nan), Value("d")}},
+      {"double",
+       DataType::Double(),
+       {Value(nan), Value(-0.0), Value(0.0), Value(1.5), Value(-2.25),
+        Value(1e300)},
+       {Value(0.0), Value(-0.0), Value(nan), Value(1.5), Value(int32_t{1}),
+        Value(int64_t{-2}), Value(Decimal(150, 5, 2)), Value("s")}},
+      {"string",
+       DataType::String(),
+       {Value(""), Value(nul), Value("a"), Value("ab"), Value("b")},
+       {Value(""), Value("a"), Value(nul), Value("b"), Value("zz")}},
+      {"boolean",
+       DataType::Boolean(),
+       {Value(true), Value(false)},
+       {Value(true), Value(false)}},
+  };
+}
+
+/// A column of `n` values drawn from `domain` in runs of 1-4 (so run-length
+/// and dictionary encodings have something to find), `null_pct`% null.
+ColumnVector SweepColumn(const TypeCase& tc, int null_pct, size_t n,
+                         std::mt19937_64* rng) {
+  ColumnVector col(tc.type);
+  while (col.size() < n) {
+    const bool null = static_cast<int>((*rng)() % 100) < null_pct;
+    const Value v = null ? Value::Null() : tc.domain[(*rng)() % tc.domain.size()];
+    for (size_t k = 1 + (*rng)() % 4; k > 0 && col.size() < n; --k) {
+      col.Append(v);
+    }
+  }
+  return col;
+}
+
+/// Every filter the sweep runs over one type: each comparison op with each
+/// literal, IN over all literals and over two, IS [NOT] NULL, and for
+/// strings STARTSWITH / CONTAINS.
+std::vector<FilterSpec> SweepFilters(const TypeCase& tc) {
+  using Op = FilterSpec::Op;
+  std::vector<FilterSpec> out;
+  for (Op op : {Op::kEq, Op::kLt, Op::kLe, Op::kGt, Op::kGe}) {
+    for (const Value& lit : tc.literals) out.push_back({"c", op, {lit}});
+  }
+  out.push_back({"c", Op::kIn, tc.literals});
+  out.push_back({"c", Op::kIn, {tc.literals.back(), tc.literals.front()}});
+  out.push_back({"c", Op::kIsNull, {}});
+  out.push_back({"c", Op::kIsNotNull, {}});
+  if (tc.type->id() == TypeId::kString) {
+    for (const Value& p : {Value(""), Value("a"), Value(std::string(1, '\0')),
+                           Value("b")}) {
+      out.push_back({"c", Op::kStartsWith, {p}});
+      out.push_back({"c", Op::kContains, {p}});
+    }
+  }
+  return out;
+}
+
+const char* EncodingName(ColumnEncoding e) {
+  switch (e) {
+    case ColumnEncoding::kPlain:
+      return "plain";
+    case ColumnEncoding::kRunLength:
+      return "rle";
+    case ColumnEncoding::kDictionary:
+      return "dict";
+    case ColumnEncoding::kBoxed:
+      return "boxed";
+  }
+  return "?";
+}
+
+using OracleParam = std::tuple<size_t, ColumnEncoding, int>;
+
+class KernelOracleTest : public ::testing::TestWithParam<OracleParam> {};
+
+TEST_P(KernelOracleTest, SelectionEqualsMatchesOverDecodeColumn) {
+  const auto& [type_index, encoding, null_pct] = GetParam();
+  const TypeCase tc = TypeCases()[type_index];
+  std::mt19937_64 rng(type_index * 131 + static_cast<int>(encoding) * 17 +
+                      null_pct);
+  const ColumnVector col = SweepColumn(tc, null_pct, 150, &rng);
+  const EncodedColumn encoded = EncodeColumnAs(col, encoding);
+  ASSERT_EQ(encoded.encoding, encoding);
+  const ColumnVector decoded = DecodeColumn(encoded);
+  ASSERT_EQ(decoded.size(), col.size());
+  const ChunkValues values = ReadChunkValues(encoded);
+
+  // Refine both the full selection and one already narrowed to every
+  // third row, as a second filter would see it.
+  std::vector<uint32_t> all(col.size());
+  std::iota(all.begin(), all.end(), 0u);
+  std::vector<uint32_t> thirds;
+  for (uint32_t r = 0; r < col.size(); r += 3) thirds.push_back(r);
+
+  for (const FilterSpec& spec : SweepFilters(tc)) {
+    SCOPED_TRACE(spec.ToString());
+    const ChunkFilter kernel(spec, tc.type);
+    for (const std::vector<uint32_t>* start : {&all, &thirds}) {
+      std::vector<uint32_t> expected;
+      for (uint32_t r : *start) {
+        if (spec.Matches(decoded.GetValue(r))) expected.push_back(r);
+      }
+      std::vector<uint32_t> sel = *start;
+      kernel.Refine(values, &sel);
+      ASSERT_EQ(sel, expected);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, KernelOracleTest,
+    ::testing::Combine(::testing::Range<size_t>(0, 8),
+                       ::testing::Values(ColumnEncoding::kPlain,
+                                         ColumnEncoding::kRunLength,
+                                         ColumnEncoding::kDictionary,
+                                         ColumnEncoding::kBoxed),
+                       ::testing::Values(0, 30, 100)),
+    [](const ::testing::TestParamInfo<OracleParam>& info) {
+      return std::string(TypeCases()[std::get<0>(info.param)].name) + "_" +
+             EncodingName(std::get<1>(info.param)) + "_nulls" +
+             std::to_string(std::get<2>(info.param));
+    });
+
+TEST(ChunkFilterTest, IncomparableLiteralIsRejectedAtBind) {
+  // Value::Compare cannot order a date against a string at all.
+  FilterSpec spec{"c", FilterSpec::Op::kLt, {Value("2015-01-01")}};
+  EXPECT_THROW(ChunkFilter(spec, DataType::Date()), ExecutionError);
+  FilterSpec prefix{"c", FilterSpec::Op::kStartsWith, {Value("1")}};
+  EXPECT_THROW(ChunkFilter(prefix, DataType::Int32()), ExecutionError);
+}
+
+// ---------------------------------------------------------------------------
+// The four scan forms over one table: cache batches, cache rows, colf
+// batches and colf rows return the same row multiset as a Matches loop.
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> Canonical(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const Row& row : rows) {
+    std::string s;
+    for (size_t i = 0; i < row.size(); ++i) s += row.Get(i).ToString() + "|";
+    out.push_back(std::move(s));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<Row> Unpack(const BatchDataset& batches) {
+  std::vector<Row> out;
+  for (const auto& part : batches.partitions()) {
+    for (const auto& batch : part->batches) batch->AppendActiveRowsTo(&out);
+  }
+  return out;
+}
+
+TEST(ScanAgreementTest, CacheAndColfScansReturnTheMatchesRows) {
+  const std::vector<TypeCase> cases = TypeCases();
+  std::vector<Field> fields;
+  for (const TypeCase& tc : cases) fields.emplace_back(tc.name, tc.type, true);
+  SchemaPtr schema = StructType::Make(fields);
+
+  std::mt19937_64 rng(2026);
+  std::vector<ColumnVector> cols;
+  for (size_t c = 0; c < cases.size(); ++c) {
+    cols.push_back(SweepColumn(cases[c], c % 2 == 0 ? 30 : 0, 600, &rng));
+  }
+  std::vector<Row> rows(600);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (const ColumnVector& col : cols) rows[r].Append(col.GetValue(r));
+  }
+  const std::string path = ::testing::TempDir() + "/agree-" +
+                           std::to_string(::getpid()) + ".colf";
+  WriteColfFile(path, schema, rows, /*row_group_size=*/64);
+  ColfRelation colf(path, ReadColfSchema(path));
+  CachedTableSource cache(
+      CachedTable::Build(schema, RowDataset::FromRows(rows, 5)), "agree");
+
+  using Op = FilterSpec::Op;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<FilterSpec>> filter_sets = {
+      {},
+      {{"int32", Op::kGt, {Value(int32_t{0})}}},
+      {{"double", Op::kLe, {Value(nan)}}, {"string", Op::kIsNotNull, {}}},
+      {{"string", Op::kStartsWith, {Value("a")}}},
+      {{"int32", Op::kIn, {Value(int32_t{1}), Value(2.5), Value(int64_t{7})}}},
+      {{"date", Op::kGe, {Value(DateValue{0})}},
+       {"boolean", Op::kEq, {Value(true)}}},
+      {{"decimal", Op::kLt, {Value(1.5)}}, {"int64", Op::kIsNotNull, {}}},
+      {{"timestamp", Op::kEq, {Value(TimestampValue{1000})}}},
+      {{"string", Op::kIsNull, {}}},
+      {{"int64", Op::kGt, {Value(int64_t{1} << 50)}}},  // zone maps skip all
+  };
+  const std::vector<std::vector<int>> projections = {
+      {0, 1, 2, 3, 4, 5, 6, 7}, {6, 0}, {}};
+
+  for (size_t batch_size : {size_t{1}, size_t{1024}}) {
+    EngineConfig config;
+    config.num_threads = 2;
+    config.batch_size = batch_size;
+    ExecContext engine(config);
+    for (const auto& filters : filter_sets) {
+      for (const auto& columns : projections) {
+        std::string trace = "batch_size " + std::to_string(batch_size) + ":";
+        for (const FilterSpec& f : filters) trace += " " + f.ToString();
+        SCOPED_TRACE(trace + " / " + std::to_string(columns.size()) + " cols");
+        std::vector<Row> expected;
+        for (const Row& row : rows) {
+          bool keep = true;
+          for (const FilterSpec& f : filters) {
+            keep = keep && f.Matches(row.Get(schema->FieldIndex(f.column)));
+          }
+          if (!keep) continue;
+          Row out;
+          for (int c : columns) out.Append(row.Get(c));
+          expected.push_back(std::move(out));
+        }
+        const auto want = Canonical(expected);
+        QueryContextPtr query = engine.BeginQuery();
+        QueryContext& ctx = *query;
+        if (!columns.empty()) {
+          EXPECT_EQ(Canonical(Unpack(cache.ScanBatches(ctx, columns, filters,
+                                                       batch_size))),
+                    want);
+          EXPECT_EQ(Canonical(Unpack(colf.ScanBatches(ctx, columns, filters,
+                                                      batch_size))),
+                    want);
+        }
+        EXPECT_EQ(Canonical(cache.ScanPartitions(ctx, columns, filters)
+                                .Collect()),
+                  want);
+        EXPECT_EQ(Canonical(colf.ScanFiltered(ctx, columns, filters)), want);
+      }
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

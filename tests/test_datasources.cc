@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
+#include <random>
 
 #include "api/sql_context.h"
 #include "columnar/column_vector.h"
@@ -508,6 +511,102 @@ TEST_F(ColfIoFailureTest, TruncatedFileThrowsIoErrorUnderAllModes) {
 TEST_F(ColfIoFailureTest, TruncatedSchemaThrowsIoError) {
   std::filesystem::resize_file(path_, 6);  // magic survives, schema does not
   EXPECT_THROW(ReadColfSchema(path_), IoError);
+}
+
+TEST(ColfCorruptTest, ColumnRowCountOtherThanItsRowGroupsThrowsIoError) {
+  auto schema = StructType::Make({Field("id", DataType::Int64(), false)});
+  std::vector<Row> rows;
+  for (int i = 0; i < 100; ++i) rows.push_back(Row({Value(int64_t{i * 7})}));
+  const std::string path = ::testing::TempDir() + "/rowcount-" +
+                           std::to_string(::getpid()) + ".colf";
+  WriteColfFile(path, schema, rows, /*row_group_size=*/100);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // "COLF1", u32 schema length, schema, u32 group count, u32 group rows,
+  // then the column: u8 encoding, u32 row count. Claim 99 rows of 100.
+  uint32_t schema_len = 0;
+  std::memcpy(&schema_len, bytes.data() + 5, 4);
+  const size_t group_rows_at = 5 + 4 + schema_len + 4;
+  const size_t column_rows_at = group_rows_at + 4 + 1;
+  ASSERT_EQ(static_cast<uint8_t>(bytes[group_rows_at]), 100);
+  ASSERT_EQ(static_cast<uint8_t>(bytes[column_rows_at]), 100);
+  bytes[column_rows_at] = 99;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  SqlContext ctx;
+  EXPECT_THROW(ctx.ReadColf(path).Collect(), IoError);
+  std::filesystem::remove(path);
+}
+
+TEST(ColfFuzzTest, MutatedFilesScanOrThrowIoError) {
+  // Seeded byte mutations of a small colf file (plain, run-length and
+  // dictionary chunks, nulls, several row groups): every mutated file must
+  // either scan or be refused with IoError, never crash, hang or throw
+  // anything else.
+  auto schema = StructType::Make({Field("id", DataType::Int64(), false),
+                                  Field("tag", DataType::String(), true),
+                                  Field("score", DataType::Double(), true),
+                                  Field("day", DataType::Date(), false),
+                                  Field("flag", DataType::Boolean(), true)});
+  std::vector<Row> rows;
+  for (int i = 0; i < 256; ++i) {
+    rows.push_back(Row({Value(int64_t{i}),
+                        i % 5 == 0 ? Value::Null()
+                                   : Value("tag_" + std::to_string(i % 3)),
+                        i % 7 == 0 ? Value::Null() : Value(i * 0.25),
+                        Value(DateValue{i / 40}), Value(i % 2 == 0)}));
+  }
+  const std::string path = ::testing::TempDir() + "/fuzz-" +
+                           std::to_string(::getpid()) + ".colf";
+  WriteColfFile(path, schema, rows, /*row_group_size=*/64);
+  std::string original;
+  {
+    std::ifstream in(path, std::ios::binary);
+    original.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(original.size(), 64u);
+
+  EngineConfig config;
+  config.num_threads = 2;
+  ExecContext engine(config);
+  std::mt19937_64 rng(19);
+  int scanned = 0;
+  int refused = 0;
+  constexpr int kRounds = 2000;
+  for (int round = 0; round < kRounds; ++round) {
+    std::string bytes = original;
+    for (int k = 1 + static_cast<int>(rng() % 3); k > 0; --k) {
+      bytes[rng() % bytes.size()] = static_cast<char>(rng());
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    QueryContextPtr query = engine.BeginQuery();
+    try {
+      auto rel = ColfRelation::Open({{"path", path}});
+      std::vector<int> columns(rel->schema()->num_fields());
+      std::iota(columns.begin(), columns.end(), 0);
+      rel->ScanFiltered(*query, columns, {});
+      if (!columns.empty()) {
+        const FilterSpec not_null{rel->schema()->field(0).name,
+                                  FilterSpec::Op::kIsNotNull, {}};
+        rel->ScanBatches(*query, columns, {not_null}, 7);
+      }
+      ++scanned;
+    } catch (const IoError&) {
+      ++refused;
+    }
+  }
+  EXPECT_EQ(scanned + refused, kRounds);
+  EXPECT_GT(scanned, 0);
+  EXPECT_GT(refused, 0);
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------

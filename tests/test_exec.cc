@@ -624,6 +624,65 @@ TEST_F(ExecOpsTest, SortIsStableAndHandlesNulls) {
   }
 }
 
+TEST(SortNanTest, OrderByPlacesNanAfterEveryNumber) {
+  // Value::Compare makes NaN equal to every number; sorting with it is not
+  // a strict weak order and used to leave the numbers out of order.
+  // ORDER BY sorts NaN after every number (first under DESC), nulls first.
+  SqlContext ctx(TestConfig());
+  std::mt19937_64 rng(11);
+  std::vector<Row> rows;
+  int nans = 0;
+  int nulls = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t draw = rng() % 100;
+    if (draw < 20) {
+      rows.push_back(Row({Value(std::nan(""))}));
+      ++nans;
+    } else if (draw < 25) {
+      rows.push_back(Row({Value::Null()}));
+      ++nulls;
+    } else {
+      rows.push_back(Row({Value(static_cast<double>(rng() % 1000) - 500.0)}));
+    }
+  }
+  ctx.CreateDataFrame(StructType::Make({Field("d", DataType::Double(), true)}),
+                      std::move(rows))
+      .RegisterTempTable("t");
+  for (const bool ascending : {true, false}) {
+    SCOPED_TRACE(ascending ? "ASC" : "DESC");
+    auto sorted =
+        ctx.Sql(std::string("SELECT d FROM t ORDER BY d ") +
+                (ascending ? "ASC" : "DESC"))
+            .Collect();
+    ASSERT_EQ(sorted.size(), 2000u);
+    // Rank: null 0, number 1, NaN 2 under ASC; DESC reverses it.
+    auto rank = [](const Row& r) {
+      if (r.IsNullAt(0)) return 0;
+      return std::isnan(r.GetDouble(0)) ? 2 : 1;
+    };
+    int seen_nans = 0;
+    int seen_nulls = 0;
+    int inversions = 0;
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      seen_nans += rank(sorted[i]) == 2;
+      seen_nulls += rank(sorted[i]) == 0;
+      if (i == 0) continue;
+      const Row& a = sorted[i - 1];
+      const Row& b = sorted[i];
+      const bool out_of_order =
+          ascending ? rank(a) > rank(b) : rank(a) < rank(b);
+      const bool numbers_out_of_order =
+          rank(a) == 1 && rank(b) == 1 &&
+          (ascending ? a.GetDouble(0) > b.GetDouble(0)
+                     : a.GetDouble(0) < b.GetDouble(0));
+      inversions += out_of_order || numbers_out_of_order;
+    }
+    EXPECT_EQ(inversions, 0);
+    EXPECT_EQ(seen_nans, nans);
+    EXPECT_EQ(seen_nulls, nulls);
+  }
+}
+
 TEST_F(ExecOpsTest, SampleIsDeterministicBySeed) {
   DataFrame data = ctx_.Table("data");
   int64_t a = data.Sample(0.3, 7).Count();

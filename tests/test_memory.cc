@@ -325,13 +325,17 @@ TEST_F(SpillQueryTest, BudgetCapsPlannerBroadcastThreshold) {
 TEST(EnginePoolTest, OrderBySpillsAgainstThePoolAlone) {
   // Only the engine-wide pool is limited: the query's own budget is
   // unlimited, yet the sort must still see a limited manager, take its
-  // external path and spill rather than hold ~1 MiB unaccounted.
+  // external path and spill rather than hold ~1 MiB unaccounted. One
+  // partition makes the spill independent of task overlap: its buffer must
+  // hold all 12,000 rows, and even their Row headers alone (24 bytes each,
+  // before any value) exceed the 256 KiB pool.
   std::string scratch = UniqueScratchDir("pool");
   std::filesystem::remove_all(scratch);
   EngineConfig config;
   config.spill_dir = scratch;
   config.total_memory_limit_bytes = 256 * 1024;
   config.query_memory_limit_bytes = -1;
+  config.default_parallelism = 1;
   SqlContext ctx(config);
 
   auto schema = StructType::Make({

@@ -7,6 +7,7 @@
 
 #include "api/sql_context.h"
 #include "columnar/columnar_cache.h"
+#include "datasources/chunk_reader.h"
 #include "ml/hashing_tf.h"
 #include "ml/logistic_regression.h"
 #include "ml/pipeline.h"
@@ -77,8 +78,11 @@ TEST(VectorUdtTest, StoredColumnarAndCompressed) {
     rows.push_back(
         Row({VectorUDT::ToStruct(MlVector::Dense({double(i), double(i * 2)}))}));
   }
-  auto table = CachedTable::Build(schema, RowDataset::FromRows(rows, 2));
-  auto out = table->Scan({0}).Collect();
+  CachedTableSource cache(
+      CachedTable::Build(schema, RowDataset::FromRows(rows, 2)), "udt");
+  ExecContext engine{EngineConfig()};
+  QueryContextPtr query = engine.BeginQuery();
+  auto out = cache.ScanPartitions(*query, {0}, {}).Collect();
   ASSERT_EQ(out.size(), 10u);
   MlVector v = VectorUDT::FromStruct(out[3].Get(0));
   EXPECT_DOUBLE_EQ(v.Get(1), 6.0);

@@ -590,8 +590,13 @@ TEST(ConsistencyTest, PeakMemoryIsTheSumOfPerOperatorRaises) {
   // The peak is published as deltas on whichever operator raised the
   // query's high-water mark, so here both the broadcast join's build and
   // the aggregation's group table carry a share. Every surface must report
-  // their sum, not the largest share.
-  SqlContext ctx;
+  // their sum, not the largest share. One partition makes both raises
+  // independent of task overlap: the join's build reserves for 3,000 dim
+  // rows first, then a single group table takes all 50,000 groups of x and
+  // outgrows it.
+  EngineConfig config;
+  config.default_parallelism = 1;
+  SqlContext ctx(config);
   Numbers(ctx, 50000).RegisterTempTable("fact");
   Dimension(ctx, 3000).RegisterTempTable("dim");
   DataFrame query = ctx.Sql(
