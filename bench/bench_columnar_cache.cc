@@ -71,7 +71,9 @@ void RunScan(benchmark::State& state, const std::vector<int>& columns) {
   CachedTableSource source(F().table, "bench");
   for (auto _ : state) {
     QueryContextPtr query = engine.BeginQuery();
-    auto data = source.ScanPartitions(*query, columns, {});
+    auto data =
+        source.ScanBatches(*query, columns, {}, query->config().batch_size)
+            .ToRowDataset(*query);
     benchmark::DoNotOptimize(data.TotalRows());
   }
 }

@@ -5,8 +5,8 @@
 # accounting, spill-file cleanup, concurrent span/counter updates,
 # selection-vector indexing into raw column banks, and encoded chunks read
 # from disk exercise concurrent code and raw buffers worth running
-# instrumented), then the concurrency, vectorized and columnar suites
-# under ThreadSanitizer, then the chaos harness under both — including a
+# instrumented), then the concurrency, vectorized, columnar and data source
+# suites under ThreadSanitizer, then the chaos harness under both — including a
 # batch_size=1 lane over cached (natively columnar) tables. Finishes with a
 # quick overhead sanity pass of bench_observe (profiled vs un-profiled
 # execution).
@@ -61,7 +61,7 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # re-registration and the copy-on-write staleness swap are its TSan
 # surface, and the HLL/histogram buffers its ASan surface.
 cmake -B build-tsan -S . -DSSQL_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_observability --target test_exec --target test_columnar >/dev/null
+cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_observability --target test_exec --target test_columnar --target test_datasources >/dev/null
 ./build-tsan/tests/test_concurrency
 ./build-tsan/tests/test_system_tables
 ./build-tsan/tests/test_fault_tolerance
@@ -76,6 +76,10 @@ cmake --build build-tsan -j --target test_concurrency --target test_system_table
 # parallel scan tasks that share one chunk reader and the immutable
 # encoded columns.
 ./build-tsan/tests/test_columnar
+# Data source suite under TSan: every scan of the cache and of colf, row
+# mode included, runs as parallel ScanBatches tasks sharing one chunk
+# reader.
+./build-tsan/tests/test_datasources
 # Flight recorder under TSan: emitters on every engine thread race
 # snapshot readers, the ticker thread's sampler, and a mid-flight
 # reconfigure.

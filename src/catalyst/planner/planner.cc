@@ -99,23 +99,13 @@ PhysPtr PhysicalPlanner::Plan(const PlanPtr& logical,
   annotated_.clear();
   try {
     PhysPtr out = PlanNode(logical);
-    // Stamp which operators will run vectorized, so EXPLAIN shows the
+    // Stamp which operators produce or read batches, so EXPLAIN shows the
     // row/batch boundaries of the final plan (same single-writer rule as
-    // Annotate: stamped once, before execution). The decision mirrors the
-    // runtime dispatch: a node runs batched when a batched parent pulls it
-    // or it prefers batch execution itself (natively-columnar input).
-    const bool vectorized = config_.vectorized_enabled;
-    std::function<void(const PhysPtr&, bool)> stamp =
-        [&stamp, vectorized](const PhysPtr& node, bool parent_batched) {
-          const bool batched =
-              vectorized && node->WouldRunBatched(parent_batched);
-          const_cast<PhysicalPlan&>(*node).set_runs_batched(batched);
-          const std::vector<PhysPtr> children = node->Children();
-          for (size_t i = 0; i < children.size(); ++i) {
-            stamp(children[i], batched && node->PullsChildBatched(i));
-          }
-        };
-    stamp(out, /*parent_batched=*/false);
+    // Annotate: stamped once, before execution).
+    out->Foreach([this](const PhysicalPlan& node) {
+      const_cast<PhysicalPlan&>(node).set_runs_batched(
+          node.ProducesBatches(config_) || node.ReadsBatches(config_));
+    });
     decisions_ = nullptr;
     annotated_.clear();
     return out;

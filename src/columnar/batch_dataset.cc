@@ -16,40 +16,30 @@ size_t BatchDataset::TotalBatches() const {
   return n;
 }
 
-BatchDataset BatchDataset::FromRowDataset(QueryContext& ctx,
-                                          const RowDataset& rows,
-                                          const std::vector<DataTypePtr>& types,
-                                          size_t batch_size,
-                                          const std::string& stage) {
-  std::vector<BatchPartitionPtr> out(rows.num_partitions());
-  TaskRunner(ctx).RunStageSpeculatable(
-      stage, rows.num_partitions(), [&](size_t i) -> TaskRunner::TaskCommitFn {
-        auto part = std::make_shared<BatchPartition>();
-        const auto& in_rows = rows.partition(i)->rows;
-        size_t cancel_rows = 0;
-        if (batch_size == 0) {
-          PackRowsIntoBatches(in_rows, types, 1, &part->batches);
-        } else {
-          PackRowsIntoBatches(in_rows, types, batch_size, &part->batches);
-        }
-        ctx.CheckCancelledEveryRows(&cancel_rows, in_rows.size());
-        return [&out, i, part]() { out[i] = part; };
-      });
-  return BatchDataset(std::move(out));
-}
-
-RowDataset BatchDataset::ToRowDataset(QueryContext& ctx,
-                                      const std::string& stage) const {
-  std::vector<RowPartitionPtr> out(partitions_.size());
-  TaskRunner(ctx).RunStageSpeculatable(
-      stage, partitions_.size(), [&](size_t i) -> TaskRunner::TaskCommitFn {
+RowDataset BatchDataset::ToRowDataset(QueryContext& ctx) const {
+  return MapToRows(
+      ctx,
+      [&ctx](size_t, const BatchPartition& in) {
         auto part = std::make_shared<RowPartition>();
         size_t cancel_rows = 0;
-        part->rows.reserve(partitions_[i]->TotalRows());
-        for (const auto& batch : partitions_[i]->batches) {
+        part->rows.reserve(in.TotalRows());
+        for (const auto& batch : in.batches) {
           ctx.CheckCancelledEveryRows(&cancel_rows, batch->ActiveRows());
           batch->AppendActiveRowsTo(&part->rows);
         }
+        return part;
+      },
+      "batch.unpack");
+}
+
+RowDataset BatchDataset::MapToRows(
+    QueryContext& ctx,
+    const std::function<RowPartitionPtr(size_t, const BatchPartition&)>& fn,
+    const std::string& stage) const {
+  std::vector<RowPartitionPtr> out(partitions_.size());
+  TaskRunner(ctx).RunStageSpeculatable(
+      stage, partitions_.size(), [&](size_t i) -> TaskRunner::TaskCommitFn {
+        RowPartitionPtr part = fn(i, *partitions_[i]);
         return [&out, i, part]() { out[i] = part; };
       });
   return RowDataset(std::move(out));

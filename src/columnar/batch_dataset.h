@@ -27,9 +27,9 @@ struct BatchPartition {
 
 using BatchPartitionPtr = std::shared_ptr<BatchPartition>;
 
-/// The batched counterpart of RowDataset: what vectorized physical
-/// operators exchange. Partition boundaries match the row dataset they were
-/// packed from, so task parallelism, retry, and speculation behave
+/// The batched counterpart of RowDataset: what a columnar scan and the
+/// filter/project operators over it produce. Unpacking keeps partition
+/// boundaries, so task parallelism, retry, and speculation behave
 /// identically in both modes; batches within a partition preserve row
 /// order, which keeps batched and row execution result-identical.
 class BatchDataset {
@@ -49,17 +49,17 @@ class BatchDataset {
   /// Batches across all partitions (what profile batches counts).
   size_t TotalBatches() const;
 
-  /// Packs a row dataset into batches of at most `batch_size` rows, one
-  /// task per partition on stage `stage` (the row→batch adapter).
-  static BatchDataset FromRowDataset(QueryContext& ctx, const RowDataset& rows,
-                                     const std::vector<DataTypePtr>& types,
-                                     size_t batch_size,
-                                     const std::string& stage = "batch.pack");
-
   /// Boxes every live row back into a RowDataset with the same partition
-  /// boundaries (the batch→row adapter).
-  RowDataset ToRowDataset(QueryContext& ctx,
-                          const std::string& stage = "batch.unpack") const;
+  /// boundaries: the batch→row unpack, one task per partition on stage
+  /// "batch.unpack".
+  RowDataset ToRowDataset(QueryContext& ctx) const;
+
+  /// Like MapPartitions, but each task turns its batch partition into a
+  /// row partition: how an operator that reads batches returns rows.
+  RowDataset MapToRows(
+      QueryContext& ctx,
+      const std::function<RowPartitionPtr(size_t, const BatchPartition&)>& fn,
+      const std::string& stage) const;
 
   /// Applies `fn` to each partition in parallel, same contract as
   /// RowDataset::MapPartitions (one speculatable TaskRunner stage; `fn`

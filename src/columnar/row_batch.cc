@@ -1,15 +1,8 @@
 #include "columnar/row_batch.h"
 
-#include <algorithm>
+#include <cassert>
 
 namespace ssql {
-
-RowBatch::RowBatch(const std::vector<DataTypePtr>& types) {
-  columns_.reserve(types.size());
-  for (const auto& t : types) {
-    columns_.push_back(std::make_shared<ColumnVector>(t));
-  }
-}
 
 RowBatch::RowBatch(std::vector<std::shared_ptr<ColumnVector>> columns)
     : columns_(std::move(columns)) {
@@ -21,7 +14,8 @@ RowBatch::RowBatch(std::vector<std::shared_ptr<ColumnVector>> columns)
 }
 
 RowBatchPtr RowBatch::NoColumns(size_t num_rows) {
-  auto out = std::make_shared<RowBatch>(std::vector<DataTypePtr>{});
+  auto out =
+      std::make_shared<RowBatch>(std::vector<std::shared_ptr<ColumnVector>>{});
   out->num_rows_ = num_rows;
   return out;
 }
@@ -32,15 +26,6 @@ RowBatchPtr RowBatch::FilterView(const RowBatchPtr& src,
   out->has_selection_ = true;
   out->selection_ = std::move(sel);
   return out;
-}
-
-void RowBatch::AppendRow(const Row& row) {
-  assert(!has_selection_ && "AppendRow on a batch with a selection");
-  assert(row.size() == columns_.size() && "row arity != batch arity");
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c]->Append(row.Get(c));
-  }
-  ++num_rows_;
 }
 
 Row RowBatch::BoxRow(size_t i) const {
@@ -54,22 +39,6 @@ void RowBatch::AppendActiveRowsTo(std::vector<Row>* out) const {
   size_t n = ActiveRows();
   out->reserve(out->size() + n);
   for (size_t k = 0; k < n; ++k) out->push_back(BoxRow(ActiveIndex(k)));
-}
-
-void PackRowsIntoBatches(const std::vector<Row>& rows,
-                         const std::vector<DataTypePtr>& types,
-                         size_t batch_size,
-                         std::vector<RowBatchPtr>* out) {
-  if (batch_size == 0) batch_size = 1;
-  for (size_t offset = 0; offset < rows.size(); offset += batch_size) {
-    size_t n = std::min(batch_size, rows.size() - offset);
-    auto batch = std::make_shared<RowBatch>(types);
-    for (size_t c = 0; c < types.size(); ++c) {
-      batch->mutable_column(c)->Reserve(n);
-    }
-    for (size_t i = 0; i < n; ++i) batch->AppendRow(rows[offset + i]);
-    out->push_back(std::move(batch));
-  }
 }
 
 }  // namespace ssql

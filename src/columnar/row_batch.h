@@ -24,14 +24,10 @@ using RowBatchPtr = std::shared_ptr<const RowBatch>;
 ///     present, only those rows are live — a filter refines the selection
 ///     and shares the input columns instead of copying them. When absent,
 ///     all `num_rows` rows are live.
-///   * A batch is immutable once published to another operator (columns may
-///     be shared across batches and threads); builders mutate only their
-///     own unpublished batch.
+///   * A batch is immutable: it wraps columns built before it (columns may
+///     be shared across batches and threads).
 class RowBatch {
  public:
-  /// An empty batch with one empty column per type.
-  explicit RowBatch(const std::vector<DataTypePtr>& types);
-
   /// Wraps already-built columns (all the same size). Used by the chunk
   /// reader's scans and by operators assembling output columns.
   explicit RowBatch(std::vector<std::shared_ptr<ColumnVector>> columns);
@@ -60,13 +56,8 @@ class RowBatch {
   const std::shared_ptr<ColumnVector>& column_ptr(size_t c) const {
     return columns_[c];
   }
-  ColumnVector* mutable_column(size_t c) { return columns_[c].get(); }
 
-  /// Appends one boxed row (builder-side only; batch must have no
-  /// selection).
-  void AppendRow(const Row& row);
-
-  /// Boxes physical row `i` into a Row (the batch→row adapter and the
+  /// Boxes physical row `i` into a Row (the batch→row unpack and the
   /// interpreter fallback both go through here).
   Row BoxRow(size_t i) const;
 
@@ -75,7 +66,7 @@ class RowBatch {
     return has_selection_ ? selection_[k] : k;
   }
 
-  /// Appends every live row, boxed, to `out` (the batch→row adapter).
+  /// Appends every live row, boxed, to `out` (the batch→row unpack).
   void AppendActiveRowsTo(std::vector<Row>* out) const;
 
  private:
@@ -84,13 +75,6 @@ class RowBatch {
   bool has_selection_ = false;
   std::vector<uint32_t> selection_;
 };
-
-/// Packs `rows` into batches of at most `batch_size` live rows each,
-/// appending them to `out`. Zero rows appends zero batches.
-void PackRowsIntoBatches(const std::vector<Row>& rows,
-                         const std::vector<DataTypePtr>& types,
-                         size_t batch_size,
-                         std::vector<RowBatchPtr>* out);
 
 }  // namespace ssql
 

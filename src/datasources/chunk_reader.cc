@@ -302,19 +302,6 @@ bool ChunkReader::Read(const std::vector<EncodedColumn>& chunk,
   return true;
 }
 
-std::vector<Row> CachedTableSource::ScanFiltered(
-    QueryContext& ctx, const std::vector<int>& columns,
-    const std::vector<FilterSpec>& filters) const {
-  return ScanPartitions(ctx, columns, filters).Collect();
-}
-
-RowDataset CachedTableSource::ScanPartitions(
-    QueryContext& ctx, const std::vector<int>& columns,
-    const std::vector<FilterSpec>& filters) const {
-  return ScanBatches(ctx, columns, filters, ctx.config().batch_size)
-      .ToRowDataset(ctx);
-}
-
 BatchDataset CachedTableSource::ScanBatches(
     QueryContext& ctx, const std::vector<int>& columns,
     const std::vector<FilterSpec>& filters, size_t batch_size) const {

@@ -84,12 +84,9 @@ class ChunkReader {
 /// Exposes a CachedTable through the data source API, so cached subtrees
 /// get the same column pruning and filter pushdown as external sources: a
 /// query that touches 2 of 10 cached columns decodes exactly 2 (Section
-/// 3.6 and 4.4.1 composing). Every scan form runs one task per cached
-/// chunk through the chunk reader; the row forms unpack its batches.
-class CachedTableSource : public BaseRelation,
-                          public PrunedFilteredScan,
-                          public PartitionedScan,
-                          public BatchedScan {
+/// 3.6 and 4.4.1 composing). A scan runs one task per cached chunk
+/// through the chunk reader.
+class CachedTableSource : public BaseRelation, public BatchedScan {
  public:
   CachedTableSource(std::shared_ptr<const CachedTable> table, std::string label)
       : table_(std::move(table)), label_(std::move(label)) {}
@@ -100,12 +97,6 @@ class CachedTableSource : public BaseRelation,
     return table_->MemoryBytes();
   }
 
-  std::vector<Row> ScanFiltered(
-      QueryContext& ctx, const std::vector<int>& columns,
-      const std::vector<FilterSpec>& filters) const override;
-  RowDataset ScanPartitions(
-      QueryContext& ctx, const std::vector<int>& columns,
-      const std::vector<FilterSpec>& filters) const override;
   BatchDataset ScanBatches(QueryContext& ctx, const std::vector<int>& columns,
                            const std::vector<FilterSpec>& filters,
                            size_t batch_size) const override;

@@ -181,21 +181,6 @@ std::vector<RowGroup> ReadRowGroups(const std::string& data,
 
 }  // namespace
 
-std::vector<Row> ColfRelation::ScanFiltered(
-    QueryContext& ctx, const std::vector<int>& columns,
-    const std::vector<FilterSpec>& filters) const {
-  std::vector<Row> out;
-  const BatchDataset batches =
-      ScanBatches(ctx, columns, filters, ctx.config().batch_size);
-  out.reserve(batches.TotalRows());
-  for (const BatchPartitionPtr& part : batches.partitions()) {
-    for (const RowBatchPtr& batch : part->batches) {
-      batch->AppendActiveRowsTo(&out);
-    }
-  }
-  return out;
-}
-
 BatchDataset ColfRelation::ScanBatches(QueryContext& ctx,
                                        const std::vector<int>& columns,
                                        const std::vector<FilterSpec>& filters,

@@ -25,9 +25,7 @@ namespace ssql {
 /// zone maps skip row groups that cannot match the pushed filters, the
 /// filters run on the encoded columns, and only the surviving rows of the
 /// requested columns are decoded.
-class ColfRelation : public BaseRelation,
-                    public PrunedFilteredScan,
-                    public BatchedScan {
+class ColfRelation : public BaseRelation, public BatchedScan {
  public:
   ColfRelation(std::string path, SchemaPtr schema);
 
@@ -36,11 +34,6 @@ class ColfRelation : public BaseRelation,
   std::string name() const override { return "colf:" + path_; }
   SchemaPtr schema() const override { return schema_; }
   std::optional<uint64_t> EstimatedSizeBytes() const override;
-
-  /// The row form of ScanBatches: the same row-group reads, unpacked.
-  std::vector<Row> ScanFiltered(
-      QueryContext& ctx, const std::vector<int>& columns,
-      const std::vector<FilterSpec>& filters) const override;
 
   BatchDataset ScanBatches(QueryContext& ctx, const std::vector<int>& columns,
                            const std::vector<FilterSpec>& filters,

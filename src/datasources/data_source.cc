@@ -1,7 +1,5 @@
 #include "datasources/data_source.h"
 
-#include <cstdio>
-
 #include "catalyst/expr/complex_types.h"
 #include "catalyst/expr/literal.h"
 #include "catalyst/expr/predicates.h"
@@ -200,7 +198,10 @@ bool BaseRelation::CanHandleFilter(const Expression& conjunct) const {
     // CatalystScan sources accept arbitrary deterministic predicates.
     return true;
   }
-  if (dynamic_cast<const PrunedFilteredScan*>(this) == nullptr) return false;
+  if (dynamic_cast<const PrunedFilteredScan*>(this) == nullptr &&
+      dynamic_cast<const BatchedScan*>(this) == nullptr) {
+    return false;
+  }
   return TranslateFilter(conjunct).has_value();
 }
 
@@ -288,6 +289,26 @@ std::vector<std::string> SplitSchemaPieces(const std::string& s) {
   return out;
 }
 
+/// "decimal", "decimal(p)" or "decimal(p,s)", lowercased with no spaces.
+DataTypePtr ParseDecimalType(const std::string& type) {
+  int64_t p = 10, s = 0;
+  const std::string_view args = std::string_view(type).substr(7);
+  if (!args.empty()) {
+    std::vector<std::string> parts;
+    if (args.size() >= 2 && args.front() == '(' && args.back() == ')') {
+      parts = Split(args.substr(1, args.size() - 2), ',');
+    }
+    if (parts.empty() || parts.size() > 2 || !ParseInt64(parts[0], &p) ||
+        (parts.size() == 2 && !ParseInt64(parts[1], &s))) {
+      throw AnalysisError("malformed decimal type '" + type +
+                          "' in schema string; expected decimal(p[,s])");
+    }
+  }
+  const std::string bad = DecimalType::OutOfBounds(p, s);
+  if (!bad.empty()) throw AnalysisError(bad + " in schema string");
+  return DecimalType::Make(static_cast<int>(p), static_cast<int>(s));
+}
+
 }  // namespace
 
 bool ColumnChunkMayMatch(const EncodedColumn& col, const FilterSpec& filter) {
@@ -371,9 +392,7 @@ SchemaPtr ParseSchemaString(const std::string& schema_str) {
     } else if (type == "timestamp") {
       t = DataType::Timestamp();
     } else if (type.rfind("decimal", 0) == 0) {
-      int p = 10, s = 0;
-      std::sscanf(type.c_str(), "decimal(%d,%d)", &p, &s);
-      t = DecimalType::Make(p, s);
+      t = ParseDecimalType(type);
     } else {
       throw AnalysisError("unknown type '" + type + "' in schema string");
     }

@@ -60,7 +60,7 @@ std::optional<FilterSpec> TranslateFilter(const Expression& conjunct);
 class BaseRelation : public SourceRelation {
  public:
   /// Default pushdown capability: a source that implements
-  /// PrunedFilteredScan handles every translatable conjunct.
+  /// PrunedFilteredScan or BatchedScan handles every translatable conjunct.
   bool CanHandleFilter(const Expression& conjunct) const override;
 };
 
@@ -94,24 +94,13 @@ class PrunedFilteredScan {
   virtual bool FiltersAreExact() const { return true; }
 };
 
-/// Partition-preserving scan: returns the engine's partitioned dataset
-/// directly, avoiding a driver-side gather + re-partition. Used by
-/// in-memory sources (the columnar cache) where partitions already exist.
-class PartitionedScan {
- public:
-  virtual ~PartitionedScan() = default;
-  /// `filters` must be evaluated exactly (like PrunedFilteredScan sources
-  /// in this repository).
-  virtual RowDataset ScanPartitions(
-      QueryContext& ctx, const std::vector<int>& columns,
-      const std::vector<FilterSpec>& filters) const = 0;
-};
-
 /// Columnar scan — the vectorized engine's extension of the Section 4.4.1
 /// scan ladder: the source returns decoded ColumnVector batches directly,
-/// never boxing a row at the scan boundary. `filters` must be evaluated
-/// exactly (via a selection vector, not by copying columns). Implemented
-/// by natively-columnar sources (the in-memory cache); the batched
+/// never boxing a row at the scan boundary. It is such a source's only scan
+/// form: a row-reading plan unpacks the batches. Like PrunedFilteredScan it
+/// receives every translatable filter, and it must evaluate `filters`
+/// exactly (via a selection vector, not by copying columns). Implemented by
+/// the natively-columnar sources (the in-memory cache, colf); the batched
 /// execution pipeline engages only over sources that provide it.
 class BatchedScan {
  public:

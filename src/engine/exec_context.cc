@@ -92,10 +92,8 @@ void ValidateEngineConfig(const EngineConfig& config) {
       fail(e.what());
     }
   }
-  // Surface malformed specs now instead of when the first stage runs. The
-  // one spec carries both rule families; each parser validates its own.
+  // Surface malformed specs now instead of when the first stage runs.
   try {
-    FaultInjector::Parse(config.fault_injection_spec);
     FaultPointSet::Parse(config.fault_injection_spec);
   } catch (const ExecutionError& e) {
     fail(e.what());

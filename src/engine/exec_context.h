@@ -39,11 +39,12 @@ struct EngineConfig {
   uint64_t broadcast_threshold_bytes = 10ull * 1024 * 1024;
   /// Use the compiled expression backend where possible (Section 4.3.4).
   bool codegen_enabled = true;
-  /// Run converted operators (scan, filter/project, hash aggregate, hash
-  /// join) over RowBatches of ColumnVectors instead of one boxed Row at a
-  /// time; unconverted operators keep working through the batch↔row
-  /// adapters. Off = the row-at-a-time engine everywhere (the comparison
-  /// baseline for the batched-vs-row property tests and benches).
+  /// Scans of columnar sources (the cache, colf) and the filter/project
+  /// over them produce RowBatches of ColumnVectors instead of one boxed
+  /// Row at a time, which the partial aggregate and the broadcast join
+  /// probe read before returning rows. Off = the row-at-a-time engine
+  /// everywhere (the comparison baseline for the batched-vs-row property
+  /// tests and benches).
   bool vectorized_enabled = true;
   /// Rows per RowBatch in vectorized execution. Validated to [1, 65536];
   /// 1 is the degenerate lane the chaos/property suites keep covered, the
@@ -118,7 +119,7 @@ struct EngineConfig {
   /// Deterministic fault injection for testing/benching the failure paths.
   /// Two comma-separated rule families share this one spec:
   ///   * task rules "<stage>:<partition>:<attempt>[-<last>]" fail whole
-  ///     partition attempts with RetryableError (see FaultInjector);
+  ///     partition attempts with RetryableError;
   ///   * site rules "<site>=<trigger>[:<kind>]" fire at named I/O fault
   ///     points — spill.write, spill.read, source.open, source.read,
   ///     metrics.snapshot, admission.enqueue, trace.write — with trigger
@@ -126,7 +127,7 @@ struct EngineConfig {
   ///     retryable|io|enospc|corrupt (corrupt flips a bit in the bytes the
   ///     site just read — spill.read and source.read honor it — instead of
   ///     throwing); "seed=<N>" makes the probability mode deterministic
-  ///     (see FaultPointSet).
+  ///     (see FaultPointSet, which parses and fires both families).
   /// Empty = disabled.
   std::string fault_injection_spec;
   /// Per-query memory budget shared by all blocking operators (hash
@@ -338,7 +339,7 @@ class ExecContext {
   DiskQuota& disk_quota() { return disk_quota_; }
   const DiskQuota& disk_quota() const { return disk_quota_; }
 
-  /// The engine's site-based fault injector, parsed once from
+  /// The engine's fault injector (site and task rules), parsed once from
   /// EngineConfig::fault_injection_spec (shared by every query: hit
   /// counters are engine-wide). Never null.
   const FaultPointSet& fault_points() const { return *fault_points_; }

@@ -6,7 +6,6 @@
 
 #include "engine/query_context.h"
 #include "util/log.h"
-#include "util/string_util.h"
 
 namespace ssql {
 
@@ -123,52 +122,6 @@ void PollCurrentTaskAttempt() {
   }
 }
 
-FaultInjector FaultInjector::Parse(const std::string& spec) {
-  FaultInjector injector;
-  if (spec.empty()) return injector;
-  for (const std::string& entry : Split(spec, ',')) {
-    std::string_view trimmed = Trim(entry);
-    if (trimmed.empty()) continue;
-    // Site rules ("<site>=<trigger>[:<kind>]", incl. "seed=<N>") belong to
-    // FaultPointSet; the two rule families share one spec string.
-    if (trimmed.find('=') != std::string_view::npos) continue;
-    std::vector<std::string> parts = Split(std::string(trimmed), ':');
-    int64_t partition = -1, first = -1, last = -1;
-    bool ok = parts.size() == 3 && !parts[0].empty() &&
-              ParseInt64(parts[1], &partition) && partition >= 0;
-    if (ok) {
-      size_t dash = parts[2].find('-');
-      if (dash == std::string::npos) {
-        ok = ParseInt64(parts[2], &first);
-        last = first;
-      } else {
-        ok = ParseInt64(parts[2].substr(0, dash), &first) &&
-             ParseInt64(parts[2].substr(dash + 1), &last);
-      }
-    }
-    if (!ok || first < 0 || last < first) {
-      throw ExecutionError(
-          "bad fault_injection_spec entry '" + std::string(trimmed) +
-          "': expected <stage>:<partition>:<attempt>[-<last_attempt>]");
-    }
-    injector.rules_.push_back({parts[0], static_cast<size_t>(partition),
-                               static_cast<int>(first), static_cast<int>(last)});
-  }
-  return injector;
-}
-
-void FaultInjector::MaybeFail(const std::string& stage, size_t partition,
-                              int attempt) const {
-  for (const Rule& rule : rules_) {
-    if (rule.partition != partition) continue;
-    if (rule.stage != "*" && rule.stage != stage) continue;
-    if (attempt < rule.first_attempt || attempt > rule.last_attempt) continue;
-    throw RetryableError("injected fault: stage '" + stage + "' partition " +
-                         std::to_string(partition) + " attempt " +
-                         std::to_string(attempt));
-  }
-}
-
 void TaskRunner::RunStage(const std::string& stage, size_t num_partitions,
                           const std::function<void(size_t)>& body) const {
   RunStageImpl(
@@ -192,7 +145,7 @@ void TaskRunner::RunStageImpl(const std::string& stage, size_t num_partitions,
   if (num_partitions == 0) return;
   const EngineConfig& config = ctx_.config();
   const CancellationTokenPtr token = ctx_.cancellation();
-  FaultInjector injector = FaultInjector::Parse(config.fault_injection_spec);
+  const FaultPointSet& faults = ctx_.fault_points();
   const int max_retries = std::max(0, config.task_max_retries);
   const int backoff_ms = std::max(0, config.task_retry_backoff_ms);
   const int64_t task_timeout_ms = config.task_timeout_ms;
@@ -336,7 +289,7 @@ void TaskRunner::RunStageImpl(const std::string& stage, size_t num_partitions,
         bool done = false;
         try {
           TaskAttemptScope scope(ctx_, &att);
-          if (injector.enabled()) injector.MaybeFail(stage, p, attempt);
+          faults.MaybeFailTask(stage, p, attempt);
           TaskCommitFn commit = body(p);
           try_commit(p, /*speculative=*/false, commit);
           profile.EndSpan(task_span, "ok");

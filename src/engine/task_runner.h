@@ -139,35 +139,6 @@ class TaskAttemptScope {
 /// speculation race throws TaskAttemptAborted. No-op outside a task.
 void PollCurrentTaskAttempt();
 
-/// Deterministic fault injection for exercising the retry machinery in
-/// tests and benchmarks. Configured from EngineConfig::fault_injection_spec,
-/// a comma-separated list of rules
-///
-///   <stage>:<partition>:<attempt>[-<last_attempt>]
-///
-/// e.g. "scan:3:0-1" fails partition 3 of the stage named "scan" on
-/// attempts 0 and 1 with a RetryableError; "*:1:0" fails partition 1 of
-/// every stage on its first attempt. An empty spec disables injection.
-class FaultInjector {
- public:
-  /// Parses a spec; throws ExecutionError on syntax errors.
-  static FaultInjector Parse(const std::string& spec);
-
-  bool enabled() const { return !rules_.empty(); }
-
-  /// Throws RetryableError if a rule matches (stage, partition, attempt).
-  void MaybeFail(const std::string& stage, size_t partition, int attempt) const;
-
- private:
-  struct Rule {
-    std::string stage;  // "*" matches any stage
-    size_t partition;
-    int first_attempt;
-    int last_attempt;
-  };
-  std::vector<Rule> rules_;
-};
-
 /// Runs one "stage" — n per-partition tasks — on the engine's pool with
 /// Spark-style fault handling, which ThreadPool::RunAll alone does not
 /// provide:
@@ -196,8 +167,9 @@ class FaultInjector {
 ///
 /// Bodies are re-executed from scratch on retry, so they must be
 /// idempotent; a body that destructively consumes shared input must only
-/// throw RetryableError before its first destructive step (the built-in
-/// fault injector fires before the body runs, preserving this).
+/// throw RetryableError before its first destructive step (injected task
+/// faults, FaultPointSet::MaybeFailTask, fire before the body runs,
+/// preserving this).
 class TaskRunner {
  public:
   explicit TaskRunner(QueryContext& ctx) : ctx_(ctx) {}

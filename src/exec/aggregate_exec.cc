@@ -34,19 +34,6 @@ std::vector<BoundCompiled> BindInputs(const ExprVector& groupings,
   return inputs;
 }
 
-/// Column types for packing the *partial* stage's output into batches.
-/// Grouping columns are honestly typed, but accumulator columns carry
-/// whatever Value shape the aggregate's accumulator uses at runtime (e.g.
-/// Average's {sum, count} struct, CountDistinct's set) — not the finished
-/// type partial_output_ declares — so they must pack into the boxed bank,
-/// which round-trips any Value verbatim.
-std::vector<DataTypePtr> PartialPackTypes(const ExprVector& groupings,
-                                          size_t num_aggs) {
-  std::vector<DataTypePtr> types = KeyTypes(groupings);
-  types.resize(groupings.size() + num_aggs, StructType::Make({}));
-  return types;
-}
-
 }  // namespace
 
 HashAggregateExec::HashAggregateExec(ExprVector groupings,
@@ -97,10 +84,30 @@ RowDataset HashAggregateExec::ExecuteImpl(QueryContext& ctx) const {
 }
 
 RowDataset HashAggregateExec::ExecutePartial(QueryContext& ctx) const {
-  RowDataset input = child_->Execute(ctx);
   const std::vector<BoundCompiled> inputs = BindInputs(
       groupings_, slots_, child_->Output(), ctx.config().codegen_enabled);
   const std::vector<DataTypePtr> key_types = KeyTypes(groupings_);
+  auto drain = [](GroupTable& table) {
+    auto out = std::make_shared<RowPartition>();
+    table.Drain(false, [&](Row&& row) { out->rows.push_back(std::move(row)); });
+    return out;
+  };
+  if (ReadsBatches(ctx.config())) {
+    BatchDataset input = child_->ExecuteBatches(ctx);
+    return input.MapToRows(ctx, [&](size_t, const BatchPartition& part) {
+      GroupTable table(ctx, "aggregate.partial", key_types, slots_);
+      InputReader reader(inputs, /*batched=*/true);
+      size_t cancel_rows = 0;
+      for (const RowBatchPtr& batch : part.batches) {
+        const size_t n = batch->ActiveRows();
+        if (n == 0) continue;
+        ctx.CheckCancelledEveryRows(&cancel_rows, n);
+        table.Update(reader.Read(*batch), n);
+      }
+      return drain(table);
+    }, "aggregate.partial");
+  }
+  RowDataset input = child_->Execute(ctx);
   return input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
     GroupTable table(ctx, "aggregate.partial", key_types, slots_);
     InputReader reader(inputs, /*batched=*/false);
@@ -110,37 +117,7 @@ RowDataset HashAggregateExec::ExecutePartial(QueryContext& ctx) const {
       ctx.CheckCancelledEveryRows(&cancel_rows, n);
       table.Update(reader.Read(&part.rows[start], n), n);
     }
-    auto out = std::make_shared<RowPartition>();
-    table.Drain(false, [&](Row&& row) { out->rows.push_back(std::move(row)); });
-    return out;
-  }, "aggregate.partial");
-}
-
-BatchDataset HashAggregateExec::ExecuteBatchesImpl(QueryContext& ctx) const {
-  // Only the partial stage is batched (see SupportsBatches()): it consumes
-  // the columnar scan→filter→project pipeline directly.
-  BatchDataset input = child_->ExecuteBatches(ctx);
-  const std::vector<BoundCompiled> inputs = BindInputs(
-      groupings_, slots_, child_->Output(), ctx.config().codegen_enabled);
-  const std::vector<DataTypePtr> key_types = KeyTypes(groupings_);
-  const std::vector<DataTypePtr> out_types =
-      PartialPackTypes(groupings_, agg_functions_.size());
-  const size_t batch_size = ctx.config().batch_size;
-  return input.MapPartitions(ctx, [&](size_t, const BatchPartition& part) {
-    GroupTable table(ctx, "aggregate.partial", key_types, slots_);
-    InputReader reader(inputs, /*batched=*/true);
-    size_t cancel_rows = 0;
-    for (const RowBatchPtr& batch : part.batches) {
-      const size_t n = batch->ActiveRows();
-      if (n == 0) continue;
-      ctx.CheckCancelledEveryRows(&cancel_rows, n);
-      table.Update(reader.Read(*batch), n);
-    }
-    std::vector<Row> rows;
-    table.Drain(false, [&](Row&& row) { rows.push_back(std::move(row)); });
-    auto out = std::make_shared<BatchPartition>();
-    PackRowsIntoBatches(rows, out_types, batch_size, &out->batches);
-    return out;
+    return drain(table);
   }, "aggregate.partial");
 }
 

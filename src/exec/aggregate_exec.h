@@ -57,22 +57,11 @@ class HashAggregateExec : public PhysicalPlan {
   /// The grouping attrs are the Exchange keys between the stages.
   const AttributeVector& partial_output() const { return partial_output_; }
 
-  /// Only the map-side (partial) stage is vectorized: it sits on top of the
-  /// batched scan/filter/project pipeline. The final stage's input always
-  /// crosses the shuffle as rows, so batching it would be pure adapter
-  /// overhead; its (small) output still packs on demand via the adapter.
-  bool SupportsBatches() const override {
-    return mode_ == AggregateMode::kPartial;
-  }
-
- protected:
-  BatchDataset ExecuteBatchesImpl(QueryContext& ctx) const override;
-  /// Vectorize the map-side combine only when the input pipeline is
-  /// natively columnar; over a row source the pack costs more than the
-  /// lane loops save. Output (accumulator rows) packs, so this node never
-  /// reports BatchesAreNative() itself.
-  bool PreferBatchExecution() const override {
-    return SupportsBatches() && child_->BatchesAreNative();
+  /// The map-side (partial) stage reads the batched scan/filter/project
+  /// pipeline directly when its child produces batches; it returns rows
+  /// either way. The final stage reads the shuffle's rows.
+  bool ReadsBatches(const EngineConfig& config) const override {
+    return mode_ == AggregateMode::kPartial && child_->ProducesBatches(config);
   }
 
  private:

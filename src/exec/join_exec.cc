@@ -265,28 +265,24 @@ BoundJoin JoinExecBase::Bind(QueryContext& ctx) const {
 }
 
 RowDataset BroadcastHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
-  return BroadcastJoin(ctx, *left_, *right_, Bind(ctx), join_type_,
-                       /*nested_loop=*/false);
-}
-
-BatchDataset BroadcastHashJoinExec::ExecuteBatchesImpl(QueryContext& ctx) const {
   const BoundJoin bound = Bind(ctx);
+  if (!ReadsBatches(ctx.config())) {
+    return BroadcastJoin(ctx, *left_, *right_, bound, join_type_,
+                         /*nested_loop=*/false);
+  }
   HashBuild build(ctx, bound, join_type_, RightWidth());
   build.Collect(ctx, *right_, /*nested_loop=*/false);
 
   BatchDataset stream = left_->ExecuteBatches(ctx);
   ctx.profile().Add(nullptr, ProfileCounter::kProbeRows,
                     static_cast<int64_t>(stream.TotalRows()));
-  const std::vector<DataTypePtr> out_types = OutputTypes();
-  const size_t batch_size = ctx.config().batch_size;
-
-  return stream.MapPartitions(ctx, [&](size_t, const BatchPartition& part) {
+  return stream.MapToRows(ctx, [&](size_t, const BatchPartition& part) {
     // Keys evaluate as whole columns per batch; only rows that produce
     // output are boxed.
+    auto out = std::make_shared<RowPartition>();
     InputReader reader(bound.left_keys, /*batched=*/true);
     KeyChunk chunk;
     Row boxed;
-    std::vector<Row> rows;
     size_t cancel_rows = 0;
     for (const RowBatchPtr& batch : part.batches) {
       const size_t n = batch->ActiveRows();
@@ -298,10 +294,8 @@ BatchDataset BroadcastHashJoinExec::ExecuteBatchesImpl(QueryContext& ctx) const 
             boxed = batch->BoxRow(batch->ActiveIndex(k));
             return boxed;
           },
-          [&](Row&& row) { rows.push_back(std::move(row)); }, nullptr);
+          [&](Row&& row) { out->rows.push_back(std::move(row)); }, nullptr);
     }
-    auto out = std::make_shared<BatchPartition>();
-    PackRowsIntoBatches(rows, out_types, batch_size, &out->batches);
     return out;
   }, "join.probe");
 }

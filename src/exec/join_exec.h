@@ -55,24 +55,12 @@ class BroadcastHashJoinExec : public JoinExecBase {
   std::string NodeName() const override { return "BroadcastHashJoin"; }
   RowDataset ExecuteImpl(QueryContext& ctx) const override;
 
-  /// Batched probe: the streamed side flows in as batches (probe keys
-  /// evaluate as whole columns and hash into the key table), and only rows
-  /// that produce output are boxed into the output batches. The build side
-  /// is still collected as rows — it is small by construction.
-  bool SupportsBatches() const override { return true; }
-  /// The build side always collects as rows (index 1); only the streamed
-  /// probe side (index 0) flows in as batches.
-  bool PullsChildBatched(size_t child_index) const override {
-    return child_index == 0;
-  }
-
- protected:
-  BatchDataset ExecuteBatchesImpl(QueryContext& ctx) const override;
-  /// The batched probe pays when the streamed side is natively columnar:
-  /// keys evaluate as whole columns and non-matching probe rows are never
-  /// boxed. Over a row-native stream the pack outweighs that.
-  bool PreferBatchExecution() const override {
-    return left_->BatchesAreNative();
+  /// Batched probe: when the streamed (left) side produces batches, probe
+  /// keys evaluate as whole columns and hash into the key table, and only
+  /// probe rows that produce output are boxed. The build side is collected
+  /// as rows — it is small by construction — and the output is rows.
+  bool ReadsBatches(const EngineConfig& config) const override {
+    return left_->ProducesBatches(config);
   }
 };
 

@@ -26,6 +26,10 @@ void RecordMisestimate(QueryContext& ctx, const CardinalityEstimate& est,
 /// execute their children on the thread that executes them.
 thread_local int undetailed_depth = 0;
 
+[[noreturn]] void NoBatches(const PhysicalPlan& node) {
+  throw ExecutionError(node.NodeName() + " produces no batches");
+}
+
 }  // namespace
 
 /// Shared profiling shell of Execute/ExecuteBatches: runs `work` inside an
@@ -89,11 +93,10 @@ RowDataset PhysicalPlan::Execute(QueryContext& ctx) const {
     int64_t batches;
   };
   return RunProfiled(*this, estimate_, ctx, [&]() -> Out {
-    if (SupportsBatches() && PreferBatchExecution() &&
-        ctx.config().vectorized_enabled) {
-      // Vectorized internals, row-demanding caller: run batched, unpack at
-      // the operator boundary. rows_out/batches describe the batched
-      // output the operator actually produced.
+    if (ProducesBatches(ctx.config())) {
+      // A batch producer under a row-reading caller: unpack at the
+      // operator boundary. rows_out/batches describe the batches the
+      // operator actually produced.
       BatchDataset batches = ExecuteBatchesImpl(ctx);
       int64_t rows = static_cast<int64_t>(batches.TotalRows());
       int64_t nbatches = static_cast<int64_t>(batches.TotalBatches());
@@ -107,37 +110,22 @@ RowDataset PhysicalPlan::Execute(QueryContext& ctx) const {
 }
 
 BatchDataset PhysicalPlan::ExecuteBatches(QueryContext& ctx) const {
+  if (!ProducesBatches(ctx.config())) NoBatches(*this);
   struct Out {
     BatchDataset data;
     int64_t rows;
     int64_t batches;
   };
   return RunProfiled(*this, estimate_, ctx, [&]() -> Out {
-    BatchDataset out;
-    if (SupportsBatches() && ctx.config().vectorized_enabled) {
-      out = ExecuteBatchesImpl(ctx);
-    } else {
-      // Row-only operator under a batch-demanding parent: pack.
-      out = BatchDataset::FromRowDataset(ctx, ExecuteImpl(ctx), OutputTypes(),
-                                         ctx.config().batch_size);
-    }
+    BatchDataset out = ExecuteBatchesImpl(ctx);
     int64_t rows = static_cast<int64_t>(out.TotalRows());
     int64_t nbatches = static_cast<int64_t>(out.TotalBatches());
     return Out{std::move(out), rows, nbatches};
   });
 }
 
-BatchDataset PhysicalPlan::ExecuteBatchesImpl(QueryContext& ctx) const {
-  return BatchDataset::FromRowDataset(ctx, ExecuteImpl(ctx), OutputTypes(),
-                                      ctx.config().batch_size);
-}
-
-std::vector<DataTypePtr> PhysicalPlan::OutputTypes() const {
-  std::vector<DataTypePtr> types;
-  AttributeVector attrs = Output();
-  types.reserve(attrs.size());
-  for (const auto& a : attrs) types.push_back(a->data_type());
-  return types;
+BatchDataset PhysicalPlan::ExecuteBatchesImpl(QueryContext&) const {
+  NoBatches(*this);
 }
 
 std::string PhysicalPlan::TreeString() const {

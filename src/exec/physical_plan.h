@@ -29,14 +29,14 @@ struct CardinalityEstimate {
 /// pulls the children's datasets and produces this operator's output; the
 /// per-partition work runs on the engine's worker pool.
 ///
-/// Operators come in two execution modes. Row mode moves one boxed Row at a
-/// time (the original volcano engine). Batch mode moves RowBatches of
-/// ColumnVectors with a selection vector; converted operators override
-/// ExecuteBatchesImpl/SupportsBatches. The two modes compose freely: a
-/// batch-demanding parent over a row-only child gets its rows packed
-/// (batch.pack), a row-demanding parent over a batch-preferring child gets
-/// the batches unpacked (batch.unpack) — so unconverted operators (sort,
-/// exchange, interval join, online agg) keep working unchanged.
+/// Data moves between operators as boxed Rows, except where it is columnar
+/// at the source: a Scan of a BatchedScan source produces RowBatches of
+/// ColumnVectors (with vectorized execution on), and filter/project passes
+/// batches through when its child produces them. ProducesBatches() is that
+/// one decision. The partial aggregate and the broadcast join probe read
+/// batches from such a child (ReadsBatches()) and return rows; every other
+/// operator reads and returns rows, and Execute() unpacks a producer's
+/// batches for it (batch.unpack). Nothing packs rows into batches.
 class PhysicalPlan : public std::enable_shared_from_this<PhysicalPlan> {
  public:
   virtual ~PhysicalPlan() = default;
@@ -52,45 +52,24 @@ class PhysicalPlan : public std::enable_shared_from_this<PhysicalPlan> {
   /// profile, stages/tasks/spills started while it runs attribute to it,
   /// and an exception closes the span with an error status before
   /// propagating. The actual work is ExecuteImpl() — or, when this operator
-  /// prefers batch execution and the config enables it, ExecuteBatchesImpl()
-  /// followed by the batch→row adapter.
+  /// ProducesBatches(), ExecuteBatchesImpl() followed by the batch→row
+  /// unpack.
   RowDataset Execute(QueryContext& ctx) const;
 
-  /// Batch-demanding form of Execute(), same profiling contract: rows_out
-  /// counts live rows (not batches), batches counts RowBatches produced.
-  /// Row-only operators are adapted via the row→batch packer.
+  /// Batch form of Execute(), same profiling contract: rows_out counts live
+  /// rows (not batches), batches counts RowBatches produced. Throws
+  /// ExecutionError when this operator does not ProducesBatches().
   BatchDataset ExecuteBatches(QueryContext& ctx) const;
 
-  /// True when this operator has a native batched implementation
-  /// (ExecuteBatchesImpl). Drives both runtime dispatch (with
-  /// config.vectorized_enabled) and the planner's EXPLAIN stamp.
-  virtual bool SupportsBatches() const { return false; }
+  /// Whether this operator's output is batches under `config`: true only
+  /// for a Scan of a BatchedScan source with vectorized execution enabled,
+  /// and for filter/project over a producer.
+  virtual bool ProducesBatches(const EngineConfig&) const { return false; }
 
-  /// True when ExecuteBatches() yields batches with no row→batch pack
-  /// anywhere underneath — the data is columnar at the source (cached
-  /// columnar scan) and stays columnar through zero-copy/vector operators.
-  /// Parents use this to decide whether extending the batched pipeline
-  /// downward is profitable: over a row-native source, packing costs more
-  /// than vectorized evaluation saves.
-  virtual bool BatchesAreNative() const { return false; }
-
-  /// The dispatch decision Execute()/ExecuteBatches() make at runtime,
-  /// exposed for the planner's EXPLAIN stamp: an operator runs batched when
-  /// it supports batches and either a batch-demanding parent pulls it or it
-  /// prefers batch execution on its own.
-  bool WouldRunBatched(bool parent_pulls_batches) const {
-    return SupportsBatches() &&
-           (parent_pulls_batches || PreferBatchExecution());
-  }
-
-  /// Whether a batched run of this operator pulls child `child_index` via
-  /// ExecuteBatches(). Default: all children. The broadcast join overrides
-  /// this — its build side is always collected as rows. Only consulted for
-  /// the EXPLAIN stamp; the runtime simply calls the form it needs.
-  virtual bool PullsChildBatched(size_t child_index) const {
-    (void)child_index;
-    return true;
-  }
+  /// Whether this operator reads a child's batches under `config` (the
+  /// partial aggregate and the broadcast join's stream side, when that
+  /// child ProducesBatches()). Such an operator still returns rows.
+  virtual bool ReadsBatches(const EngineConfig&) const { return false; }
 
   /// One-line description for EXPLAIN.
   virtual std::string Describe() const { return NodeName(); }
@@ -101,9 +80,10 @@ class PhysicalPlan : public std::enable_shared_from_this<PhysicalPlan> {
   const CardinalityEstimate& estimate() const { return estimate_; }
   void set_estimate(const CardinalityEstimate& est) { estimate_ = est; }
 
-  /// Planner-stamped "this node runs batched" flag, rendered in the
-  /// physical plan / EXPLAIN output (display-only; runtime dispatch
-  /// re-checks SupportsBatches() against the query's config snapshot).
+  /// Planner-stamped "this node runs batched" flag (it produces or reads
+  /// batches), rendered in the physical plan / EXPLAIN output
+  /// (display-only; execution asks ProducesBatches()/ReadsBatches() again
+  /// against the query's config snapshot).
   bool runs_batched() const { return runs_batched_; }
   void set_runs_batched(bool batched) { runs_batched_ = batched; }
 
@@ -119,20 +99,9 @@ class PhysicalPlan : public std::enable_shared_from_this<PhysicalPlan> {
   /// wrappers), never the Impl forms.
   virtual RowDataset ExecuteImpl(QueryContext& ctx) const = 0;
 
-  /// Native batched execution logic for operators that SupportsBatches().
-  /// The default adapts the row implementation by packing its partitions
-  /// into batches of config.batch_size rows.
+  /// Batched execution logic of an operator that ProducesBatches(). The
+  /// default throws: no other operator has one.
   virtual BatchDataset ExecuteBatchesImpl(QueryContext& ctx) const;
-
-  /// Whether a row-demanding Execute() should still run the batched
-  /// implementation and unpack at the top. Vectorized operators return true
-  /// only when their input is natively columnar (BatchesAreNative() on the
-  /// child): over a row-native source the row→batch pack at the boundary
-  /// costs more than the vector kernels save, so the row path stays.
-  virtual bool PreferBatchExecution() const { return false; }
-
-  /// Row-layout types of Output(), for packing batches.
-  std::vector<DataTypePtr> OutputTypes() const;
 
  private:
   void TreeStringInternal(int indent, std::string* out) const;

@@ -81,6 +81,9 @@ AttributeVector DataSourceScanExec::Output() const {
 }
 
 RowDataset DataSourceScanExec::ExecuteImpl(QueryContext& ctx) const {
+  if (dynamic_cast<const BatchedScan*>(source_.get()) != nullptr) {
+    return ExecuteBatchesImpl(ctx).ToRowDataset(ctx);
+  }
   std::vector<Row> rows;
   bool need_recheck = false;
 
@@ -93,16 +96,6 @@ RowDataset DataSourceScanExec::ExecuteImpl(QueryContext& ctx) const {
       specs.push_back(std::move(*spec));
     } else {
       all_translated = false;
-    }
-  }
-
-  // Partition-preserving fast path (in-memory columnar cache): the
-  // pre-partitioned dataset flows through untouched, filters applied
-  // exactly inside the source.
-  if (all_translated) {
-    if (const auto* partitioned =
-            dynamic_cast<const PartitionedScan*>(source_.get())) {
-      return partitioned->ScanPartitions(ctx, required_columns_, specs);
     }
   }
 
@@ -168,24 +161,27 @@ RowDataset DataSourceScanExec::ExecuteImpl(QueryContext& ctx) const {
   return RowDataset::FromRows(std::move(rows), ctx.config().default_parallelism);
 }
 
-bool DataSourceScanExec::SupportsBatches() const {
-  if (required_columns_.empty()) return false;
-  if (dynamic_cast<const BatchedScan*>(source_.get()) == nullptr) return false;
-  for (const auto& f : pushed_filters_) {
-    if (!TranslateFilter(*f).has_value()) return false;
-  }
-  return true;
+bool DataSourceScanExec::ProducesBatches(const EngineConfig& config) const {
+  return config.vectorized_enabled &&
+         dynamic_cast<const BatchedScan*>(source_.get()) != nullptr;
 }
 
 BatchDataset DataSourceScanExec::ExecuteBatchesImpl(QueryContext& ctx) const {
-  const auto* batched = dynamic_cast<const BatchedScan*>(source_.get());
+  const auto& batched = dynamic_cast<const BatchedScan&>(*source_);
+  // A BatchedScan source accepts only translatable filters (see
+  // BaseRelation::CanHandleFilter) and evaluates them exactly.
   std::vector<FilterSpec> specs;
   specs.reserve(pushed_filters_.size());
   for (const auto& f : pushed_filters_) {
-    specs.push_back(*TranslateFilter(*f));  // checked by SupportsBatches()
+    auto spec = TranslateFilter(*f);
+    if (!spec.has_value()) {
+      throw ExecutionError(source_->name() + " cannot evaluate pushed filter " +
+                           f->ToString());
+    }
+    specs.push_back(std::move(*spec));
   }
-  return batched->ScanBatches(ctx, required_columns_, specs,
-                              ctx.config().batch_size);
+  return batched.ScanBatches(ctx, required_columns_, specs,
+                             ctx.config().batch_size);
 }
 
 std::string DataSourceScanExec::Describe() const {
@@ -298,7 +294,8 @@ BatchDataset ProjectFilterExec::ExecuteBatchesImpl(QueryContext& ctx) const {
     if (const auto* alias = As<Alias>(value)) value = alias->child();
     projs.push_back(BindAndCompile(value, child_out, codegen));
   }
-  std::vector<DataTypePtr> out_types = OutputTypes();
+  std::vector<DataTypePtr> out_types;
+  for (const auto& a : output_) out_types.push_back(a->data_type());
 
   return input.MapPartitions(ctx, [&](size_t, const BatchPartition& part) {
     auto out = std::make_shared<BatchPartition>();

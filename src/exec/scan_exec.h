@@ -34,9 +34,13 @@ class LocalTableScanExec : public PhysicalPlan {
 };
 
 /// Scan of an external data source with negotiated column pruning and
-/// filter pushdown (Section 4.4.1). Picks the most capable interface the
-/// source implements: CatalystScan > PrunedFilteredScan > PrunedScan >
-/// TableScan; filters a source cannot evaluate exactly are re-applied here.
+/// filter pushdown (Section 4.4.1). A BatchedScan source (the columnar
+/// cache, colf) is always read through ScanBatches, its filters evaluated
+/// exactly; a row-reading parent, or vectorized execution switched off,
+/// gets the batches unpacked. Other sources are read through the most
+/// capable interface they implement: CatalystScan > PrunedFilteredScan >
+/// PrunedScan > TableScan; filters such a source cannot evaluate exactly
+/// are re-applied here.
 class DataSourceScanExec : public PhysicalPlan {
  public:
   DataSourceScanExec(std::shared_ptr<SourceRelation> source,
@@ -49,15 +53,10 @@ class DataSourceScanExec : public PhysicalPlan {
   RowDataset ExecuteImpl(QueryContext& ctx) const override;
   std::string Describe() const override;
 
-  /// Native batched scan when the source implements the BatchedScan
-  /// capability and every pushed filter translates to a FilterSpec (so the
-  /// source evaluates them exactly — no row-at-a-time recheck needed).
-  /// COUNT(*)-style scans (no required columns) stay row-based.
-  bool SupportsBatches() const override;
-  /// A BatchedScan source (the columnar cache, for one) decodes straight
-  /// into ColumnVectors: this is the root of every natively-columnar
-  /// pipeline.
-  bool BatchesAreNative() const override { return SupportsBatches(); }
+  /// The root of every batched pipeline: a BatchedScan source decodes
+  /// straight into ColumnVectors. The one operator decision that reads
+  /// config.vectorized_enabled.
+  bool ProducesBatches(const EngineConfig& config) const override;
 
  protected:
   BatchDataset ExecuteBatchesImpl(QueryContext& ctx) const override;
@@ -93,21 +92,15 @@ class ProjectFilterExec : public PhysicalPlan {
   const std::vector<NamedExprPtr>& projections() const { return projections_; }
   const PhysPtr& child() const { return child_; }
 
-  /// Vectorized filter/project: conditions refine the selection vector
-  /// (zero-copy), projections evaluate whole output columns per batch.
-  bool SupportsBatches() const override { return true; }
-  /// Filters pass the child's columns through a selection view and
-  /// projections evaluate into fresh vectors — columnar in, columnar out.
-  bool BatchesAreNative() const override { return child_->BatchesAreNative(); }
+  /// Vectorized filter/project over a batch producer: conditions refine
+  /// the selection vector (zero-copy), projections evaluate whole output
+  /// columns per batch.
+  bool ProducesBatches(const EngineConfig& config) const override {
+    return child_->ProducesBatches(config);
+  }
 
  protected:
   BatchDataset ExecuteBatchesImpl(QueryContext& ctx) const override;
-  /// Vectorize only when the input is natively columnar; over a row source
-  /// the pack at the scan boundary outweighs the vector kernels (measured
-  /// on the AMPLab colf workload, bench_fig8_amplab).
-  bool PreferBatchExecution() const override {
-    return child_->BatchesAreNative();
-  }
 
  private:
   std::vector<NamedExprPtr> projections_;  // bound to child output

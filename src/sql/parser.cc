@@ -519,24 +519,21 @@ class Parser {
     if (name == "date") return DataType::Date();
     if (name == "timestamp") return DataType::Timestamp();
     if (name == "decimal") {
-      int p = 10, s = 0;
+      int64_t p = 10, s = 0;
       if (AcceptSymbol("(")) {
-        if (Peek().kind != TokenKind::kNumber) {
+        if (Peek().kind != TokenKind::kNumber ||
+            !ParseInt64(Advance().text, &p)) {
           throw ParseError("expected decimal precision");
         }
-        int64_t v;
-        ParseInt64(Advance().text, &v);
-        p = static_cast<int>(v);
-        if (AcceptSymbol(",")) {
-          if (Peek().kind != TokenKind::kNumber) {
-            throw ParseError("expected decimal scale");
-          }
-          ParseInt64(Advance().text, &v);
-          s = static_cast<int>(v);
+        if (AcceptSymbol(",") && (Peek().kind != TokenKind::kNumber ||
+                                  !ParseInt64(Advance().text, &s))) {
+          throw ParseError("expected decimal scale");
         }
         ExpectSymbol(")");
       }
-      return DecimalType::Make(p, s);
+      const std::string bad = DecimalType::OutOfBounds(p, s);
+      if (!bad.empty()) throw ParseError(bad);
+      return DecimalType::Make(static_cast<int>(p), static_cast<int>(s));
     }
     throw ParseError("unknown type name '" + name + "'");
   }

@@ -1,5 +1,8 @@
 #include "types/data_type.h"
 
+#include <algorithm>
+
+#include "types/decimal.h"
 #include "types/schema.h"
 
 namespace ssql {
@@ -78,6 +81,21 @@ const DataTypePtr& DataType::Timestamp() {
 
 std::string DecimalType::ToString() const {
   return "decimal(" + std::to_string(precision_) + "," + std::to_string(scale_) + ")";
+}
+
+std::string DecimalType::OutOfBounds(int64_t precision, int64_t scale) {
+  constexpr int64_t kMaxPrecision = 38;
+  const std::string type = "decimal(" + std::to_string(precision) + "," +
+                           std::to_string(scale) + ")";
+  if (precision < 1 || precision > kMaxPrecision) {
+    return type + ": precision must be 1.." + std::to_string(kMaxPrecision);
+  }
+  const int64_t max_scale =
+      std::min<int64_t>(precision, Decimal::kMaxLongDigits);
+  if (scale < 0 || scale > max_scale) {
+    return type + ": scale must be 0.." + std::to_string(max_scale);
+  }
+  return "";
 }
 
 bool DecimalType::Equals(const DataType& other) const {

@@ -87,6 +87,11 @@ class DecimalType : public DataType {
   std::string ToString() const override;
   bool Equals(const DataType& other) const override;
 
+  /// Why a declared decimal(precision, scale) is out of bounds, or "" when
+  /// it is in: precision 1..38 and scale 0..min(precision, 18), since a
+  /// value's unscaled part is an int64 and 10^scale must fit in one.
+  static std::string OutOfBounds(int64_t precision, int64_t scale);
+
  private:
   int precision_;
   int scale_;

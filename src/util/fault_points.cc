@@ -35,6 +35,18 @@ bool SiteMatches(const std::string& pattern, const std::string& site) {
                        std::string(entry) + "': " + why);
 }
 
+/// Parses "<first>[-<last>]" into an inclusive window; false when malformed.
+bool ParseWindow(std::string_view window, int64_t* first, int64_t* last) {
+  size_t dash = window.find('-');
+  if (dash == std::string_view::npos) {
+    if (!ParseInt64(window, first)) return false;
+    *last = *first;
+    return true;
+  }
+  return ParseInt64(window.substr(0, dash), first) &&
+         ParseInt64(window.substr(dash + 1), last);
+}
+
 }  // namespace
 
 FaultPointSet FaultPointSet::Parse(const std::string& spec) {
@@ -44,7 +56,21 @@ FaultPointSet FaultPointSet::Parse(const std::string& spec) {
     std::string_view entry = Trim(raw);
     if (entry.empty()) continue;
     size_t eq = entry.find('=');
-    if (eq == std::string_view::npos) continue;  // legacy task rule
+    if (eq == std::string_view::npos) {
+      std::vector<std::string> parts = Split(std::string(entry), ':');
+      int64_t partition = -1, first = -1, last = -1;
+      if (parts.size() != 3 || parts[0].empty() ||
+          !ParseInt64(parts[1], &partition) || partition < 0 ||
+          !ParseWindow(parts[2], &first, &last) || first < 0 ||
+          last < first) {
+        BadEntry(entry,
+                 "expected <stage>:<partition>:<attempt>[-<last_attempt>]");
+      }
+      set.task_rules_.push_back({parts[0], static_cast<size_t>(partition),
+                                 static_cast<int>(first),
+                                 static_cast<int>(last)});
+      continue;
+    }
     std::string key(Trim(entry.substr(0, eq)));
     std::string value(Trim(entry.substr(eq + 1)));
     if (key.empty() || value.empty()) {
@@ -84,19 +110,9 @@ FaultPointSet FaultPointSet::Parse(const std::string& spec) {
     if (trigger == "*") {
       rule.always = true;
     } else if (trigger.size() > 1 && trigger[0] == 'n') {
-      std::string_view window(trigger);
-      window.remove_prefix(1);
-      size_t dash = window.find('-');
       int64_t first = 0, last = 0;
-      bool ok;
-      if (dash == std::string_view::npos) {
-        ok = ParseInt64(window, &first);
-        last = first;
-      } else {
-        ok = ParseInt64(window.substr(0, dash), &first) &&
-             ParseInt64(window.substr(dash + 1), &last);
-      }
-      if (!ok || first < 1 || last < first) {
+      if (!ParseWindow(std::string_view(trigger).substr(1), &first, &last) ||
+          first < 1 || last < first) {
         BadEntry(entry, "bad hit window '" + trigger +
                             "' (want n<first>[-<last>], 1-based)");
       }
@@ -165,19 +181,34 @@ bool FaultPointSet::MaybeCorrupt(const std::string& site,
     const uint64_t r = Mix(Mix(seed_ ^ (i * 0x2545f491u)) ^ hit);
     const uint64_t bit = r % (static_cast<uint64_t>(buffer->size()) * 8);
     (*buffer)[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-    fired_->fetch_add(1, std::memory_order_relaxed);
-    CounterMetric* counter = fired_counter_->load(std::memory_order_acquire);
-    if (counter != nullptr) counter->Increment();
+    CountFired();
     corrupted = true;
   }
   return corrupted;
 }
 
-void FaultPointSet::Throw(const Rule& rule, const std::string& site,
-                          const std::string& detail) const {
+void FaultPointSet::MaybeFailTask(const std::string& stage, size_t partition,
+                                  int attempt) const {
+  for (const TaskRule& rule : task_rules_) {
+    if (rule.partition != partition) continue;
+    if (rule.stage != "*" && rule.stage != stage) continue;
+    if (attempt < rule.first_attempt || attempt > rule.last_attempt) continue;
+    CountFired();
+    throw RetryableError("injected fault: stage '" + stage + "' partition " +
+                         std::to_string(partition) + " attempt " +
+                         std::to_string(attempt));
+  }
+}
+
+void FaultPointSet::CountFired() const {
   fired_->fetch_add(1, std::memory_order_relaxed);
   CounterMetric* counter = fired_counter_->load(std::memory_order_acquire);
   if (counter != nullptr) counter->Increment();
+}
+
+void FaultPointSet::Throw(const Rule& rule, const std::string& site,
+                          const std::string& detail) const {
+  CountFired();
   const std::string where =
       site + (detail.empty() ? "" : " (" + detail + ")");
   switch (rule.kind) {

@@ -31,14 +31,14 @@ class CounterMetric;
 ///     torn writes.
 enum class FaultKind { kRetryable, kIo, kEnospc, kCorrupt };
 
-/// Site-based fault injection: the generalization of the task-granularity
-/// FaultInjector to every I/O boundary in the engine. Sites are named
-/// strings checked at the boundary ("spill.write", "spill.read",
-/// "source.open", "source.read", "metrics.snapshot", "admission.enqueue",
-/// "trace.write"); rules select sites and decide, per hit, whether to throw.
+/// The engine's one fault injector. Site rules fire at I/O boundaries:
+/// sites are named strings checked at the boundary ("spill.write",
+/// "spill.read", "source.open", "source.read", "metrics.snapshot",
+/// "admission.enqueue", "trace.write"); rules select sites and decide, per
+/// hit, whether to throw. Task rules fail whole partition attempts.
 ///
-/// Configured from EngineConfig::fault_injection_spec. Site entries are
-/// comma-separated
+/// Configured from EngineConfig::fault_injection_spec, comma-separated
+/// entries. Site entries are
 ///
 ///   <site>=<trigger>[:<kind>]
 ///
@@ -53,20 +53,24 @@ enum class FaultKind { kRetryable, kIo, kEnospc, kCorrupt };
 /// seeds the probability mode: decisions are a pure hash of (rule, hit
 /// number, seed), so a given seed produces the same per-hit decisions on
 /// every run — the deterministic mode the chaos harness replays rounds
-/// with. Entries without '=' use the legacy task grammar
-/// (<stage>:<partition>:<attempt>[-<last>], see FaultInjector) and are
-/// ignored here; the two rule families share the one spec string.
+/// with. Entries without '=' are task rules
+///
+///   <stage>:<partition>:<attempt>[-<last_attempt>]
+///
+/// e.g. "scan:3:0-1" fails partition 3 of the stage named "scan" on
+/// attempts 0 and 1 with a RetryableError, and "*:1:0" fails partition 1 of
+/// every stage on its first attempt (see MaybeFailTask).
 ///
 /// Thread-safe: MaybeFail is lock-free (per-rule atomic hit counters), and
 /// hit counts are engine-wide, so concurrent queries race for the nth hit
 /// exactly like concurrent tasks race for a failing disk.
 class FaultPointSet {
  public:
-  /// Parses the site rules out of `spec`; throws ExecutionError quoting the
-  /// offending entry on malformed input. Empty spec = no rules.
+  /// Parses the site and task rules of `spec`; throws ExecutionError
+  /// quoting the offending entry on malformed input. Empty spec = no rules.
   static FaultPointSet Parse(const std::string& spec);
 
-  bool enabled() const { return !rules_.empty(); }
+  bool enabled() const { return !rules_.empty() || !task_rules_.empty(); }
 
   /// Throws the configured error if a rule matching `site` fires on this
   /// hit. `detail` (a path, a stage name) is woven into the message so the
@@ -83,7 +87,14 @@ class FaultPointSet {
   /// fire nor consume hits here.
   bool MaybeCorrupt(const std::string& site, std::string* buffer) const;
 
-  /// Total faults this set has thrown, for tests and chaos-round logging.
+  /// Throws RetryableError if a task rule matches this attempt of
+  /// `partition` of stage `stage`. TaskRunner calls it before each attempt's
+  /// body runs, so the body never sees a half-done attempt.
+  void MaybeFailTask(const std::string& stage, size_t partition,
+                     int attempt) const;
+
+  /// Total faults this set has fired (thrown, corrupted, or failed a task),
+  /// for tests and chaos-round logging.
   uint64_t fired() const;
 
   /// When set, every thrown fault also bumps this engine counter
@@ -106,6 +117,15 @@ class FaultPointSet {
         std::make_shared<std::atomic<uint64_t>>(0);
   };
 
+  struct TaskRule {
+    std::string stage;  // "*" matches any stage
+    size_t partition = 0;
+    int first_attempt = 0, last_attempt = 0;
+  };
+
+  /// Counts one fired fault in fired() and the attached engine counter.
+  void CountFired() const;
+
   [[noreturn]] void Throw(const Rule& rule, const std::string& site,
                           const std::string& detail) const;
 
@@ -116,6 +136,7 @@ class FaultPointSet {
                            uint64_t* hit_out = nullptr) const;
 
   std::vector<Rule> rules_;
+  std::vector<TaskRule> task_rules_;
   uint64_t seed_ = 0;
   std::shared_ptr<std::atomic<uint64_t>> fired_ =
       std::make_shared<std::atomic<uint64_t>>(0);

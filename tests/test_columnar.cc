@@ -228,15 +228,16 @@ TEST(CachedTableTest, BuildScanAndPrune) {
   CachedTableSource cache(table, "t");
   ExecContext engine{EngineConfig()};
   QueryContextPtr query = engine.BeginQuery();
-  RowDataset scanned = cache.ScanPartitions(*query, {2}, {});
+  BatchDataset scanned = cache.ScanBatches(*query, {2}, {}, 1024);
   EXPECT_EQ(scanned.num_partitions(), 4u);
-  auto out = scanned.Collect();
+  auto out = scanned.ToRowDataset(*query).Collect();
   ASSERT_EQ(out.size(), 100u);
   EXPECT_EQ(out[0].size(), 1u);
   EXPECT_DOUBLE_EQ(out[10].GetDouble(0), 5.0);
 
   // Multi-column scan in requested order.
-  auto two = cache.ScanPartitions(*query, {1, 0}, {}).Collect();
+  auto two =
+      cache.ScanBatches(*query, {1, 0}, {}, 1024).ToRowDataset(*query).Collect();
   EXPECT_EQ(two[0].GetString(0), "cat0");
   EXPECT_EQ(two[0].GetInt64(1), 0);
 }
@@ -353,29 +354,6 @@ TEST(RowBatchTest, FilterViewSharesColumnsAndSelectsPhysicalRows) {
   auto narrower = RowBatch::FilterView(view, {3});
   EXPECT_EQ(narrower->ActiveRows(), 1u);
   EXPECT_EQ(narrower->BoxRow(narrower->ActiveIndex(0)).GetInt64(0), 30);
-}
-
-TEST(RowBatchTest, PackRowsIntoBatchesSplitsAndRoundTrips) {
-  std::vector<DataTypePtr> types = {DataType::Int32(), DataType::String()};
-  std::vector<Row> rows;
-  for (int i = 0; i < 10; ++i) {
-    Value a = i % 4 == 0 ? Value::Null() : Value(static_cast<int32_t>(i));
-    rows.push_back(Row({a, Value("r" + std::to_string(i))}));
-  }
-  std::vector<RowBatchPtr> batches;
-  PackRowsIntoBatches(rows, types, 4, &batches);
-  ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[0]->ActiveRows(), 4u);
-  EXPECT_EQ(batches[2]->ActiveRows(), 2u);
-  std::vector<Row> round;
-  for (const auto& b : batches) b->AppendActiveRowsTo(&round);
-  ASSERT_EQ(round.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(round[i].Equals(rows[i])) << "row " << i;
-  }
-  batches.clear();
-  PackRowsIntoBatches({}, types, 4, &batches);
-  EXPECT_TRUE(batches.empty());  // zero rows → zero batches
 }
 
 // ---------------------------------------------------------------------------
@@ -604,14 +582,6 @@ std::vector<std::string> Canonical(const std::vector<Row>& rows) {
   return out;
 }
 
-std::vector<Row> Unpack(const BatchDataset& batches) {
-  std::vector<Row> out;
-  for (const auto& part : batches.partitions()) {
-    for (const auto& batch : part->batches) batch->AppendActiveRowsTo(&out);
-  }
-  return out;
-}
-
 TEST(ScanAgreementTest, CacheAndColfScansReturnTheMatchesRows) {
   const std::vector<TypeCase> cases = TypeCases();
   std::vector<Field> fields;
@@ -676,18 +646,16 @@ TEST(ScanAgreementTest, CacheAndColfScansReturnTheMatchesRows) {
         const auto want = Canonical(expected);
         QueryContextPtr query = engine.BeginQuery();
         QueryContext& ctx = *query;
-        if (!columns.empty()) {
-          EXPECT_EQ(Canonical(Unpack(cache.ScanBatches(ctx, columns, filters,
-                                                       batch_size))),
-                    want);
-          EXPECT_EQ(Canonical(Unpack(colf.ScanBatches(ctx, columns, filters,
-                                                      batch_size))),
-                    want);
-        }
-        EXPECT_EQ(Canonical(cache.ScanPartitions(ctx, columns, filters)
+        // A row-reading plan unpacks the same batches; a scan with no
+        // columns (COUNT(*)) yields one empty row per survivor.
+        EXPECT_EQ(Canonical(cache.ScanBatches(ctx, columns, filters, batch_size)
+                                .ToRowDataset(ctx)
                                 .Collect()),
                   want);
-        EXPECT_EQ(Canonical(colf.ScanFiltered(ctx, columns, filters)), want);
+        EXPECT_EQ(Canonical(colf.ScanBatches(ctx, columns, filters, batch_size)
+                                .ToRowDataset(ctx)
+                                .Collect()),
+                  want);
       }
     }
   }

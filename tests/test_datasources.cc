@@ -352,6 +352,57 @@ TEST(SchemaStringTest, ParseSchemaString) {
   EXPECT_THROW(ParseSchemaString("justaname"), AnalysisError);
 }
 
+TEST(SchemaStringTest, CsvSchemaOptionRejectsOutOfRangeDecimals) {
+  // A scale past 18 overflows the int64 unscaled value; precision is 1..38.
+  const std::string path =
+      ::testing::TempDir() + "/dec-" + std::to_string(::getpid()) + ".csv";
+  std::ofstream(path) << "2.5\n";
+  SqlContext ctx;
+  for (const char* type : {"decimal(38,30)", "decimal(39,2)", "decimal(0,0)",
+                           "decimal(5,6)", "decimal(7", "decimal(a,b)",
+                           "decimal(7,2,1)", "decimal()"}) {
+    EXPECT_THROW(
+        ctx.Sql("CREATE TEMPORARY TABLE d USING csv OPTIONS (path '" + path +
+                "', schema 'x " + type + "')"),
+        AnalysisError)
+        << type;
+  }
+  // In range: the widest precision, the largest scale, and the bare default.
+  EXPECT_EQ(AsDecimal(*ParseSchemaString("x decimal(38,18)")->field(0).type)
+                .scale(),
+            18);
+  EXPECT_EQ(AsDecimal(*ParseSchemaString("x decimal(7)")->field(0).type)
+                .precision(),
+            7);
+  EXPECT_EQ(
+      AsDecimal(*ParseSchemaString("x decimal")->field(0).type).precision(),
+      10);
+  std::filesystem::remove(path);
+}
+
+TEST(SchemaStringTest, ColfSchemaWithOutOfRangeDecimalIsCorrupt) {
+  const std::string path = ::testing::TempDir() + "/dec-" +
+                           std::to_string(::getpid()) + ".colf";
+  const Row row({Value(Decimal(25, 10, 1))});
+  WriteColfFile(path,
+                StructType::Make({Field("x", DecimalType::Make(38, 30), true)}),
+                {row});
+  EXPECT_THROW(ReadColfSchema(path), IoError);
+  // What sum() over a decimal produces (precision 38 at the operand's
+  // scale) still reads back.
+  SqlContext ctx;
+  DataFrame in = ctx.CreateDataFrame(
+      StructType::Make({Field("x", DecimalType::Make(10, 1), true)}), {row});
+  in.RegisterTempTable("in");
+  DataFrame sums = ctx.Sql("SELECT sum(x) AS s FROM in");
+  ASSERT_EQ(sums.schema()->field(0).type->ToString(), "decimal(20,1)");
+  WriteColfFile(path,
+                StructType::Make({Field("s", DecimalType::Make(38, 1), true)}),
+                sums.Collect());
+  EXPECT_EQ(ctx.ReadColf(path).Collect()[0].Get(0).decimal().ToString(), "2.5");
+  std::filesystem::remove(path);
+}
+
 // ---------------------------------------------------------------------------
 // I/O failure semantics: a vanished or short file is an I/O error, never a
 // silent partial result. Parse modes (PERMISSIVE / DROPMALFORMED / FAILFAST)
@@ -592,7 +643,7 @@ TEST(ColfFuzzTest, MutatedFilesScanOrThrowIoError) {
       auto rel = ColfRelation::Open({{"path", path}});
       std::vector<int> columns(rel->schema()->num_fields());
       std::iota(columns.begin(), columns.end(), 0);
-      rel->ScanFiltered(*query, columns, {});
+      rel->ScanBatches(*query, columns, {}, 1024).ToRowDataset(*query);
       if (!columns.empty()) {
         const FilterSpec not_null{rel->schema()->field(0).name,
                                   FilterSpec::Op::kIsNotNull, {}};

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <filesystem>
 #include <functional>
+#include <numeric>
 #include <random>
 #include <tuple>
 
@@ -19,6 +20,7 @@
 #include "catalyst/expr/predicates.h"
 #include "catalyst/planner/cost_model.h"
 #include "catalyst/planner/planner.h"
+#include "datasources/chunk_reader.h"
 #include "exec/join_exec.h"
 #include "exec/scan_exec.h"
 
@@ -107,6 +109,23 @@ std::vector<Row> RandomKeyedRows(std::mt19937_64* rng, size_t n, int key_space,
 PhysPtr ScanOf(const AttributeVector& attrs, std::vector<Row> rows) {
   return std::make_shared<LocalTableScanExec>(
       attrs, std::make_shared<const std::vector<Row>>(std::move(rows)));
+}
+
+/// The same rows behind a columnar scan: a Scan of a CachedTableSource,
+/// which produces batches when vectorized execution is on.
+PhysPtr CachedScanOf(const AttributeVector& attrs,
+                     const std::vector<Row>& rows) {
+  std::vector<Field> fields;
+  for (const auto& a : attrs) {
+    fields.emplace_back(a->name(), a->data_type(), a->nullable());
+  }
+  auto table = CachedTable::Build(StructType::Make(std::move(fields)),
+                                  RowDataset::FromRows(rows, 2));
+  std::vector<int> columns(attrs.size());
+  std::iota(columns.begin(), columns.end(), 0);
+  return std::make_shared<DataSourceScanExec>(
+      std::make_shared<CachedTableSource>(std::move(table), "sweep"), attrs,
+      std::move(columns), ExprVector{});
 }
 
 AttributeVector KeyedAttrs(const char* key, const char* payload) {
@@ -365,9 +384,8 @@ TEST_P(JoinKeySweepTest, EveryAlgorithmMatchesBruteForce) {
   auto check = [&](const PhysicalPlan& join, JoinType type, bool batched,
                    ExecContext& engine, const char* algorithm) {
     QueryContextPtr query = engine.BeginQuery();
-    std::vector<Row> got =
-        batched ? join.ExecuteBatches(*query).ToRowDataset(*query).Collect()
-                : join.Execute(*query).Collect();
+    EXPECT_EQ(join.ReadsBatches(config), batched) << algorithm;
+    std::vector<Row> got = join.Execute(*query).Collect();
     EXPECT_EQ(Canonical(got),
               Canonical(Expected(left, right, width, type, with_residual)))
         << algorithm << " " << JoinTypeName(type);
@@ -382,7 +400,10 @@ TEST_P(JoinKeySweepTest, EveryAlgorithmMatchesBruteForce) {
     BroadcastHashJoinExec broadcast(ScanOf(la, left), ScanOf(ra, right), lk,
                                     rk, type, residual);
     check(broadcast, type, false, unlimited, "broadcast");
-    check(broadcast, type, true, unlimited, "broadcast batched");
+    // The stream side through the columnar cache: the probe reads batches.
+    BroadcastHashJoinExec batched(CachedScanOf(la, left), ScanOf(ra, right),
+                                  lk, rk, type, residual);
+    check(batched, type, true, unlimited, "broadcast batched");
   }
   for (JoinType type :
        {JoinType::kInner, JoinType::kLeftOuter, JoinType::kRightOuter,
@@ -423,6 +444,27 @@ TEST(JoinExecTest, MismatchedKeyTypesAreRejected) {
   ShuffleHashJoinExec join(ScanOf(la, left), ScanOf(ra, right), {la[0]},
                            {ra[0]}, JoinType::kInner, nullptr);
   EXPECT_THROW(join.Execute(*query), ExecutionError);
+}
+
+TEST(JoinExecTest, OnlyColumnarScansAndTheirFiltersProduceBatches) {
+  // Nothing packs rows into batches: asking a row operator for batches is
+  // an error, and a cached scan produces them only with vectorization on.
+  EngineConfig config = TestConfig();
+  ExecContext engine(config);
+  QueryContextPtr query = engine.BeginQuery();
+  AttributeVector la = KeyedAttrs("lk", "lv");
+  AttributeVector ra = KeyedAttrs("rk", "rv");
+  std::vector<Row> rows = {Row({Value(int32_t{1}), Value(int32_t{10})})};
+  BroadcastHashJoinExec join(CachedScanOf(la, rows), ScanOf(ra, rows), {la[0]},
+                             {ra[0]}, JoinType::kInner, nullptr);
+  EXPECT_TRUE(join.ReadsBatches(config));
+  EXPECT_FALSE(join.ProducesBatches(config));
+  EXPECT_THROW(join.ExecuteBatches(*query), ExecutionError);
+  EXPECT_THROW(join.Children()[1]->ExecuteBatches(*query), ExecutionError);
+  EXPECT_EQ(join.Children()[0]->ExecuteBatches(*query).TotalRows(), 1u);
+  config.vectorized_enabled = false;
+  EXPECT_FALSE(join.Children()[0]->ProducesBatches(config));
+  EXPECT_FALSE(join.ReadsBatches(config));
 }
 
 // ---------------------------------------------------------------------------

@@ -59,22 +59,28 @@ TEST(ThreadPoolTest, NestedRunAllDoesNotDeadlock) {
   EXPECT_EQ(counter.load(), 16);
 }
 
-// ---- FaultInjector / CancellationToken units -------------------------------
+// ---- Task fault rules / CancellationToken units ----------------------------
 
-TEST(FaultInjectorTest, ParseAndMatch) {
-  FaultInjector inj = FaultInjector::Parse("scan:3:0-1, *:1:2");
-  EXPECT_TRUE(inj.enabled());
-  EXPECT_THROW(inj.MaybeFail("scan", 3, 0), RetryableError);
-  EXPECT_THROW(inj.MaybeFail("scan", 3, 1), RetryableError);
-  EXPECT_NO_THROW(inj.MaybeFail("scan", 3, 2));   // past the attempt range
-  EXPECT_NO_THROW(inj.MaybeFail("sort", 3, 0));   // different stage
-  EXPECT_THROW(inj.MaybeFail("sort", 1, 2), RetryableError);  // wildcard
-  EXPECT_NO_THROW(inj.MaybeFail("sort", 1, 0));
+TEST(FaultPointSetTest, TaskRulesParseAndMatch) {
+  FaultPointSet set = FaultPointSet::Parse("scan:3:0-1, *:1:2");
+  EXPECT_TRUE(set.enabled());
+  EXPECT_THROW(set.MaybeFailTask("scan", 3, 0), RetryableError);
+  EXPECT_THROW(set.MaybeFailTask("scan", 3, 1), RetryableError);
+  EXPECT_NO_THROW(set.MaybeFailTask("scan", 3, 2));  // past the attempt range
+  EXPECT_NO_THROW(set.MaybeFailTask("sort", 3, 0));  // different stage
+  EXPECT_THROW(set.MaybeFailTask("sort", 1, 2), RetryableError);  // wildcard
+  EXPECT_NO_THROW(set.MaybeFailTask("sort", 1, 0));
+  // Fired task rules count like every other rule.
+  EXPECT_EQ(set.fired(), 3u);
+  // Task rules never fire at I/O sites, nor site rules at tasks.
+  EXPECT_NO_THROW(set.MaybeFail("scan", "x"));
+  EXPECT_NO_THROW(
+      FaultPointSet::Parse("scan=*").MaybeFailTask("scan", 0, 0));
 
-  EXPECT_FALSE(FaultInjector::Parse("").enabled());
-  EXPECT_THROW(FaultInjector::Parse("scan:3"), ExecutionError);
-  EXPECT_THROW(FaultInjector::Parse("scan:x:0"), ExecutionError);
-  EXPECT_THROW(FaultInjector::Parse("scan:3:2-1"), ExecutionError);
+  EXPECT_FALSE(FaultPointSet::Parse("").enabled());
+  EXPECT_THROW(FaultPointSet::Parse("scan:3"), ExecutionError);
+  EXPECT_THROW(FaultPointSet::Parse("scan:x:0"), ExecutionError);
+  EXPECT_THROW(FaultPointSet::Parse("scan:3:2-1"), ExecutionError);
 }
 
 TEST(CancellationTokenTest, CancelAndTimeout) {

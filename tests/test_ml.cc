@@ -82,7 +82,8 @@ TEST(VectorUdtTest, StoredColumnarAndCompressed) {
       CachedTable::Build(schema, RowDataset::FromRows(rows, 2)), "udt");
   ExecContext engine{EngineConfig()};
   QueryContextPtr query = engine.BeginQuery();
-  auto out = cache.ScanPartitions(*query, {0}, {}).Collect();
+  auto out =
+      cache.ScanBatches(*query, {0}, {}, 1024).ToRowDataset(*query).Collect();
   ASSERT_EQ(out.size(), 10u);
   MlVector v = VectorUDT::FromStruct(out[3].Get(0));
   EXPECT_DOUBLE_EQ(v.Get(1), 6.0);

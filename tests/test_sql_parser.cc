@@ -114,6 +114,22 @@ TEST(ExprParseTest, CastSyntax) {
   EXPECT_EQ(dec->Eval(Row{}).decimal().ToString(), "1.50");
 }
 
+TEST(ExprParseTest, CastRejectsOutOfRangeDecimalTypes) {
+  // decimal(38,30) once parsed and evaluated 2.5 to a garbage negative
+  // zero: 10^30 overflows the int64 unscaled value.
+  for (const char* type : {"decimal(38,30)", "decimal(39,2)", "decimal(0,0)",
+                           "decimal(5,6)", "decimal(10,-1)", "decimal(7.5)"}) {
+    EXPECT_THROW(ParseSqlExpression(std::string("CAST(2.5 AS ") + type + ")"),
+                 ParseError)
+        << type;
+  }
+  EXPECT_EQ(ParseSqlExpression("CAST(2.5 AS decimal(38,18))")
+                ->Eval(Row{})
+                .decimal()
+                .ToString(),
+            "2.500000000000000000");
+}
+
 TEST(ExprParseTest, FunctionsAndDistinct) {
   ExprPtr fn = ParseSqlExpression("foo(1, 'x')");
   const auto* uf = As<UnresolvedFunction>(fn);

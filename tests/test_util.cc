@@ -151,8 +151,9 @@ TEST(FaultPointTest, ParseRejectsMalformedSpecsQuotingTheEntry) {
   expect_bad("spill.write=*:fancy", "fancy");
   expect_bad("spill.write=*:io:extra", "extra");
   expect_bad("seed=-3", "seed=-3");
-  // Legacy task rules and empty entries are not site rules: ignored here.
-  EXPECT_FALSE(FaultPointSet::Parse("stage:0:1, ,").enabled());
+  // Empty entries are skipped; a task rule is a rule too.
+  EXPECT_FALSE(FaultPointSet::Parse(" , ,").enabled());
+  EXPECT_TRUE(FaultPointSet::Parse("stage:0:1, ,").enabled());
   EXPECT_TRUE(FaultPointSet::Parse("stage:0:1,spill.write=*").enabled());
 }
 

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <functional>
 #include <random>
 
 #include "api/sql_context.h"
+#include "datasources/colf_format.h"
 #include "engine/exec_context.h"
 
 namespace ssql {
@@ -124,6 +129,42 @@ TEST(VectorizedPlanTest, DisablingVectorizationClearsStamps) {
   EXPECT_EQ(plan.find("[batched]"), std::string::npos) << plan;
 }
 
+TEST(VectorizedPlanTest, ColfScansProduceBatchesCountStarIncluded) {
+  // colf is a BatchedScan source like the cache. A COUNT(*) scan needs no
+  // column, and it reads column-less batches too.
+  const std::string path = ::testing::TempDir() + "/vec-" +
+                           std::to_string(::getpid()) + ".colf";
+  auto schema = StructType::Make({Field("k", DataType::Int32(), true),
+                                  Field("v", DataType::Int64(), true)});
+  std::vector<Row> rows;
+  for (int i = 0; i < 300; ++i) {
+    rows.push_back(Row({i % 7 == 0 ? Value::Null() : Value(int32_t(i % 10)),
+                        Value(int64_t(i))}));
+  }
+  WriteColfFile(path, schema, rows, /*row_group_size=*/64);
+  for (const char* sql : {"SELECT k, sum(v) FROM c WHERE k > 2 GROUP BY k",
+                          "SELECT count(*) FROM c"}) {
+    SqlContext batched(BaseConfig(true, 16));
+    SqlContext row_path(BaseConfig(false));
+    batched.ReadColf(path).RegisterTempTable("c");
+    row_path.ReadColf(path).RegisterTempTable("c");
+    const std::string plan = batched.Sql(sql).Explain(true);
+    for (const char* op : {"Scan colf:", "HashAggregate(Partial)"}) {
+      const size_t pos = plan.find(op);
+      ASSERT_NE(pos, std::string::npos) << plan;
+      EXPECT_NE(plan.substr(pos, plan.find('\n', pos) - pos).find("[batched]"),
+                std::string::npos)
+          << op << " not stamped [batched] in:\n" << plan;
+    }
+    EXPECT_EQ(row_path.Sql(sql).Explain(true).find("[batched]"),
+              std::string::npos);
+    EXPECT_EQ(Canonical(batched.Sql(sql).Collect()),
+              Canonical(row_path.Sql(sql).Collect()))
+        << sql;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(VectorizedExecTest, FastPathGlobalAggregate) {
   // sum/count/avg/min/max over numeric lanes, no grouping: the batched
   // partial fast path (typed accumulators fed by lane loops).
@@ -184,6 +225,54 @@ TEST(VectorizedExecTest, BatchedJoinProbe) {
     auto b = Canonical(row_path.Sql(sql).Collect());
     EXPECT_EQ(a, b) << sql;
   }
+}
+
+/// Runs `sql` with profiling and checks the row/batch boundary from the
+/// stage spans: no stage packs rows into batches, and the operator named
+/// `consumer` ran and read batches without having its own output unpacked
+/// (a batch.unpack stage's nearest operator is the producer it unpacks).
+void ExpectConsumerReadsBatchesInPlace(SqlContext& ctx, const std::string& sql,
+                                       const std::string& consumer) {
+  ctx.Sql(sql).Collect();
+  const QueryProfile& profile = ctx.last_profile();
+  bool consumer_ran = false;
+  std::function<void(const ProfileSpan*)> walk = [&](const ProfileSpan* s) {
+    if (s->kind == SpanKind::kOperator && s->name == consumer) {
+      consumer_ran = true;
+    }
+    if (s->kind == SpanKind::kStage) {
+      EXPECT_NE(s->name, "batch.pack") << sql;
+      if (s->name == "batch.unpack") {
+        const ProfileSpan* op = s->parent;
+        while (op != nullptr && op->kind != SpanKind::kOperator) {
+          op = op->parent;
+        }
+        ASSERT_NE(op, nullptr) << sql;
+        EXPECT_NE(op->name, "HashAggregate(Partial)") << sql;
+        EXPECT_NE(op->name, "BroadcastHashJoin") << sql;
+      }
+    }
+    for (const ProfileSpan* child : s->children) walk(child);
+  };
+  walk(profile.root());
+  EXPECT_TRUE(consumer_ran) << consumer << " did not run for " << sql;
+}
+
+TEST(BatchBoundaryTest, ConsumersOfCachedScansReturnRowsWithoutRepacking) {
+  SqlContext ctx(BaseConfig(true, 64));
+  SetupCachedTable(ctx, "t", 400);
+  auto dim_schema = StructType::Make({Field("id", DataType::Int32(), false)});
+  std::vector<Row> dim_rows;
+  for (int i = 0; i < 6; ++i) dim_rows.push_back(Row({Value(int32_t(i))}));
+  ctx.CreateDataFrame(dim_schema, dim_rows).RegisterTempTable("dim");
+
+  ExpectConsumerReadsBatchesInPlace(
+      ctx, "SELECT k, sum(v), count(*) FROM t WHERE d > 10.0 GROUP BY k",
+      "HashAggregate(Partial)");
+  const std::string join = "SELECT t.k, t.v FROM t JOIN dim ON t.k = dim.id";
+  ASSERT_NE(ctx.Sql(join).Explain(true).find("BroadcastHashJoin"),
+            std::string::npos);
+  ExpectConsumerReadsBatchesInPlace(ctx, join, "BroadcastHashJoin");
 }
 
 TEST(VectorizedExecTest, BatchSizeOneDegeneratesCorrectly) {
