@@ -34,9 +34,17 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 ./build-sanitize/tests/test_columnar
 ./build-sanitize/tests/test_property_end_to_end
 # The data source suite under ASan: the chunk reader indexes dictionary
-# codes, runs and string views into encoded payloads read from disk, and
-# the colf byte-mutation smoke test feeds it corrupt files.
+# codes, runs and string views into encoded payloads read from disk, the
+# colf byte-mutation smoke test feeds it corrupt files, and the CSV scan
+# splits records into views over its range buffers.
 ./build-sanitize/tests/test_datasources
+# The CSV mutation fuzz test again under ASan with three more seeds: the
+# tokenizer and the typed parse walk byte buffers the mutations reshape.
+# SSQL_FUZZ_SEED=<n> replays a failing seed.
+for seed in 1 2 3; do
+  echo "CSV fuzz seed ${seed} (ASan)"
+  SSQL_FUZZ_SEED="${seed}" ./build-sanitize/tests/test_datasources --gtest_filter='CsvFuzz*'
+done
 # The aggregation sweep under ASan: the group table's open-addressing
 # index, arena-backed string keys and spill drain are raw-memory surface.
 ./build-sanitize/tests/test_aggregate
@@ -76,9 +84,9 @@ cmake --build build-tsan -j --target test_concurrency --target test_system_table
 # parallel scan tasks that share one chunk reader and the immutable
 # encoded columns.
 ./build-tsan/tests/test_columnar
-# Data source suite under TSan: every scan of the cache and of colf, row
-# mode included, runs as parallel ScanBatches tasks sharing one chunk
-# reader.
+# Data source suite under TSan: every scan of the cache, of colf and of
+# CSV, row mode included, runs as parallel ScanBatches tasks sharing one
+# chunk reader.
 ./build-tsan/tests/test_datasources
 # Flight recorder under TSan: emitters on every engine thread race
 # snapshot readers, the ticker thread's sampler, and a mid-flight

@@ -1,9 +1,6 @@
 #include "catalyst/expr/cast.h"
 
-#include <cstdio>
-
 #include "types/schema.h"
-#include "util/string_util.h"
 
 namespace ssql {
 
@@ -22,53 +19,58 @@ bool Cast::CanCast(const DataType& from, const DataType& to) {
   return false;
 }
 
+namespace {
+
+/// Boxes the lane value ParseTextAs produced for `to`.
+Value BoxLane(const DataType& to, int64_t i, double d) {
+  switch (to.id()) {
+    case TypeId::kBoolean:
+      return Value(i != 0);
+    case TypeId::kInt32:
+      return Value(static_cast<int32_t>(i));
+    case TypeId::kDouble:
+      return Value(d);
+    case TypeId::kDecimal: {
+      const auto& dt = static_cast<const DecimalType&>(to);
+      return Value(Decimal(i, dt.precision(), dt.scale()));
+    }
+    case TypeId::kDate:
+      return Value(DateValue{static_cast<int32_t>(i)});
+    case TypeId::kTimestamp:
+      return Value(TimestampValue{i});
+    default:
+      return Value(i);
+  }
+}
+
+}  // namespace
+
 Value Cast::Convert(const Value& value, const DataType& to) {
   if (value.is_null()) return Value::Null();
   TypeId from = value.type_id();
+  if (from == TypeId::kString && to.id() != TypeId::kString && to.IsAtomic()) {
+    int64_t i = 0;
+    double d = 0;
+    if (!ParseTextAs(value.str(), to, &i, &d)) return Value::Null();
+    return BoxLane(to, i, d);
+  }
   switch (to.id()) {
     case TypeId::kBoolean:
       if (from == TypeId::kBoolean) return value;
-      if (from == TypeId::kString) {
-        if (EqualsIgnoreCase(value.str(), "true")) return Value(true);
-        if (EqualsIgnoreCase(value.str(), "false")) return Value(false);
-        return Value::Null();
-      }
       return Value(value.AsInt64() != 0);
     case TypeId::kInt32:
       if (from == TypeId::kInt32) return value;
-      if (from == TypeId::kString) {
-        int64_t v;
-        if (!ParseInt64(std::string(Trim(value.str())), &v)) return Value::Null();
-        return Value(static_cast<int32_t>(v));
-      }
       return Value(static_cast<int32_t>(value.AsInt64()));
     case TypeId::kInt64:
       if (from == TypeId::kInt64) return value;
-      if (from == TypeId::kString) {
-        int64_t v;
-        if (!ParseInt64(std::string(Trim(value.str())), &v)) return Value::Null();
-        return Value(v);
-      }
       return Value(value.AsInt64());
     case TypeId::kDouble:
       if (from == TypeId::kDouble) return value;
-      if (from == TypeId::kString) {
-        double v;
-        if (!ParseDouble(std::string(Trim(value.str())), &v)) return Value::Null();
-        return Value(v);
-      }
       return Value(value.AsDouble());
     case TypeId::kDecimal: {
       const auto& dt = static_cast<const DecimalType&>(to);
       if (from == TypeId::kDecimal) {
         return Value(value.decimal().Rescale(dt.precision(), dt.scale()));
-      }
-      if (from == TypeId::kString) {
-        Decimal d;
-        if (!Decimal::Parse(std::string(Trim(value.str())), &d)) {
-          return Value::Null();
-        }
-        return Value(d.Rescale(dt.precision(), dt.scale()));
       }
       return Value(Decimal::FromDouble(value.AsDouble(), dt.precision(),
                                        dt.scale()));
@@ -78,11 +80,6 @@ Value Cast::Convert(const Value& value, const DataType& to) {
       return Value(value.ToString());
     case TypeId::kDate: {
       if (from == TypeId::kDate) return value;
-      if (from == TypeId::kString) {
-        DateValue d;
-        if (!ParseDate(std::string(Trim(value.str())), &d)) return Value::Null();
-        return Value(d);
-      }
       if (from == TypeId::kTimestamp) {
         int64_t micros = value.timestamp().micros;
         int64_t days = micros / (86400LL * 1000000LL);
@@ -97,22 +94,6 @@ Value Cast::Convert(const Value& value, const DataType& to) {
         return Value(
             TimestampValue{static_cast<int64_t>(value.date().days) * 86400LL *
                            1000000LL});
-      }
-      if (from == TypeId::kString) {
-        // Accept "YYYY-MM-DD[ HH:MM:SS]".
-        std::string s(Trim(value.str()));
-        DateValue d;
-        std::string date_part = s.substr(0, s.find(' '));
-        if (!ParseDate(date_part, &d)) return Value::Null();
-        int64_t micros = static_cast<int64_t>(d.days) * 86400LL * 1000000LL;
-        size_t space = s.find(' ');
-        if (space != std::string::npos) {
-          int h = 0, m = 0, sec = 0;
-          if (std::sscanf(s.c_str() + space + 1, "%d:%d:%d", &h, &m, &sec) >= 2) {
-            micros += ((h * 3600LL) + (m * 60LL) + sec) * 1000000LL;
-          }
-        }
-        return Value(TimestampValue{micros});
       }
       return Value::Null();
     }

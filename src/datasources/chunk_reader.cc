@@ -277,10 +277,17 @@ bool ChunkReader::Read(const std::vector<EncodedColumn>& chunk,
     if (!parsed[c]) parsed[c] = ReadChunkValues(chunk[c]);
     return *parsed[c];
   };
+  ReadValues(num_rows, values_of, batch_size, out);
+  return true;
+}
+
+void ChunkReader::ReadValues(
+    uint32_t num_rows, const std::function<const ChunkValues&(int)>& values_of,
+    size_t batch_size, std::vector<RowBatchPtr>* out) const {
   std::vector<uint32_t> sel(num_rows);
   std::iota(sel.begin(), sel.end(), 0u);
   for (const auto& [c, filter] : filters_) {
-    if (sel.empty()) return true;
+    if (sel.empty()) return;
     filter.Refine(values_of(c), &sel);
   }
   if (batch_size == 0) batch_size = 1;
@@ -293,13 +300,13 @@ bool ChunkReader::Read(const std::vector<EncodedColumn>& chunk,
     std::vector<std::shared_ptr<ColumnVector>> cols;
     cols.reserve(columns_.size());
     for (const int c : columns_) {
-      auto col = std::make_shared<ColumnVector>(chunk[c].type);
-      GatherRows(values_of(c), sel.data() + start, n, col.get());
+      const ChunkValues& values = values_of(c);
+      auto col = std::make_shared<ColumnVector>(values.column->type);
+      GatherRows(values, sel.data() + start, n, col.get());
       cols.push_back(std::move(col));
     }
     out->push_back(std::make_shared<const RowBatch>(std::move(cols)));
   }
-  return true;
 }
 
 BatchDataset CachedTableSource::ScanBatches(

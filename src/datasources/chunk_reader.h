@@ -1,6 +1,7 @@
 #ifndef SSQL_DATASOURCES_CHUNK_READER_H_
 #define SSQL_DATASOURCES_CHUNK_READER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -55,7 +56,8 @@ class ChunkFilter {
 };
 
 /// Reads encoded column chunks for a scan with pushed filters: the
-/// columnar cache's chunks and colf's row groups. A read checks the zone
+/// columnar cache's chunks and colf's row groups (and, through ReadValues,
+/// the CSV reader's parsed lanes). A read checks the zone
 /// maps, refines a selection vector with each filter's kernel, stops once
 /// the selection is empty, and only then decodes the projected columns, at
 /// the surviving rows alone, into dense batches. No Value is built.
@@ -74,6 +76,14 @@ class ChunkReader {
   /// or its payload is corrupt.
   bool Read(const std::vector<EncodedColumn>& chunk, uint32_t num_rows,
             size_t batch_size, std::vector<RowBatchPtr>* out) const;
+
+  /// The filter-and-gather half of Read, for a source that parses its own
+  /// values (the CSV reader's typed lanes): `values_of(field)` returns the
+  /// slots of a field's `num_rows` rows, and is called only for filtered
+  /// and projected fields.
+  void ReadValues(uint32_t num_rows,
+                  const std::function<const ChunkValues&(int)>& values_of,
+                  size_t batch_size, std::vector<RowBatchPtr>* out) const;
 
  private:
   std::vector<int> columns_;

@@ -15,7 +15,7 @@ int64_t Pow10(int n) {
 
 }  // namespace
 
-bool Decimal::Parse(const std::string& text, Decimal* out) {
+bool Decimal::Parse(std::string_view text, Decimal* out) {
   if (text.empty()) return false;
   size_t i = 0;
   bool negative = false;

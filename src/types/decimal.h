@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace ssql {
 
@@ -21,7 +22,7 @@ class Decimal {
 
   /// Parses "123.45" into a decimal with inferred precision/scale.
   /// Returns false on malformed input or overflow.
-  static bool Parse(const std::string& text, Decimal* out);
+  static bool Parse(std::string_view text, Decimal* out);
 
   /// Builds a decimal from a double by rounding at `scale` digits.
   static Decimal FromDouble(double value, int precision, int scale);

@@ -1,6 +1,7 @@
 #include "types/value.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "util/string_util.h"
@@ -336,15 +337,11 @@ bool IsLeapYear(int y) { return (y % 4 == 0 && y % 100 != 0) || y % 400 == 0; }
 
 const int kDaysInMonth[] = {31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
 
-}  // namespace
-
-bool ParseDate(const std::string& text, DateValue* out) {
-  int y, m, d;
-  if (std::sscanf(text.c_str(), "%d-%d-%d", &y, &m, &d) != 3) return false;
+/// Days from 1970-01-01 of a valid civil date (Howard Hinnant's algorithm).
+bool CivilDays(int y, int m, int d, DateValue* out) {
   if (m < 1 || m > 12 || d < 1) return false;
   int dim = kDaysInMonth[m - 1] + ((m == 2 && IsLeapYear(y)) ? 1 : 0);
   if (d > dim) return false;
-  // Days from 1970-01-01 (civil-days algorithm, Howard Hinnant style).
   int yy = y - (m <= 2 ? 1 : 0);
   int era = (yy >= 0 ? yy : yy - 399) / 400;
   int yoe = yy - era * 400;
@@ -352,6 +349,104 @@ bool ParseDate(const std::string& text, DateValue* out) {
   int doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
   out->days = era * 146097 + doe - 719468;
   return true;
+}
+
+/// The value of the `n` ASCII digits at `p`, or -1 if one is not a digit.
+int Digits(const char* p, int n) {
+  int v = 0;
+  for (int k = 0; k < n; ++k) {
+    if (p[k] < '0' || p[k] > '9') return -1;
+    v = v * 10 + (p[k] - '0');
+  }
+  return v;
+}
+
+constexpr int64_t kMicrosPerDay = 86400LL * 1000000LL;
+
+/// "YYYY-MM-DD[ HH:MM[:SS]]": the date part must be a whole date; a time
+/// part that does not scan as at least HH:MM is ignored (midnight).
+bool ParseTimestampText(std::string_view s, int64_t* micros) {
+  const size_t space = s.find(' ');
+  DateValue d;
+  if (!ParseDate(s.substr(0, space), &d)) return false;
+  *micros = static_cast<int64_t>(d.days) * kMicrosPerDay;
+  if (space == std::string_view::npos) return true;
+  const std::string_view time = s.substr(space + 1);
+  int h = -1, m = -1, sec = -1;
+  if (time.size() == 8 && time[2] == ':' && time[5] == ':') {
+    h = Digits(time.data(), 2);
+    m = Digits(time.data() + 3, 2);
+    sec = Digits(time.data() + 6, 2);
+  }
+  if (h < 0 || m < 0 || sec < 0) {
+    h = m = sec = 0;
+    const std::string buf(time);
+    if (std::sscanf(buf.c_str(), "%d:%d:%d", &h, &m, &sec) < 2) return true;
+  }
+  *micros += ((h * 3600LL) + (m * 60LL) + sec) * 1000000LL;
+  return true;
+}
+
+}  // namespace
+
+bool ParseDate(std::string_view text, DateValue* out) {
+  if (text.size() == 10 && text[4] == '-' && text[7] == '-') {
+    const int y = Digits(text.data(), 4);
+    const int m = Digits(text.data() + 5, 2);
+    const int d = Digits(text.data() + 8, 2);
+    if (y >= 0 && m >= 0 && d >= 0) return CivilDays(y, m, d, out);
+  }
+  // Other spellings ("2020-1-5", signed years) go through sscanf; %n makes
+  // it consume the whole text.
+  const std::string buf(text);
+  int y, m, d;
+  int consumed = -1;
+  if (std::sscanf(buf.c_str(), "%d-%d-%d%n", &y, &m, &d, &consumed) != 3 ||
+      consumed != static_cast<int>(buf.size())) {
+    return false;
+  }
+  return CivilDays(y, m, d, out);
+}
+
+bool ParseTextAs(std::string_view text, const DataType& type, int64_t* i,
+                 double* d) {
+  if (type.id() == TypeId::kBoolean) {
+    if (EqualsIgnoreCase(text, "true")) {
+      *i = 1;
+      return true;
+    }
+    if (EqualsIgnoreCase(text, "false")) {
+      *i = 0;
+      return true;
+    }
+    return false;
+  }
+  const std::string_view t = Trim(text);
+  switch (type.id()) {
+    case TypeId::kInt32:
+      return ParseInt64(t, i) && *i >= INT32_MIN && *i <= INT32_MAX;
+    case TypeId::kInt64:
+      return ParseInt64(t, i);
+    case TypeId::kDouble:
+      return ParseDouble(t, d);
+    case TypeId::kDecimal: {
+      Decimal dec;
+      if (!Decimal::Parse(t, &dec)) return false;
+      const auto& dt = static_cast<const DecimalType&>(type);
+      *i = dec.Rescale(dt.precision(), dt.scale()).unscaled();
+      return true;
+    }
+    case TypeId::kDate: {
+      DateValue date;
+      if (!ParseDate(t, &date)) return false;
+      *i = date.days;
+      return true;
+    }
+    case TypeId::kTimestamp:
+      return ParseTimestampText(t, i);
+    default:
+      return false;
+  }
 }
 
 std::string FormatDate(DateValue dv) {

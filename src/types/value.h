@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -129,8 +130,24 @@ class Value {
 /// sorting with it leaves rows unsorted.
 int CompareNanLast(const Value& a, const Value& b);
 
-/// Parses "YYYY-MM-DD" into days-since-epoch. Returns false on bad input.
-bool ParseDate(const std::string& text, DateValue* out);
+/// Parses "YYYY-MM-DD" into days-since-epoch. The whole text must be the
+/// date: trailing text (a time of day, say) fails. Returns false on bad
+/// input.
+bool ParseDate(std::string_view text, DateValue* out);
+
+/// Parses `text` as a value of the atomic, non-string type `type` by the
+/// rules of CAST(string AS type): the one text-to-value primitive that
+/// CAST and the CSV reader share, so the two cannot diverge. The text is
+/// trimmed first, except for booleans ("true"/"false", any case). Ints,
+/// doubles and dates take a from_chars-style fast path and fall back to
+/// strtoll/strtod/sscanf; a timestamp is "YYYY-MM-DD[ HH:MM[:SS]]". The
+/// result lands in the lane the type's column bank uses: `*d` for double,
+/// `*i` for the rest (a boolean as 0/1, a date as days, a timestamp as
+/// micros, a decimal as its unscaled value rescaled to the type's scale).
+/// Returns false where the cast yields null: text that does not parse in
+/// full, and an int outside the int32 range.
+bool ParseTextAs(std::string_view text, const DataType& type, int64_t* i,
+                 double* d);
 
 /// Formats days-since-epoch as "YYYY-MM-DD".
 std::string FormatDate(DateValue d);

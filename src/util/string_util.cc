@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace ssql {
@@ -126,6 +128,14 @@ uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
 
 bool ParseInt64(std::string_view s, int64_t* out) {
   if (s.empty()) return false;
+  // from_chars accepts a subset of strtoll's syntax (no leading space, no
+  // '+') with the same result; anything else takes the strtoll path.
+  int64_t fast = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), fast);
+  if (ec == std::errc() && ptr == s.data() + s.size()) {
+    *out = fast;
+    return true;
+  }
   std::string buf(s);
   errno = 0;
   char* end = nullptr;
@@ -137,6 +147,18 @@ bool ParseInt64(std::string_view s, int64_t* out) {
 
 bool ParseDouble(std::string_view s, double* out) {
   if (s.empty()) return false;
+  // Both parsers round correctly, so a normal from_chars result, or a zero
+  // spelled without a nonzero digit, is what strtod returns. Subnormals,
+  // infinities, NaN and strtod-only syntax ('+', hex, leading space) take
+  // the strtod path, which also owns the ERANGE verdict.
+  double fast = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), fast);
+  if (ec == std::errc() && ptr == s.data() + s.size() &&
+      (std::isnormal(fast) ||
+       (fast == 0 && s.find_first_of("123456789") == s.npos))) {
+    *out = fast;
+    return true;
+  }
   std::string buf(s);
   errno = 0;
   char* end = nullptr;

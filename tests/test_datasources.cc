@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <climits>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +16,7 @@
 
 #include "api/sql_context.h"
 #include "columnar/column_vector.h"
+#include "catalyst/expr/cast.h"
 #include "catalyst/expr/literal.h"
 #include "catalyst/expr/predicates.h"
 #include "catalyst/expr/string_ops.h"
@@ -20,6 +24,7 @@
 #include "datasources/csv_source.h"
 #include "datasources/data_source.h"
 #include "datasources/kvdb.h"
+#include "util/string_util.h"
 
 namespace ssql {
 namespace {
@@ -464,6 +469,498 @@ TEST(CsvIoFailureTest, TruncatedLastRecordFollowsParseMode) {
   std::filesystem::remove(path);
 }
 
+// ---------------------------------------------------------------------------
+// CSV typed scans: the range splitter, CRLF, int32 range, date/timestamp
+// text, and a differential run against the per-line reader the engine
+// used before typed scans.
+// ---------------------------------------------------------------------------
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+std::vector<std::string> RowStrings(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const Row& r : rows) out.push_back(r.ToString());
+  return out;
+}
+
+/// Every row of a CSV relation read as the given byte ranges.
+std::vector<std::string> ScanRangeRows(ExecContext& engine,
+                                       const CsvRelation& rel,
+                                       const std::vector<CsvRange>& ranges,
+                                       size_t batch_size = 1024) {
+  QueryContextPtr query = engine.BeginQuery();
+  std::vector<int> columns(rel.schema()->num_fields());
+  std::iota(columns.begin(), columns.end(), 0);
+  const BatchDataset batches =
+      rel.ScanRanges(*query, ranges, columns, {}, batch_size);
+  return RowStrings(batches.ToRowDataset(*query).Collect());
+}
+
+TEST(CsvRangeTest, SplitterTilesTheFileOneRangePerQuarterMebibyte) {
+  EXPECT_EQ(SplitCsvRanges(0, 4).size(), 1u);
+  EXPECT_EQ(SplitCsvRanges(100, 4).size(), 1u);  // small files stay whole
+  EXPECT_EQ(SplitCsvRanges(600 * 1024, 4).size(), 2u);
+  EXPECT_EQ(SplitCsvRanges(100 << 20, 4).size(), 4u);  // capped
+  EXPECT_EQ(SplitCsvRanges(100 << 20, 0).size(), 1u);
+  for (const uint64_t size : {uint64_t{0}, uint64_t{1} << 20,
+                              (uint64_t{5} << 20) + 3}) {
+    const auto ranges = SplitCsvRanges(size, 8);
+    uint64_t at = 0;
+    for (const CsvRange& r : ranges) {
+      EXPECT_EQ(r.begin, at);
+      EXPECT_LE(r.begin, r.end);
+      at = r.end;
+    }
+    EXPECT_EQ(at, size);
+  }
+}
+
+TEST(CsvRangeTest, EveryBoundaryReadsEachLineOnceAndTheHeaderOnce) {
+  // Leading blank lines, CRLF, a blank CRLF line, a long line and no final
+  // newline: a boundary at every byte (and every pair of bytes) must give
+  // the rows of a one-range scan.
+  const std::string path =
+      ::testing::TempDir() + "/ranges-" + std::to_string(::getpid()) + ".csv";
+  const std::string text =
+      "\n\na,b\r\n1,x\n\r\n22,yy\r\n333,a long string cell\n\n4,z";
+  WriteText(path, text);
+  auto rel = CsvRelation::Open({{"path", path}, {"schema", "a int, b string"}});
+  const uint64_t size = text.size();
+  ExecContext engine;
+  const std::vector<std::string> want =
+      ScanRangeRows(engine, *rel, {{0, size}});
+  ASSERT_EQ(want.size(), 4u);
+  EXPECT_EQ(want[0], "[1, x]");
+  EXPECT_EQ(want[3], "[4, z]");
+  for (uint64_t b = 0; b <= size; ++b) {
+    EXPECT_EQ(ScanRangeRows(engine, *rel, {{0, b}, {b, size}}), want)
+        << "b=" << b;
+    for (uint64_t c = b; c <= size; c += 3) {
+      EXPECT_EQ(ScanRangeRows(engine, *rel, {{0, b}, {b, c}, {c, size}}, 1),
+                want)
+          << "b=" << b << " c=" << c;
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(CsvRangeTest, LargeFileScansAsSeveralRangeTasks) {
+  // Over 512 KiB: two ranges under the default parallelism, one task each.
+  const std::string path =
+      ::testing::TempDir() + "/large-" + std::to_string(::getpid()) + ".csv";
+  {
+    std::ofstream out(path);
+    out << "k,v\n";
+    for (int i = 0; i < 70000; ++i) out << i << "," << (i % 97) << "\n";
+  }
+  ASSERT_GT(std::filesystem::file_size(path), 512u * 1024);
+  {
+    ExecContext engine;
+    QueryContextPtr query = engine.BeginQuery();
+    auto rel = CsvRelation::Open({{"path", path}, {"schema", "k int, v int"}});
+    EXPECT_EQ(rel->ScanBatches(*query, {0}, {}, 1024).num_partitions(), 2u);
+  }
+  SqlContext ctx;
+  ctx.ReadCsv(path, {{"schema", "k int, v int"}}).RegisterTempTable("big");
+  auto rows = ctx.Sql("SELECT count(*), sum(k), min(k), max(k) FROM big")
+                  .Collect();
+  EXPECT_EQ(rows[0].GetInt64(0), 70000);
+  EXPECT_EQ(rows[0].Get(1).AsInt64(), int64_t{70000} * 69999 / 2);
+  EXPECT_EQ(rows[0].Get(2).AsInt64(), 0);
+  EXPECT_EQ(rows[0].Get(3).AsInt64(), 69999);
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRowsScanned), 70000);
+  // Pushed into the scan: rows_returned counts the survivors only.
+  EXPECT_EQ(ctx.Sql("SELECT k FROM big WHERE v = 3").Collect().size(), 722u);
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRowsScanned), 70000);
+  EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRowsReturned), 722);
+  std::filesystem::remove(path);
+}
+
+TEST(CsvTypedScanTest, CrlfRecordsLoseTheirCarriageReturn) {
+  const std::string path =
+      ::testing::TempDir() + "/crlf-" + std::to_string(::getpid()) + ".csv";
+  WriteText(path, "a,b\r\n1,abc\r\n2,\r\nbad,row\r\n");
+  SqlContext ctx;
+  auto rows =
+      ctx.ReadCsv(path, {{"schema", "a int, b string"}, {"mode", "PERMISSIVE"}})
+          .Collect();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].GetString(1), "abc");  // 3 bytes, no '\r'
+  EXPECT_TRUE(rows[1].IsNullAt(1));        // an empty last cell stays null
+  EXPECT_TRUE(rows[2].IsNullAt(0));
+  EXPECT_EQ(rows[2].GetString(2), "bad,row");  // raw text without '\r'
+  // Inference reads the same records: b is a string column, a an int one.
+  DataFrame inferred = ctx.ReadCsv(path);
+  EXPECT_EQ(inferred.schema()->field(1).name, "b");
+  EXPECT_EQ(inferred.schema()->field(0).type->id(), TypeId::kString);
+  EXPECT_EQ(inferred.Collect()[0].GetString(1), "abc");
+  std::filesystem::remove(path);
+}
+
+TEST(CsvTypedScanTest, OutOfRangeIntIsMalformedInEveryMode) {
+  const std::string path =
+      ::testing::TempDir() + "/int32-" + std::to_string(::getpid()) + ".csv";
+  WriteText(path, "a,b\n1,2\n3000000000,4\n-2147483648,5\n");
+  const DataSourceOptions schema{{"schema", "a int, b int"}};
+  {
+    SqlContext ctx;  // lenient: the cell becomes null instead of wrapping
+    auto rows = ctx.ReadCsv(path, schema).Collect();
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_TRUE(rows[1].IsNullAt(0));
+    EXPECT_EQ(rows[2].GetInt32(0), INT32_MIN);
+  }
+  {
+    SqlContext ctx;
+    DataSourceOptions opts = schema;
+    opts["mode"] = "PERMISSIVE";
+    auto rows = ctx.ReadCsv(path, opts).Collect();
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_TRUE(rows[1].IsNullAt(0));
+    EXPECT_EQ(rows[1].GetString(2), "3000000000,4");
+  }
+  {
+    SqlContext ctx;
+    DataSourceOptions opts = schema;
+    opts["mode"] = "DROPMALFORMED";
+    auto rows = ctx.ReadCsv(path, opts).Collect();
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRowsDropped), 1);
+  }
+  {
+    SqlContext ctx;
+    DataSourceOptions opts = schema;
+    opts["mode"] = "FAILFAST";
+    try {
+      ctx.ReadCsv(path, opts).Collect();
+      FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":3"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(CsvTypedScanTest, DateTimeCellsInferAsTimestampAndKeepTheirTime) {
+  const std::string path =
+      ::testing::TempDir() + "/ts-" + std::to_string(::getpid()) + ".csv";
+  WriteText(path,
+            "d,t,mixed\n"
+            "2020-01-05,2020-01-05 10:30:00,2020-01-05\n"
+            "2020-01-06,2020-01-06 00:00:01,2020-01-06 12:00:00\n");
+  SqlContext ctx;
+  DataFrame df = ctx.ReadCsv(path);
+  EXPECT_EQ(df.schema()->field(0).type->id(), TypeId::kDate);
+  EXPECT_EQ(df.schema()->field(1).type->id(), TypeId::kTimestamp);
+  EXPECT_EQ(df.schema()->field(2).type->id(), TypeId::kTimestamp);
+  auto rows = df.Collect();
+  ASSERT_EQ(rows.size(), 2u);
+  int64_t day = 0;
+  double unused = 0;
+  ASSERT_TRUE(ParseTextAs("2020-01-05", *DataType::Date(), &day, &unused));
+  const int64_t midnight = day * 86400LL * 1000000LL;
+  EXPECT_EQ(rows[0].Get(1).timestamp().micros,
+            midnight + (10 * 3600LL + 30 * 60LL) * 1000000LL);
+  EXPECT_EQ(rows[0].Get(2).timestamp().micros, midnight);
+  std::filesystem::remove(path);
+}
+
+/// The per-line CSV reader the engine used before typed scans: getline,
+/// a std::string per cell, Cast::Convert per cell, and the parse-mode
+/// logic, with the one intended change applied (a line loses one trailing
+/// '\r'). The differential test's oracle.
+struct OracleCsv {
+  std::vector<Row> rows;  // the relation's full schema
+  int64_t malformed = 0;
+  int64_t dropped = 0;
+  std::string error;  // FAILFAST's message, when it fails
+};
+
+OracleCsv ReadCsvOracle(const std::string& path, const StructType& schema,
+                        const std::string& mode) {
+  const bool strict = !mode.empty();
+  const int corrupt = mode == "PERMISSIVE"
+                          ? static_cast<int>(schema.num_fields()) - 1
+                          : -1;
+  const size_t data_fields = schema.num_fields() - (corrupt >= 0 ? 1 : 0);
+  OracleCsv out;
+  std::ifstream in(path);
+  std::string line;
+  bool skip_header = true;
+  size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    if (skip_header) {
+      skip_header = false;
+      continue;
+    }
+    const std::vector<std::string> cells = Split(line, ',');
+    bool malformed = strict && cells.size() != data_fields;
+    Row row;
+    for (size_t i = 0; i < data_fields && !malformed; ++i) {
+      if (i >= cells.size()) {
+        row.Append(Value::Null());
+        continue;
+      }
+      const DataType& type = *schema.field(i).type;
+      Value v = cells[i].empty() ? Value::Null()
+                                 : Cast::Convert(Value(cells[i]), type);
+      if (strict && v.is_null() && !cells[i].empty() &&
+          type.id() != TypeId::kString) {
+        malformed = true;
+        break;
+      }
+      row.Append(std::move(v));
+    }
+    if (malformed) {
+      ++out.malformed;
+      if (mode == "FAILFAST") {
+        out.error =
+            FormatRecordError("malformed CSV record", path, line_no, line);
+        return out;
+      }
+      if (mode == "DROPMALFORMED") {
+        ++out.dropped;
+        continue;
+      }
+      row = Row();
+      for (size_t i = 0; i < data_fields; ++i) row.Append(Value::Null());
+      row.Append(Value(line));
+    } else if (corrupt >= 0) {
+      row.Append(Value::Null());
+    }
+    out.rows.push_back(std::move(row));
+  }
+  return out;
+}
+
+/// One generated cell of `type`: valid, padded, signed, empty, malformed,
+/// out of range, quoted, or a date with a time on it.
+std::string GenCell(std::mt19937_64& rng, TypeId type) {
+  auto pick = [&](std::initializer_list<const char*> options) {
+    return std::string(*(options.begin() + rng() % options.size()));
+  };
+  std::string valid;
+  switch (type) {
+    case TypeId::kBoolean:
+      valid = pick({"true", "false", "TRUE", "False"});
+      break;
+    case TypeId::kInt32:
+      valid = rng() % 8 == 0 ? pick({"2147483647", "-2147483648", "0"})
+                             : std::to_string(static_cast<int>(rng() % 2001) - 1000);
+      break;
+    case TypeId::kInt64:
+      valid = rng() % 8 == 0
+                  ? pick({"9223372036854775807", "-9223372036854775808"})
+                  : std::to_string(static_cast<int64_t>(rng() % 200001) - 100000);
+      break;
+    case TypeId::kDouble:
+      valid = rng() % 6 == 0 ? pick({"0", "-0.0", "1e10", "inf", "nan", ".5",
+                                     "1e-320", "0x1p3", "5."})
+                             : std::to_string(static_cast<int>(rng() % 2001) - 1000) +
+                                   "." + std::to_string(rng() % 100);
+      break;
+    case TypeId::kDecimal:
+      valid = rng() % 6 == 0 ? pick({"7", "-0.1", "123.456", "0.005"})
+                             : std::to_string(static_cast<int>(rng() % 20001) - 10000) +
+                                   "." + std::to_string(rng() % 100);
+      break;
+    case TypeId::kDate:
+      valid = rng() % 6 == 0 ? pick({"2020-1-5", "1999-12-31", "2020-02-29",
+                                     "2020-01-05 10:30:00", "2021-02-29"})
+                             : "2020-0" + std::to_string(1 + rng() % 9) + "-1" +
+                                   std::to_string(rng() % 10);
+      break;
+    case TypeId::kTimestamp:
+      valid = rng() % 6 == 0 ? pick({"2020-01-05", "2020-01-05 7:5",
+                                     "2020-01-05 10:30:00.5", "2020-01-05 junk"})
+                             : "2020-01-1" + std::to_string(rng() % 10) + " 1" +
+                                   std::to_string(rng() % 10) + ":3" +
+                                   std::to_string(rng() % 10) + ":0" +
+                                   std::to_string(rng() % 10);
+      break;
+    default:
+      valid = pick({"abc", "hello world", "x\ty", "", "caf\xc3\xa9", "b"});
+      break;
+  }
+  switch (rng() % 14) {
+    case 0:
+      return "";
+    case 1:
+      return " " + valid + "  ";
+    case 2:
+      return pick({"abc", "1.2.3", "--1", "2020-13-45", "tru", "+", "1e"});
+    case 3:
+      return pick({"3000000000", "-2147483649", "99999999999999999999", "1e999",
+                   "12345678901234567890.5"});
+    case 4:
+      return "\"" + valid + "\"";
+    case 5:
+      return (rng() % 2 ? "+" : "-") + std::to_string(rng() % 1000);
+    default:
+      return valid;
+  }
+}
+
+/// A seeded corpus over every schema type: cell shapes from GenCell, short
+/// and long rows, embedded delimiters, blank lines, CRLF, and sometimes no
+/// final newline.
+std::string GenCsvCorpus(std::mt19937_64& rng, const StructType& schema,
+                         int rows) {
+  std::string text;
+  for (size_t f = 0; f < schema.num_fields(); ++f) {
+    text += (f > 0 ? "," : "") + schema.field(f).name;
+  }
+  text += "\n";
+  for (int r = 0; r < rows; ++r) {
+    const int shape = static_cast<int>(rng() % 20);
+    std::string line;
+    if (shape == 0) {
+      line = "";  // blank
+    } else {
+      size_t cells = schema.num_fields();
+      if (shape == 1) cells = rng() % cells;                     // short
+      if (shape == 2) cells += 1 + rng() % 2;                    // long
+      for (size_t f = 0; f < cells; ++f) {
+        if (f > 0) line += ",";
+        line += f < schema.num_fields()
+                    ? GenCell(rng, schema.field(f).type->id())
+                    : GenCell(rng, TypeId::kString);
+      }
+      if (shape == 3) line.insert(rng() % (line.size() + 1), ",");  // delimiter
+    }
+    text += line + (rng() % 4 == 0 ? "\r\n" : "\n");
+  }
+  if (rng() % 2 == 0) text.pop_back();  // sometimes no final newline
+  if (!text.empty() && text.back() == '\r') text.pop_back();
+  return text;
+}
+
+TEST(CsvDifferentialTest, TypedScansMatchThePerLineReader) {
+  const std::string schema_text =
+      "fb boolean, fi int, fl bigint, fd double, fm decimal(10,2), "
+      "ft date, fts timestamp, fs string";
+  const auto schema = ParseSchemaString(schema_text);
+  const std::string path =
+      ::testing::TempDir() + "/diff-" + std::to_string(::getpid()) + ".csv";
+  std::mt19937_64 rng(2015);
+  ExecContext engine;
+  int64_t compared_rows = 0, malformed_records = 0, failfast_errors = 0;
+  for (int corpus = 0; corpus < 6; ++corpus) {
+    const std::string text = GenCsvCorpus(rng, *schema, 150);
+    WriteText(path, text);
+    for (const std::string mode :
+         {"", "PERMISSIVE", "DROPMALFORMED", "FAILFAST"}) {
+      SCOPED_TRACE("corpus " + std::to_string(corpus) + " mode '" + mode + "'");
+      DataSourceOptions opts{{"path", path}, {"schema", schema_text}};
+      if (!mode.empty()) opts["mode"] = mode;
+      auto rel = CsvRelation::Open(opts);
+      const OracleCsv oracle = ReadCsvOracle(path, *rel->schema(), mode);
+      malformed_records += oracle.malformed;
+      failfast_errors += oracle.error.empty() ? 0 : 1;
+
+      // The range splitter: random boundaries give the oracle's rows.
+      if (oracle.error.empty()) {
+        std::vector<uint64_t> cuts = {0, text.size()};
+        for (int k = 0; k < 3; ++k) cuts.push_back(rng() % (text.size() + 1));
+        std::sort(cuts.begin(), cuts.end());
+        std::vector<CsvRange> ranges;
+        for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+          ranges.push_back({cuts[k], cuts[k + 1]});
+        }
+        EXPECT_EQ(ScanRangeRows(engine, *rel, ranges, 1 + rng() % 5),
+                  RowStrings(oracle.rows));
+      }
+
+      for (const bool vectorized : {true, false}) {
+        for (const size_t batch_size : {size_t{1}, size_t{1024}}) {
+          EngineConfig config;
+          config.vectorized_enabled = vectorized;
+          config.batch_size = batch_size;
+          config.num_threads = 2;
+          SqlContext ctx(config);
+          DataFrame csv = ctx.Read("csv", opts);
+          DataFrame local = ctx.CreateDataFrame(rel->schema(), oracle.rows);
+          for (int q = 0; q < 4; ++q) {
+            // A random projection and up to two pushable conjuncts, applied
+            // alike to the CSV scan and to the oracle's rows.
+            std::vector<std::string> names;
+            for (size_t f = 0; f < rel->schema()->num_fields(); ++f) {
+              if (rng() % 2 == 0) names.push_back(rel->schema()->field(f).name);
+            }
+            if (names.empty()) names.push_back("fs");
+            std::shuffle(names.begin(), names.end(), rng);
+            std::vector<std::pair<size_t, int>> preds(rng() % 3);
+            for (auto& [field, op] : preds) {
+              field = rng() % schema->num_fields();
+              op = static_cast<int>(rng() % 5);
+            }
+            auto query = [&](DataFrame df) {
+              for (const auto& [f, op] : preds) {
+                const Field& field = schema->field(f);
+                Column c = df(field.name);
+                Value lit;
+                switch (field.type->id()) {
+                  case TypeId::kBoolean: lit = Value(true); break;
+                  case TypeId::kInt32: lit = Value(int32_t{0}); break;
+                  case TypeId::kInt64: lit = Value(int64_t{0}); break;
+                  case TypeId::kDouble: lit = Value(0.5); break;
+                  case TypeId::kDecimal: lit = Value(Decimal(150, 10, 2)); break;
+                  case TypeId::kDate: lit = Value(DateValue{18270}); break;
+                  case TypeId::kTimestamp:
+                    lit = Value(TimestampValue{1578900000000000LL});
+                    break;
+                  default: lit = Value("b"); break;
+                }
+                const Column l = functions::Lit(lit);
+                df = df.Where(op == 0   ? c.IsNull()
+                              : op == 1 ? c.IsNotNull()
+                              : op == 2 ? c == l
+                              : op == 3 ? c < l
+                                        : c >= l);
+              }
+              return RowStrings(df.Select(names).Collect());
+            };
+            SCOPED_TRACE("vectorized " + std::to_string(vectorized) +
+                         " batch " + std::to_string(batch_size) + " query " +
+                         std::to_string(q));
+            if (!oracle.error.empty()) {
+              try {
+                query(csv);
+                ADD_FAILURE() << "expected ParseError: " << oracle.error;
+              } catch (const ParseError& e) {
+                EXPECT_NE(std::string(e.what()).find(oracle.error),
+                          std::string::npos)
+                    << e.what() << "\nwant: " << oracle.error;
+              }
+              continue;
+            }
+            const std::vector<std::string> got = query(csv);
+            compared_rows += static_cast<int64_t>(got.size());
+            EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kMalformedRecords),
+                      oracle.malformed);
+            EXPECT_EQ(ctx.last_profile().Total(ProfileCounter::kRowsDropped),
+                      oracle.dropped);
+            EXPECT_EQ(got, query(local));
+          }
+        }
+      }
+    }
+  }
+  // The corpora reach every path: rows compared, malformed records seen,
+  // and FAILFAST failing.
+  EXPECT_GT(compared_rows, 1000);
+  EXPECT_GT(malformed_records, 0);
+  EXPECT_GT(failfast_errors, 0);
+  std::filesystem::remove(path);
+}
+
 TEST(JsonIoFailureTest, FileDeletedBeforeOpenThrowsIoErrorUnderAllModes) {
   // JSON does all of its file I/O at Open() time (records are pre-parsed),
   // so the vanished-file case surfaces from Read() itself.
@@ -655,6 +1152,96 @@ TEST(ColfFuzzTest, MutatedFilesScanOrThrowIoError) {
     }
   }
   EXPECT_EQ(scanned + refused, kRounds);
+  EXPECT_GT(scanned, 0);
+  EXPECT_GT(refused, 0);
+  std::filesystem::remove(path);
+}
+
+TEST(CsvFuzzTest, MutatedFilesScanOrThrowTypedError) {
+  // Seeded byte mutations of a small CSV file over every schema type, read
+  // in every parse mode, as one range and as two: each mutated file must
+  // scan or be refused with ParseError or IoError, never crash, hang or
+  // throw anything else. SSQL_FUZZ_SEED replays a failing seed.
+  uint64_t seed = 21;
+  if (const char* env = std::getenv("SSQL_FUZZ_SEED")) {
+    seed = std::strtoull(env, nullptr, 10);
+  }
+  SCOPED_TRACE("SSQL_FUZZ_SEED=" + std::to_string(seed));
+  const std::string schema =
+      "fb boolean, fi int, fl bigint, fd double, fm decimal(10,2), "
+      "ft date, fts timestamp, fs string";
+  std::string original =
+      "fb,fi,fl,fd,fm,ft,fts,fs\n";
+  for (int i = 0; i < 40; ++i) {
+    original += std::string(i % 2 ? "true" : "false") + "," +
+                std::to_string(i * 37 - 500) + "," +
+                std::to_string(int64_t{i} * 1000000007) + "," +
+                std::to_string(i * 0.25) + "," + std::to_string(i) + ".5," +
+                "2020-01-" + std::to_string(10 + i % 19) + "," +
+                "2020-02-0" + std::to_string(1 + i % 9) + " 10:30:0" +
+                std::to_string(i % 10) + "," + (i % 5 ? "tag" : "") +
+                (i % 7 == 0 ? "\r\n" : "\n");
+  }
+  const std::string path =
+      ::testing::TempDir() + "/fuzz-" + std::to_string(::getpid()) + ".csv";
+  // Structural bytes are the interesting mutations; half come from here.
+  const std::string structural = ",\n\r -+.:e0123456789";
+
+  EngineConfig config;
+  config.num_threads = 2;
+  ExecContext engine(config);
+  std::mt19937_64 rng(seed);
+  int scanned = 0;
+  int refused = 0;
+  constexpr int kRounds = 2000;
+  for (const std::string mode : {"", "PERMISSIVE", "DROPMALFORMED", "FAILFAST"}) {
+    SCOPED_TRACE("mode '" + mode + "'");
+    for (int round = 0; round < kRounds; ++round) {
+      std::string bytes = original;
+      for (int k = 1 + static_cast<int>(rng() % 3); k > 0; --k) {
+        const size_t at = rng() % bytes.size();
+        const char c = rng() % 2 ? structural[rng() % structural.size()]
+                                 : static_cast<char>(rng());
+        switch (rng() % 4) {
+          case 0:
+            bytes.insert(bytes.begin() + static_cast<long>(at), c);
+            break;
+          case 1:
+            bytes.erase(at, 1 + rng() % 4);
+            break;
+          default:
+            bytes[at] = c;
+        }
+        if (bytes.empty()) bytes = "x";
+      }
+      WriteText(path, bytes);
+      QueryContextPtr query = engine.BeginQuery();
+      try {
+        DataSourceOptions opts{{"path", path}};
+        if (round % 4 != 0) opts["schema"] = schema;  // else infer
+        if (!mode.empty()) opts["mode"] = mode;
+        auto rel = CsvRelation::Open(opts);
+        std::vector<int> columns(rel->schema()->num_fields());
+        std::iota(columns.begin(), columns.end(), 0);
+        rel->ScanBatches(*query, columns, {}, 1024).ToRowDataset(*query);
+        const uint64_t cut = rng() % (bytes.size() + 1);
+        const FilterSpec not_null{rel->schema()->field(0).name,
+                                  FilterSpec::Op::kIsNotNull, {}};
+        rel->ScanRanges(*query, {{0, cut}, {cut, bytes.size()}}, columns,
+                        {not_null}, 7)
+            .ToRowDataset(*query);
+        ++scanned;
+      } catch (const ParseError&) {
+        ++refused;
+      } catch (const IoError&) {
+        ++refused;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "round " << round << " threw " << e.what()
+                      << "\nfile: " << EscapeForDisplay(bytes);
+      }
+    }
+  }
+  EXPECT_EQ(scanned + refused, 4 * kRounds);
   EXPECT_GT(scanned, 0);
   EXPECT_GT(refused, 0);
   std::filesystem::remove(path);

@@ -206,6 +206,42 @@ TEST(CastTest, DateCasts) {
   EXPECT_EQ(FormatDate(back.date()), "2015-05-31");
 }
 
+TEST(CastTest, DateTextMustBeWholeDate) {
+  EXPECT_TRUE(
+      Cast::Make(Str("2020-01-05junk"), DataType::Date())->Eval(kEmpty).is_null());
+  EXPECT_TRUE(Cast::Make(Str("2020-01-05 10:30:00"), DataType::Date())
+                  ->Eval(kEmpty)
+                  .is_null());
+  // Padding is trimmed and short fields still parse.
+  Value d = Cast::Make(Str(" 2020-1-5 "), DataType::Date())->Eval(kEmpty);
+  ASSERT_EQ(d.type_id(), TypeId::kDate);
+  EXPECT_EQ(FormatDate(d.date()), "2020-01-05");
+  // A timestamp's date part must be whole too; its time part stays lenient.
+  EXPECT_TRUE(Cast::Make(Str("2020-01-05x 10:30:00"), DataType::Timestamp())
+                  ->Eval(kEmpty)
+                  .is_null());
+  Value ts =
+      Cast::Make(Str("2020-01-05 10:30"), DataType::Timestamp())->Eval(kEmpty);
+  Value midnight =
+      Cast::Make(Str("2020-01-05"), DataType::Timestamp())->Eval(kEmpty);
+  EXPECT_EQ(ts.timestamp().micros - midnight.timestamp().micros,
+            (10 * 3600LL + 30 * 60LL) * 1000000LL);
+}
+
+TEST(CastTest, OutOfRangeStringToIntIsNullNumbersStillWrap) {
+  EXPECT_TRUE(
+      Cast::Make(Str("3000000000"), DataType::Int32())->Eval(kEmpty).is_null());
+  EXPECT_TRUE(
+      Cast::Make(Str("-2147483649"), DataType::Int32())->Eval(kEmpty).is_null());
+  EXPECT_EQ(Cast::Make(Str("-2147483648"), DataType::Int32())->Eval(kEmpty).i32(),
+            INT32_MIN);
+  EXPECT_EQ(Cast::Make(Str("3000000000"), DataType::Int64())->Eval(kEmpty).i64(),
+            3000000000LL);
+  // A numeric source keeps its wrapping conversion.
+  EXPECT_EQ(Cast::Convert(Value(int64_t{3000000000LL}), *DataType::Int32()).i32(),
+            static_cast<int32_t>(3000000000LL));
+}
+
 TEST(CaseWhenTest, BranchesAndElse) {
   ExprPtr cw = CaseWhen::Make(
       {EqualTo::Make(I32(1), I32(2)), Str("one"),

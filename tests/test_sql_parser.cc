@@ -106,6 +106,16 @@ TEST(ExprParseTest, LiteralsAndCase) {
       "two");
 }
 
+TEST(ExprParseTest, DateLiteralMustBeWholeDate) {
+  EXPECT_THROW(ParseSqlExpression("DATE '2020-01-05junk'"), ParseError);
+  EXPECT_THROW(ParseSqlExpression("DATE '2020-01-05 10:30:00'"), ParseError);
+  EXPECT_TRUE(ParseSqlExpression("CAST('2020-01-05junk' AS date)")
+                  ->Eval(Row{})
+                  .is_null());
+  EXPECT_EQ(FormatDate(ParseSqlExpression("DATE '2020-01-05'")->Eval(Row{}).date()),
+            "2020-01-05");
+}
+
 TEST(ExprParseTest, CastSyntax) {
   ExprPtr e = ParseSqlExpression("CAST('42' AS int)");
   EXPECT_NE(As<Cast>(e), nullptr);

@@ -359,24 +359,28 @@ TEST(CardinalityTest, FilterSelectivityFromNdv) {
   ctx.RegisterTable("t", ctx.ReadCsv(dir + "/t.csv"));
   ctx.Sql("ANALYZE TABLE t COMPUTE STATISTICS FOR ALL COLUMNS").Collect();
 
-  ctx.Sql("SELECT * FROM t WHERE k = 5").Collect();
-  const QueryProfile& profile = ctx.last_profile();
-  const ProfileSpan* filter = nullptr;
-  const ProfileSpan* scan = nullptr;
-  for (const ProfileSpan* s : OperatorSpans(profile)) {
-    if (s->name.find("Filter") != std::string::npos) filter = s;
-    if (s->name.find("Scan") != std::string::npos) scan = s;
-  }
+  auto spans = [&](const char* sql) {
+    ctx.Sql(sql).Collect();
+    const ProfileSpan* filter = nullptr;
+    const ProfileSpan* scan = nullptr;
+    for (const ProfileSpan* s : OperatorSpans(ctx.last_profile())) {
+      if (s->name.find("Filter") != std::string::npos) filter = s;
+      if (s->name.find("Scan") != std::string::npos) scan = s;
+    }
+    return std::make_pair(scan, filter);
+  };
+  const auto [full, no_filter] = spans("SELECT * FROM t");
+  ASSERT_NE(full, nullptr);
+  EXPECT_EQ(full->est_rows, 1000);
+  EXPECT_EQ(full->est_source, "analyzed-stats");
+  // Equality on a 10-NDV column over 1000 rows: ~100 estimated. The CSV
+  // scan takes the pushed filter, so the scan carries the selective
+  // estimate and no Filter operator is left above it.
+  const auto [scan, filter] = spans("SELECT * FROM t WHERE k = 5");
   ASSERT_NE(scan, nullptr);
-  EXPECT_EQ(scan->est_rows, 1000);
+  EXPECT_EQ(filter, nullptr);
+  EXPECT_NEAR(static_cast<double>(scan->est_rows), 100.0, 10.0);
   EXPECT_EQ(scan->est_source, "analyzed-stats");
-  // Equality on a 10-NDV column over 1000 rows: ~100 estimated. The filter
-  // may have been pushed into the scan; either way some operator carries
-  // the selective estimate.
-  if (filter != nullptr) {
-    EXPECT_NEAR(static_cast<double>(filter->est_rows), 100.0, 10.0);
-    EXPECT_EQ(filter->est_source, "analyzed-stats");
-  }
 }
 
 TEST(CardinalityTest, SpillingJoinAggReportsEstimatesOnEveryOperator) {
