@@ -25,27 +25,26 @@ struct Fixture {
   AttributeVector right_attrs = {
       AttributeReference::Make("rk", DataType::Int32(), false),
       AttributeReference::Make("rv", DataType::Int32(), false)};
-  std::shared_ptr<const std::vector<Row>> stream;
+  std::shared_ptr<const LocalRows> stream;
 
   Fixture() {
     std::mt19937_64 rng(17);
-    auto rows = std::make_shared<std::vector<Row>>();
-    rows->reserve(kStreamRows);
+    std::vector<Row> rows;
+    rows.reserve(kStreamRows);
     for (size_t i = 0; i < kStreamRows; ++i) {
-      rows->push_back(Row({Value(int32_t(rng() % 100000)),
-                           Value(int32_t(i))}));
+      rows.push_back(Row({Value(int32_t(rng() % 100000)),
+                          Value(int32_t(i))}));
     }
-    stream = rows;
+    stream = std::make_shared<const LocalRows>(std::move(rows));
   }
 
-  std::shared_ptr<const std::vector<Row>> BuildSide(size_t n) {
-    auto rows = std::make_shared<std::vector<Row>>();
-    rows->reserve(n);
+  std::shared_ptr<const LocalRows> BuildSide(size_t n) {
+    std::vector<Row> rows;
+    rows.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      rows->push_back(
-          Row({Value(int32_t(i % 100000)), Value(int32_t(i * 7))}));
+      rows.push_back(Row({Value(int32_t(i % 100000)), Value(int32_t(i * 7))}));
     }
-    return rows;
+    return std::make_shared<const LocalRows>(std::move(rows));
   }
 };
 

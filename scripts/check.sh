@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 check: full build + test suite, then the fault-tolerance,
-# memory/spill, observability, vectorized/columnar and data source tests
-# again under AddressSanitizer/UBSan (retry, cancellation, reservation
-# accounting, spill-file cleanup, concurrent span/counter updates,
-# selection-vector indexing into raw column banks, and encoded chunks read
-# from disk exercise concurrent code and raw buffers worth running
-# instrumented), then the concurrency, vectorized, columnar and data source
+# memory/spill, observability, vectorized/columnar, expression-kernel and
+# data source tests again under AddressSanitizer/UBSan (retry,
+# cancellation, reservation accounting, spill-file cleanup, concurrent
+# span/counter updates, selection-vector indexing into raw column banks,
+# lane kernels over boxed rows, and encoded chunks read from disk exercise
+# concurrent code and raw buffers worth running instrumented), then the concurrency, vectorized, columnar and data source
 # suites under ThreadSanitizer, then the chaos harness under both — including a
 # batch_size=1 lane over cached (natively columnar) tables. Finishes with a
 # quick overhead sanity pass of bench_observe (profiled vs un-profiled
@@ -18,7 +18,7 @@ cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
 cmake -B build-sanitize -S . -DSSQL_SANITIZE=address >/dev/null
-cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_exec --target test_datasources >/dev/null
+cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_exec --target test_datasources --target test_codegen >/dev/null
 ./build-sanitize/tests/test_fault_tolerance
 ./build-sanitize/tests/test_memory
 ./build-sanitize/tests/test_observability
@@ -33,6 +33,10 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 ./build-sanitize/tests/test_vectorized
 ./build-sanitize/tests/test_columnar
 ./build-sanitize/tests/test_property_end_to_end
+# The expression kernels under ASan/UBSan: row loads keep pointers into
+# boxed rows, string lanes point into scratch and fallback lanes, and
+# register banks resize between runs over inputs of different sizes.
+./build-sanitize/tests/test_codegen
 # The data source suite under ASan: the chunk reader indexes dictionary
 # codes, runs and string views into encoded payloads read from disk, the
 # colf byte-mutation smoke test feeds it corrupt files, and the CSV scan

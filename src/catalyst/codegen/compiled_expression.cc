@@ -1,7 +1,6 @@
 #include "catalyst/codegen/compiled_expression.h"
 
-#include <cctype>
-#include <cmath>
+#include <algorithm>
 
 #include "catalyst/expr/arithmetic.h"
 #include "catalyst/expr/cast.h"
@@ -14,14 +13,6 @@ namespace ssql {
 
 namespace {
 
-// Comparison codes for kEqFrom's aux operand.
-constexpr int kCmpEq = 0;
-constexpr int kCmpNe = 1;
-constexpr int kCmpLt = 2;
-constexpr int kCmpLe = 3;
-constexpr int kCmpGt = 4;
-constexpr int kCmpGe = 5;
-
 bool IsIntLike(TypeId id) {
   return id == TypeId::kInt32 || id == TypeId::kInt64 || id == TypeId::kDate ||
          id == TypeId::kTimestamp || id == TypeId::kBoolean;
@@ -29,8 +20,16 @@ bool IsIntLike(TypeId id) {
 
 }  // namespace
 
+CompiledExpression::Kind CompiledExpression::KindFor(TypeId id) {
+  if (id == TypeId::kBoolean) return Kind::kBool;
+  if (IsIntLike(id)) return Kind::kI64;
+  if (id == TypeId::kDouble) return Kind::kF64;
+  return id == TypeId::kString ? Kind::kStr : Kind::kBoxed;
+}
+
 struct CompiledExpression::CompileState {
   CompiledExpression* program;
+  bool codegen;  // false: the root is one interpreter call
   uint16_t NewReg() { return program->num_regs_++; }
   void Emit(Op op, uint16_t dst, uint16_t a = 0, uint16_t b = 0, int32_t aux = 0) {
     program->instrs_.push_back(Instr{op, dst, a, b, aux});
@@ -47,42 +46,27 @@ CompiledExpression::Slot CompiledExpression::CompileNode(const ExprPtr& e,
     uint16_t dst = state->NewReg();
     int idx = static_cast<int>(prog->fallbacks_.size());
     prog->fallbacks_.push_back(e);
-    TypeId id = e->data_type()->id();
-    Kind kind;
-    if (IsIntLike(id)) {
-      kind = id == TypeId::kBoolean ? Kind::kBool : Kind::kI64;
-    } else if (id == TypeId::kDouble) {
-      kind = Kind::kF64;
-    } else if (id == TypeId::kString) {
-      kind = Kind::kStr;
-    } else {
-      kind = Kind::kBoxed;
-    }
+    e->Foreach([&](const Expression& node) {
+      if (const auto* ref = dynamic_cast<const BoundReference*>(&node)) {
+        prog->fallback_columns_.push_back(ref->ordinal());
+      }
+    });
+    Kind kind = KindFor(e->data_type()->id());
     state->Emit(Op::kCallExpr, dst, 0, static_cast<uint16_t>(kind), idx);
     return Slot{kind, dst};
   };
+  if (!state->codegen) return fallback();
 
   // Column loads.
   if (const auto* ref = As<BoundReference>(e)) {
-    TypeId id = ref->data_type()->id();
+    const Kind kind = KindFor(ref->data_type()->id());
+    if (kind == Kind::kBoxed) return fallback();
+    // Indexed by Kind: kBool, kI64, kF64, kStr.
+    constexpr Op kLoad[] = {Op::kLoadColI64, Op::kLoadColI64, Op::kLoadColF64,
+                            Op::kLoadColStr};
     uint16_t dst = state->NewReg();
-    if (id == TypeId::kBoolean) {
-      state->Emit(Op::kLoadColBool, dst, 0, 0, ref->ordinal());
-      return Slot{Kind::kBool, dst};
-    }
-    if (IsIntLike(id)) {
-      state->Emit(Op::kLoadColI64, dst, 0, 0, ref->ordinal());
-      return Slot{Kind::kI64, dst};
-    }
-    if (id == TypeId::kDouble) {
-      state->Emit(Op::kLoadColF64, dst, 0, 0, ref->ordinal());
-      return Slot{Kind::kF64, dst};
-    }
-    if (id == TypeId::kString) {
-      state->Emit(Op::kLoadColStr, dst, 0, 0, ref->ordinal());
-      return Slot{Kind::kStr, dst};
-    }
-    return fallback();
+    state->Emit(kLoad[static_cast<int>(kind)], dst, 0, 0, ref->ordinal());
+    return Slot{kind, dst};
   }
 
   // Literals.
@@ -91,11 +75,7 @@ CompiledExpression::Slot CompiledExpression::CompileNode(const ExprPtr& e,
     const Value& v = lit->value();
     TypeId id = lit->data_type()->id();
     if (v.is_null()) {
-      Kind kind = id == TypeId::kBoolean ? Kind::kBool
-                  : IsIntLike(id)        ? Kind::kI64
-                  : id == TypeId::kDouble ? Kind::kF64
-                  : id == TypeId::kString ? Kind::kStr
-                                          : Kind::kBoxed;
+      Kind kind = KindFor(id);
       state->Emit(Op::kLoadNull, dst, 0, static_cast<uint16_t>(kind));
       return Slot{kind, dst};
     }
@@ -358,389 +338,20 @@ CompiledExpression::Slot CompiledExpression::CompileNode(const ExprPtr& e,
   return fallback();
 }
 
-std::optional<CompiledExpression> CompiledExpression::Compile(const ExprPtr& expr) {
+CompiledExpression CompiledExpression::Compile(const ExprPtr& expr,
+                                               bool codegen) {
   CompiledExpression prog;
   prog.result_type_ = expr->data_type();
-  CompileState state{&prog};
+  CompileState state{&prog, codegen};
   Slot result = CompileNode(expr, &state);
   prog.result_reg_ = result.reg;
   prog.result_kind_ = result.kind;
+  auto& cols = prog.fallback_columns_;
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
   prog.compiled_fraction_ =
-      prog.total_nodes_ == 0
-          ? 1.0
-          : 1.0 - static_cast<double>(prog.fallback_nodes_) / prog.total_nodes_;
+      1.0 - static_cast<double>(prog.fallback_nodes_) / prog.total_nodes_;
   return prog;
-}
-
-CompiledExpression::Evaluator::Evaluator(const CompiledExpression* program)
-    : program_(program),
-      i64_(program->num_regs_, 0),
-      f64_(program->num_regs_, 0.0),
-      str_(program->num_regs_, nullptr),
-      scratch_(program->num_regs_),
-      null_(program->num_regs_, 0),
-      boxed_(program->num_regs_) {}
-
-void CompiledExpression::Evaluator::Run(const Row& row) {
-  const auto& instrs = program_->instrs_;
-  for (const Instr& in : instrs) {
-    switch (in.op) {
-      case Op::kLoadColI64: {
-        const Value& v = row.Get(in.aux);
-        null_[in.dst] = v.is_null();
-        if (!null_[in.dst]) i64_[in.dst] = v.AsInt64();
-        break;
-      }
-      case Op::kLoadColF64: {
-        const Value& v = row.Get(in.aux);
-        null_[in.dst] = v.is_null();
-        if (!null_[in.dst]) f64_[in.dst] = v.f64();
-        break;
-      }
-      case Op::kLoadColStr: {
-        const Value& v = row.Get(in.aux);
-        null_[in.dst] = v.is_null();
-        if (!null_[in.dst]) str_[in.dst] = &v.str();
-        break;
-      }
-      case Op::kLoadColBool: {
-        const Value& v = row.Get(in.aux);
-        null_[in.dst] = v.is_null();
-        if (!null_[in.dst]) i64_[in.dst] = v.bool_value() ? 1 : 0;
-        break;
-      }
-      case Op::kLoadConstI64:
-        i64_[in.dst] = program_->iconsts_[in.aux];
-        null_[in.dst] = 0;
-        break;
-      case Op::kLoadConstF64:
-        f64_[in.dst] = program_->fconsts_[in.aux];
-        null_[in.dst] = 0;
-        break;
-      case Op::kLoadConstStr:
-        str_[in.dst] = &program_->sconsts_[in.aux];
-        null_[in.dst] = 0;
-        break;
-      case Op::kLoadConstBool:
-        i64_[in.dst] = in.aux;
-        null_[in.dst] = 0;
-        break;
-      case Op::kLoadNull:
-        null_[in.dst] = 1;
-        break;
-      case Op::kAddI64:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        i64_[in.dst] = i64_[in.a] + i64_[in.b];
-        break;
-      case Op::kSubI64:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        i64_[in.dst] = i64_[in.a] - i64_[in.b];
-        break;
-      case Op::kMulI64:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        i64_[in.dst] = i64_[in.a] * i64_[in.b];
-        break;
-      case Op::kDivI64:
-        null_[in.dst] = null_[in.a] | null_[in.b] || i64_[in.b] == 0;
-        if (!null_[in.dst]) i64_[in.dst] = i64_[in.a] / i64_[in.b];
-        break;
-      case Op::kRemI64:
-        null_[in.dst] = null_[in.a] | null_[in.b] || i64_[in.b] == 0;
-        if (!null_[in.dst]) i64_[in.dst] = i64_[in.a] % i64_[in.b];
-        break;
-      case Op::kNegI64:
-        null_[in.dst] = null_[in.a];
-        i64_[in.dst] = -i64_[in.a];
-        break;
-      case Op::kAddF64:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        f64_[in.dst] = f64_[in.a] + f64_[in.b];
-        break;
-      case Op::kSubF64:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        f64_[in.dst] = f64_[in.a] - f64_[in.b];
-        break;
-      case Op::kMulF64:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        f64_[in.dst] = f64_[in.a] * f64_[in.b];
-        break;
-      case Op::kDivF64:
-        null_[in.dst] = null_[in.a] | null_[in.b] || f64_[in.b] == 0.0;
-        if (!null_[in.dst]) f64_[in.dst] = f64_[in.a] / f64_[in.b];
-        break;
-      case Op::kNegF64:
-        null_[in.dst] = null_[in.a];
-        f64_[in.dst] = -f64_[in.a];
-        break;
-      case Op::kI64ToF64:
-        null_[in.dst] = null_[in.a];
-        f64_[in.dst] = static_cast<double>(i64_[in.a]);
-        break;
-      case Op::kF64ToI64:
-        null_[in.dst] = null_[in.a];
-        i64_[in.dst] = static_cast<int64_t>(f64_[in.a]);
-        break;
-      case Op::kCmpI64:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        i64_[in.dst] = i64_[in.a] < i64_[in.b] ? -1 : (i64_[in.a] > i64_[in.b] ? 1 : 0);
-        break;
-      case Op::kCmpF64:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        i64_[in.dst] = f64_[in.a] < f64_[in.b] ? -1 : (f64_[in.a] > f64_[in.b] ? 1 : 0);
-        break;
-      case Op::kCmpStr:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        if (!null_[in.dst]) {
-          int c = str_[in.a]->compare(*str_[in.b]);
-          i64_[in.dst] = c < 0 ? -1 : (c > 0 ? 1 : 0);
-        }
-        break;
-      case Op::kCmpBool:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        i64_[in.dst] = i64_[in.a] - i64_[in.b];
-        break;
-      case Op::kEqFrom: {
-        null_[in.dst] = null_[in.a];
-        int64_t s = i64_[in.a];
-        bool r = false;
-        switch (in.aux) {
-          case kCmpEq:
-            r = s == 0;
-            break;
-          case kCmpNe:
-            r = s != 0;
-            break;
-          case kCmpLt:
-            r = s < 0;
-            break;
-          case kCmpLe:
-            r = s <= 0;
-            break;
-          case kCmpGt:
-            r = s > 0;
-            break;
-          case kCmpGe:
-            r = s >= 0;
-            break;
-        }
-        i64_[in.dst] = r ? 1 : 0;
-        break;
-      }
-      case Op::kAnd: {
-        // 3-valued logic over (value, null) pairs.
-        bool la = null_[in.a] == 0;
-        bool lb = null_[in.b] == 0;
-        bool va = la && i64_[in.a] != 0;
-        bool vb = lb && i64_[in.b] != 0;
-        if ((la && !va) || (lb && !vb)) {
-          i64_[in.dst] = 0;
-          null_[in.dst] = 0;
-        } else if (!la || !lb) {
-          null_[in.dst] = 1;
-        } else {
-          i64_[in.dst] = 1;
-          null_[in.dst] = 0;
-        }
-        break;
-      }
-      case Op::kOr: {
-        bool la = null_[in.a] == 0;
-        bool lb = null_[in.b] == 0;
-        bool va = la && i64_[in.a] != 0;
-        bool vb = lb && i64_[in.b] != 0;
-        if (va || vb) {
-          i64_[in.dst] = 1;
-          null_[in.dst] = 0;
-        } else if (!la || !lb) {
-          null_[in.dst] = 1;
-        } else {
-          i64_[in.dst] = 0;
-          null_[in.dst] = 0;
-        }
-        break;
-      }
-      case Op::kNot:
-        null_[in.dst] = null_[in.a];
-        i64_[in.dst] = i64_[in.a] != 0 ? 0 : 1;
-        break;
-      case Op::kIsNull:
-        i64_[in.dst] = null_[in.a] ? 1 : 0;
-        null_[in.dst] = 0;
-        break;
-      case Op::kIsNotNull:
-        i64_[in.dst] = null_[in.a] ? 0 : 1;
-        null_[in.dst] = 0;
-        break;
-      case Op::kStartsWith:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        if (!null_[in.dst]) {
-          const std::string& s = *str_[in.a];
-          const std::string& p = *str_[in.b];
-          i64_[in.dst] =
-              s.size() >= p.size() && s.compare(0, p.size(), p) == 0 ? 1 : 0;
-        }
-        break;
-      case Op::kEndsWith:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        if (!null_[in.dst]) {
-          const std::string& s = *str_[in.a];
-          const std::string& p = *str_[in.b];
-          i64_[in.dst] = s.size() >= p.size() &&
-                                 s.compare(s.size() - p.size(), p.size(), p) == 0
-                             ? 1
-                             : 0;
-        }
-        break;
-      case Op::kContains:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        if (!null_[in.dst]) {
-          i64_[in.dst] = str_[in.a]->find(*str_[in.b]) != std::string::npos ? 1 : 0;
-        }
-        break;
-      case Op::kLike:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        if (!null_[in.dst]) {
-          i64_[in.dst] = LikeMatch(*str_[in.a], *str_[in.b]) ? 1 : 0;
-        }
-        break;
-      case Op::kUpper:
-      case Op::kLower: {
-        null_[in.dst] = null_[in.a];
-        if (!null_[in.dst]) {
-          std::string& out = scratch_[in.dst];
-          out = *str_[in.a];
-          for (char& c : out) {
-            c = in.op == Op::kUpper
-                    ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
-                    : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-          }
-          str_[in.dst] = &out;
-        }
-        break;
-      }
-      case Op::kSubstr: {
-        null_[in.dst] = null_[in.a] | null_[in.b] | null_[in.aux];
-        if (!null_[in.dst]) {
-          const std::string& s = *str_[in.a];
-          int64_t p = i64_[in.b];
-          int64_t n = i64_[static_cast<uint16_t>(in.aux)];
-          if (n < 0) n = 0;
-          int64_t start = p > 0 ? p - 1
-                          : p < 0 ? std::max<int64_t>(
-                                        0, static_cast<int64_t>(s.size()) + p)
-                                  : 0;
-          std::string& out = scratch_[in.dst];
-          if (start >= static_cast<int64_t>(s.size())) {
-            out.clear();
-          } else {
-            out = s.substr(static_cast<size_t>(start), static_cast<size_t>(n));
-          }
-          str_[in.dst] = &out;
-        }
-        break;
-      }
-      case Op::kLength:
-        null_[in.dst] = null_[in.a];
-        if (!null_[in.dst]) i64_[in.dst] = static_cast<int64_t>(str_[in.a]->size());
-        break;
-      case Op::kConcat2:
-        null_[in.dst] = null_[in.a] | null_[in.b];
-        if (!null_[in.dst]) {
-          std::string& out = scratch_[in.dst];
-          out = *str_[in.a];
-          out += *str_[in.b];
-          str_[in.dst] = &out;
-        }
-        break;
-      case Op::kCallExpr: {
-        Value v = program_->fallbacks_[in.aux]->Eval(row);
-        null_[in.dst] = v.is_null();
-        Kind kind = static_cast<Kind>(in.b);
-        if (!v.is_null()) {
-          switch (kind) {
-            case Kind::kBool:
-              i64_[in.dst] = v.bool_value() ? 1 : 0;
-              break;
-            case Kind::kI64:
-              i64_[in.dst] = v.AsInt64();
-              break;
-            case Kind::kF64:
-              f64_[in.dst] = v.AsDouble();
-              break;
-            case Kind::kStr:
-              scratch_[in.dst] = v.str();
-              str_[in.dst] = &scratch_[in.dst];
-              break;
-            case Kind::kBoxed:
-              boxed_[in.dst] = std::move(v);
-              break;
-          }
-        } else if (kind == Kind::kBoxed) {
-          boxed_[in.dst] = Value::Null();
-        }
-        break;
-      }
-    }
-  }
-}
-
-Value CompiledExpression::Evaluator::Evaluate(const Row& row) {
-  Run(row);
-  uint16_t r = program_->result_reg_;
-  if (null_[r] && program_->result_kind_ != Kind::kBoxed) return Value::Null();
-  switch (program_->result_kind_) {
-    case Kind::kBool:
-      return Value(i64_[r] != 0);
-    case Kind::kI64:
-      switch (program_->result_type_->id()) {
-        case TypeId::kInt32:
-          return Value(static_cast<int32_t>(i64_[r]));
-        case TypeId::kDate:
-          return Value(DateValue{static_cast<int32_t>(i64_[r])});
-        case TypeId::kTimestamp:
-          return Value(TimestampValue{i64_[r]});
-        default:
-          return Value(i64_[r]);
-      }
-    case Kind::kF64:
-      return Value(f64_[r]);
-    case Kind::kStr:
-      return Value(*str_[r]);
-    case Kind::kBoxed:
-      return boxed_[r];
-  }
-  return Value::Null();
-}
-
-bool CompiledExpression::Evaluator::EvaluateBool(const Row& row, bool* is_null) {
-  Run(row);
-  uint16_t r = program_->result_reg_;
-  *is_null = null_[r] != 0;
-  return i64_[r] != 0;
-}
-
-int64_t CompiledExpression::Evaluator::EvaluateInt64(const Row& row,
-                                                     bool* is_null) {
-  Run(row);
-  uint16_t r = program_->result_reg_;
-  *is_null = null_[r] != 0;
-  return i64_[r];
-}
-
-double CompiledExpression::Evaluator::EvaluateDouble(const Row& row,
-                                                     bool* is_null) {
-  Run(row);
-  uint16_t r = program_->result_reg_;
-  *is_null = null_[r] != 0;
-  return f64_[r];
-}
-
-std::string_view CompiledExpression::Evaluator::EvaluateString(const Row& row,
-                                                               bool* is_null) {
-  Run(row);
-  uint16_t r = program_->result_reg_;
-  *is_null = null_[r] != 0;
-  return *is_null ? std::string_view() : std::string_view(*str_[r]);
 }
 
 }  // namespace ssql

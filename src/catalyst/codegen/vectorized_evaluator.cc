@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cctype>
 
 #include "catalyst/codegen/compiled_expression.h"
@@ -5,17 +6,6 @@
 #include "util/string_util.h"
 
 namespace ssql {
-
-// Comparison codes for kEqFrom's aux operand (shared with the row
-// evaluator; see compiled_expression.cc).
-namespace {
-constexpr int kCmpEq = 0;
-constexpr int kCmpNe = 1;
-constexpr int kCmpLt = 2;
-constexpr int kCmpLe = 3;
-constexpr int kCmpGt = 4;
-constexpr int kCmpGe = 5;
-}  // namespace
 
 CompiledExpression::VectorEvaluator::VectorEvaluator(
     const CompiledExpression* program)
@@ -30,27 +20,33 @@ CompiledExpression::VectorEvaluator::VectorEvaluator(
 void CompiledExpression::VectorEvaluator::EnsureRowsBoxed(
     const RowBatch& batch) {
   if (rows_boxed_) return;
-  rows_.clear();
-  rows_.reserve(n_);
+  boxed_rows_.clear();
+  boxed_rows_.reserve(n_);
   for (size_t k = 0; k < n_; ++k) {
-    rows_.push_back(batch.BoxRow(batch.ActiveIndex(k)));
+    std::vector<Value> cells(batch.num_columns());
+    for (int c : program_->fallback_columns_) {
+      cells[c] = batch.column(c).GetValue(batch.ActiveIndex(k));
+    }
+    boxed_rows_.emplace_back(std::move(cells));
   }
   rows_boxed_ = true;
 }
 
-void CompiledExpression::VectorEvaluator::Run(const RowBatch& batch) {
-  n_ = batch.ActiveRows();
+void CompiledExpression::VectorEvaluator::Run(const RowBatch* batch,
+                                              RowSpan row_span) {
+  n_ = batch != nullptr ? batch->ActiveRows() : row_span.size();
   rows_boxed_ = false;
-  const bool has_sel = batch.has_selection();
-  const uint32_t* sel = has_sel ? batch.selection().data() : nullptr;
+  const Row* const* rows = batch != nullptr ? nullptr : row_span.data();
+  const uint32_t* sel = batch != nullptr && batch->has_selection()
+                            ? batch->selection().data()
+                            : nullptr;
   const size_t n = n_;
 
   // Lane accessors: grow a register's lane vector on first touch this Run.
   // Operand lanes a correct program always defines before use; going
   // through the same accessors for reads keeps even degenerate programs
   // (e.g. a null literal's untouched value bank) in bounds — the lanes
-  // value-initialize and the null mask makes them unobservable, exactly
-  // like the row evaluator's stale scalar registers.
+  // value-initialize and the null mask makes them unobservable.
   auto lanes_i64 = [&](uint16_t r) -> int64_t* {
     if (i64_[r].size() < n) i64_[r].resize(n);
     return i64_[r].data();
@@ -76,17 +72,30 @@ void CompiledExpression::VectorEvaluator::Run(const RowBatch& batch) {
     return boxed_[r].data();
   };
 
+  // Row loads: lane k unboxes rows[k]'s cell `aux`.
+  auto read = [&](const Instr& in, auto* d, uint8_t* dn, auto unbox) {
+    for (size_t k = 0; k < n; ++k) {
+      const Value& v = rows[k]->Get(static_cast<size_t>(in.aux));
+      dn[k] = v.is_null();
+      d[k] = dn[k] ? decltype(unbox(v)){} : unbox(v);
+    }
+  };
+
   for (const Instr& in : program_->instrs_) {
     switch (in.op) {
-      // ---- column loads: gather through the selection. Null bank slots
-      // hold defined zeros, so the gather is unconditional.
-      case Op::kLoadColI64:
-      case Op::kLoadColBool: {
-        const ColumnVector& col = batch.column(static_cast<size_t>(in.aux));
-        const int64_t* vals = col.ints().data();
-        const uint8_t* nulls = col.nulls().data();
+      // ---- column loads: lane k reads rows[k]'s cell, or gathers through
+      // the selection. Null bank slots hold defined zeros, so the gather is
+      // unconditional; a null cell's lane holds zero too.
+      case Op::kLoadColI64: {
         int64_t* d = lanes_i64(in.dst);
         uint8_t* dn = lanes_null(in.dst);
+        if (rows != nullptr) {
+          read(in, d, dn, [](const Value& v) { return v.AsInt64(); });
+          break;
+        }
+        const ColumnVector& col = batch->column(static_cast<size_t>(in.aux));
+        const int64_t* vals = col.ints().data();
+        const uint8_t* nulls = col.nulls().data();
         for (size_t k = 0; k < n; ++k) {
           size_t i = sel ? sel[k] : k;
           d[k] = vals[i];
@@ -95,11 +104,15 @@ void CompiledExpression::VectorEvaluator::Run(const RowBatch& batch) {
         break;
       }
       case Op::kLoadColF64: {
-        const ColumnVector& col = batch.column(static_cast<size_t>(in.aux));
-        const double* vals = col.doubles().data();
-        const uint8_t* nulls = col.nulls().data();
         double* d = lanes_f64(in.dst);
         uint8_t* dn = lanes_null(in.dst);
+        if (rows != nullptr) {
+          read(in, d, dn, [](const Value& v) { return v.AsDouble(); });
+          break;
+        }
+        const ColumnVector& col = batch->column(static_cast<size_t>(in.aux));
+        const double* vals = col.doubles().data();
+        const uint8_t* nulls = col.nulls().data();
         for (size_t k = 0; k < n; ++k) {
           size_t i = sel ? sel[k] : k;
           d[k] = vals[i];
@@ -108,11 +121,15 @@ void CompiledExpression::VectorEvaluator::Run(const RowBatch& batch) {
         break;
       }
       case Op::kLoadColStr: {
-        const ColumnVector& col = batch.column(static_cast<size_t>(in.aux));
-        const std::string* vals = col.strings().data();
-        const uint8_t* nulls = col.nulls().data();
         const std::string** d = lanes_str(in.dst);
         uint8_t* dn = lanes_null(in.dst);
+        if (rows != nullptr) {
+          read(in, d, dn, [](const Value& v) { return &v.str(); });
+          break;
+        }
+        const ColumnVector& col = batch->column(static_cast<size_t>(in.aux));
+        const std::string* vals = col.strings().data();
+        const uint8_t* nulls = col.nulls().data();
         for (size_t k = 0; k < n; ++k) {
           size_t i = sel ? sel[k] : k;
           d[k] = &vals[i];
@@ -167,7 +184,7 @@ void CompiledExpression::VectorEvaluator::Run(const RowBatch& batch) {
         break;
       }
       // ---- int64 arithmetic: value computed unconditionally, null is the
-      // OR of the operand nulls (same as the row path).
+      // OR of the operand nulls.
       case Op::kAddI64:
       case Op::kSubI64:
       case Op::kMulI64: {
@@ -208,7 +225,7 @@ void CompiledExpression::VectorEvaluator::Run(const RowBatch& batch) {
         int64_t* d = lanes_i64(in.dst);
         uint8_t* dn = lanes_null(in.dst);
         for (size_t k = 0; k < n; ++k) {
-          // Mirrors the row path: x/0 and x%0 yield NULL, not a fault.
+          // As the interpreter: x/0 and x%0 yield NULL, not a fault.
           dn[k] = (na[k] | nb[k]) != 0 || b[k] == 0;
           if (!dn[k]) {
             d[k] = in.op == Op::kDivI64 ? a[k] / b[k] : a[k] % b[k];
@@ -406,7 +423,7 @@ void CompiledExpression::VectorEvaluator::Run(const RowBatch& batch) {
         }
         break;
       }
-      // ---- three-valued connectives (same truth table as the row path).
+      // ---- three-valued connectives.
       case Op::kAnd: {
         const int64_t* a = lanes_i64(in.a);
         const int64_t* b = lanes_i64(in.b);
@@ -607,38 +624,34 @@ void CompiledExpression::VectorEvaluator::Run(const RowBatch& batch) {
         }
         break;
       }
-      // ---- interpreter fallback: box the live rows once per batch, then
-      // evaluate the subtree row-at-a-time into this register's lanes.
+      // ---- interpreter fallback: evaluate the subtree row-at-a-time into
+      // this register's lanes, over the rows in place or a batch's live
+      // rows boxed once per Run. A string stays in its boxed Value.
       case Op::kCallExpr: {
-        EnsureRowsBoxed(batch);
+        if (batch != nullptr) EnsureRowsBoxed(*batch);
+        const Expression& fn = *program_->fallbacks_[in.aux];
         Kind kind = static_cast<Kind>(in.b);
         uint8_t* dn = lanes_null(in.dst);
         for (size_t k = 0; k < n; ++k) {
-          Value v = program_->fallbacks_[in.aux]->Eval(rows_[k]);
+          Value v = fn.Eval(rows != nullptr ? *rows[k] : boxed_rows_[k]);
           dn[k] = v.is_null();
-          if (!v.is_null()) {
-            switch (kind) {
-              case Kind::kBool:
-                lanes_i64(in.dst)[k] = v.bool_value() ? 1 : 0;
-                break;
-              case Kind::kI64:
-                lanes_i64(in.dst)[k] = v.AsInt64();
-                break;
-              case Kind::kF64:
-                lanes_f64(in.dst)[k] = v.AsDouble();
-                break;
-              case Kind::kStr: {
-                std::string* sc = lanes_scratch(in.dst);
-                sc[k] = v.str();
-                lanes_str(in.dst)[k] = &sc[k];
-                break;
+          switch (kind) {
+            case Kind::kBool:
+            case Kind::kI64:
+              lanes_i64(in.dst)[k] = dn[k] ? 0 : v.AsInt64();
+              break;
+            case Kind::kF64:
+              lanes_f64(in.dst)[k] = dn[k] ? 0.0 : v.AsDouble();
+              break;
+            case Kind::kStr:
+            case Kind::kBoxed: {
+              Value& slot = lanes_boxed(in.dst)[k];
+              slot = std::move(v);
+              if (kind == Kind::kStr) {
+                lanes_str(in.dst)[k] = dn[k] ? nullptr : &slot.str();
               }
-              case Kind::kBoxed:
-                lanes_boxed(in.dst)[k] = std::move(v);
-                break;
+              break;
             }
-          } else if (kind == Kind::kBoxed) {
-            lanes_boxed(in.dst)[k] = Value::Null();
           }
         }
         break;
@@ -647,9 +660,7 @@ void CompiledExpression::VectorEvaluator::Run(const RowBatch& batch) {
   }
 }
 
-void CompiledExpression::VectorEvaluator::EvaluateColumn(const RowBatch& batch,
-                                                         ColumnVector* out) {
-  Run(batch);
+void CompiledExpression::VectorEvaluator::AppendColumn(ColumnVector* out) {
   const size_t n = n_;
   uint16_t r = program_->result_reg_;
   // Result lanes exist whenever the program emitted at least one
@@ -659,18 +670,7 @@ void CompiledExpression::VectorEvaluator::EvaluateColumn(const RowBatch& batch,
   const uint8_t* nulls = null_[r].data();
   out->Reserve(out->size() + n);
   switch (program_->result_kind_) {
-    case Kind::kBool: {
-      if (i64_[r].size() < n) i64_[r].resize(n);
-      const int64_t* vals = i64_[r].data();
-      for (size_t k = 0; k < n; ++k) {
-        if (nulls[k]) {
-          out->AppendNull();
-        } else {
-          out->AppendInt64(vals[k] != 0 ? 1 : 0);
-        }
-      }
-      break;
-    }
+    case Kind::kBool:  // bool lanes hold 0 or 1
     case Kind::kI64: {
       if (i64_[r].size() < n) i64_[r].resize(n);
       const int64_t* vals = i64_[r].data();
@@ -718,9 +718,8 @@ void CompiledExpression::VectorEvaluator::EvaluateColumn(const RowBatch& batch,
   }
 }
 
-void CompiledExpression::VectorEvaluator::EvaluateSelection(
-    const RowBatch& batch, std::vector<uint32_t>* sel_out) {
-  Run(batch);
+void CompiledExpression::VectorEvaluator::Select(
+    const RowBatch* batch, std::vector<uint32_t>* sel_out) {
   const size_t n = n_;
   uint16_t r = program_->result_reg_;
   if (null_[r].size() < n) null_[r].resize(n, 1);
@@ -728,10 +727,47 @@ void CompiledExpression::VectorEvaluator::EvaluateSelection(
   const uint8_t* nulls = null_[r].data();
   const int64_t* vals = i64_[r].data();
   // WHERE semantics: a row passes only when the predicate is true AND not
-  // null (same as the row path's `value && !is_null`).
+  // null.
   for (size_t k = 0; k < n; ++k) {
     if (!nulls[k] && vals[k] != 0) {
-      sel_out->push_back(static_cast<uint32_t>(batch.ActiveIndex(k)));
+      sel_out->push_back(static_cast<uint32_t>(
+          batch != nullptr ? batch->ActiveIndex(k) : k));
+    }
+  }
+}
+
+void CompiledExpression::VectorEvaluator::EvaluateAppend(RowSpan rows,
+                                                         Row* out) {
+  Run(nullptr, rows);
+  const uint16_t r = program_->result_reg_;
+  const TypeId type = program_->result_type_->id();
+  for (size_t k = 0; k < n_; ++k) {
+    if (null_[r][k]) {
+      out[k].Append(Value::Null());
+      continue;
+    }
+    switch (program_->result_kind_) {
+      case Kind::kBool:
+      case Kind::kI64:
+        out[k].Append(BoxIntLike(i64_[r][k], type));
+        break;
+      case Kind::kF64:
+        out[k].Append(Value(f64_[r][k]));
+        break;
+      case Kind::kStr:
+        // A string this register owns moves out (the next Run rewrites
+        // it); a column's or constant's is copied.
+        if (!boxed_[r].empty()) {
+          out[k].Append(std::move(boxed_[r][k]));
+        } else if (!scratch_[r].empty()) {
+          out[k].Append(Value(std::move(scratch_[r][k])));
+        } else {
+          out[k].Append(Value(*str_[r][k]));
+        }
+        break;
+      case Kind::kBoxed:
+        out[k].Append(std::move(boxed_[r][k]));
+        break;
     }
   }
 }

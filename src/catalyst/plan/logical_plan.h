@@ -9,6 +9,7 @@
 
 #include "catalyst/expr/attribute.h"
 #include "catalyst/expr/expression.h"
+#include "engine/dataset.h"
 #include "types/schema.h"
 
 namespace ssql {
@@ -120,18 +121,18 @@ class UnresolvedRelation : public LogicalPlan {
 /// results of `parallelize`, parser literals, ...).
 class LocalRelation : public LogicalPlan {
  public:
-  LocalRelation(AttributeVector output, std::shared_ptr<const std::vector<Row>> rows)
+  LocalRelation(AttributeVector output, std::shared_ptr<const LocalRows> rows)
       : output_(std::move(output)), rows_(std::move(rows)) {}
 
   static PlanPtr Make(AttributeVector output, std::vector<Row> rows) {
     return std::make_shared<LocalRelation>(
-        std::move(output), std::make_shared<const std::vector<Row>>(std::move(rows)));
+        std::move(output), std::make_shared<const LocalRows>(std::move(rows)));
   }
   /// Builds output attributes from a schema, assigning fresh expr IDs.
   static PlanPtr FromSchema(const SchemaPtr& schema, std::vector<Row> rows);
 
-  const std::vector<Row>& rows() const { return *rows_; }
-  std::shared_ptr<const std::vector<Row>> shared_rows() const { return rows_; }
+  const std::vector<Row>& rows() const { return rows_->rows(); }
+  const std::shared_ptr<const LocalRows>& local_rows() const { return rows_; }
 
   std::string NodeName() const override { return "LocalRelation"; }
   PlanVector Children() const override { return {}; }
@@ -141,7 +142,7 @@ class LocalRelation : public LogicalPlan {
 
  private:
   AttributeVector output_;
-  std::shared_ptr<const std::vector<Row>> rows_;
+  std::shared_ptr<const LocalRows> rows_;
 };
 
 /// Minimal interface a data source relation exposes to the planner; the

@@ -148,7 +148,7 @@ PhysPtr PhysicalPlanner::PlanNode(const PlanPtr& plan) const {
 PhysPtr PhysicalPlanner::PlanNodeImpl(const PlanPtr& plan) const {
   if (const auto* local = AsPlan<LocalRelation>(plan)) {
     return std::make_shared<LocalTableScanExec>(local->Output(),
-                                                local->shared_rows());
+                                                local->local_rows());
   }
   if (const auto* rel = AsPlan<LogicalRelation>(plan)) {
     return std::make_shared<DataSourceScanExec>(

@@ -113,22 +113,11 @@ Value ColumnVector::GetValue(size_t i) const {
   if (nulls_[i] != 0) return Value::Null();
   switch (bank_) {
     case Bank::kInt:
-      switch (type_->id()) {
-        case TypeId::kBoolean:
-          return Value(ints_[i] != 0);
-        case TypeId::kInt32:
-          return Value(static_cast<int32_t>(ints_[i]));
-        case TypeId::kDate:
-          return Value(DateValue{static_cast<int32_t>(ints_[i])});
-        case TypeId::kTimestamp:
-          return Value(TimestampValue{ints_[i]});
-        case TypeId::kDecimal: {
-          const auto& dt = AsDecimal(*type_);
-          return Value(Decimal(ints_[i], dt.precision(), dt.scale()));
-        }
-        default:
-          return Value(ints_[i]);
+      if (type_->id() == TypeId::kDecimal) {
+        const auto& dt = AsDecimal(*type_);
+        return Value(Decimal(ints_[i], dt.precision(), dt.scale()));
       }
+      return BoxIntLike(ints_[i], type_->id());
     case Bank::kDouble:
       return Value(doubles_[i]);
     case Bank::kString:

@@ -25,6 +25,15 @@ RowDataset RowDataset::FromRows(std::vector<Row> rows, size_t num_partitions) {
   return RowDataset(std::move(parts));
 }
 
+RowDataset LocalRows::Partitioned(size_t num_partitions) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (num_partitions_ != num_partitions) {
+    split_ = RowDataset::FromRows(rows_, num_partitions);
+    num_partitions_ = num_partitions;
+  }
+  return split_;
+}
+
 RowDataset RowDataset::SinglePartition(std::vector<Row> rows) {
   auto part = std::make_shared<RowPartition>();
   part->rows = std::move(rows);

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "types/row.h"
@@ -65,6 +66,27 @@ class RowDataset {
 
  private:
   std::vector<RowPartitionPtr> partitions_;
+};
+
+/// Driver-local rows (a LocalRelation's) and their split into partitions.
+/// The relation and every scan planned from it share one holder, so the
+/// split, which copies every row, is made once per parallelism rather than
+/// once per query, and is freed with the rows.
+class LocalRows {
+ public:
+  explicit LocalRows(std::vector<Row> rows) : rows_(std::move(rows)) {}
+
+  const std::vector<Row>& rows() const { return rows_; }
+
+  /// The rows range-split into `num_partitions` slices, re-split only when
+  /// the count differs from the last call's.
+  RowDataset Partitioned(size_t num_partitions) const;
+
+ private:
+  const std::vector<Row> rows_;
+  mutable std::mutex mu_;
+  mutable size_t num_partitions_ = 0;
+  mutable RowDataset split_;
 };
 
 }  // namespace ssql

@@ -12,9 +12,6 @@ std::vector<DataTypePtr> KeyTypes(const ExprVector& groupings) {
   return types;
 }
 
-/// Rows per chunk the row paths hand to the group table.
-constexpr size_t kChunkRows = 1024;
-
 /// The partial stage's inputs (grouping keys, then every aggregate's
 /// arguments in slot order) bound to the child's output, compiled when
 /// codegen is on.
@@ -96,7 +93,7 @@ RowDataset HashAggregateExec::ExecutePartial(QueryContext& ctx) const {
     BatchDataset input = child_->ExecuteBatches(ctx);
     return input.MapToRows(ctx, [&](size_t, const BatchPartition& part) {
       GroupTable table(ctx, "aggregate.partial", key_types, slots_);
-      InputReader reader(inputs, /*batched=*/true);
+      InputReader reader(inputs);
       size_t cancel_rows = 0;
       for (const RowBatchPtr& batch : part.batches) {
         const size_t n = batch->ActiveRows();
@@ -110,7 +107,7 @@ RowDataset HashAggregateExec::ExecutePartial(QueryContext& ctx) const {
   RowDataset input = child_->Execute(ctx);
   return input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
     GroupTable table(ctx, "aggregate.partial", key_types, slots_);
-    InputReader reader(inputs, /*batched=*/false);
+    InputReader reader(inputs);
     size_t cancel_rows = 0;
     for (size_t start = 0; start < part.rows.size(); start += kChunkRows) {
       const size_t n = std::min(kChunkRows, part.rows.size() - start);

@@ -11,9 +11,6 @@ namespace {
 /// phase needs only one bucket's groups in memory at a time.
 constexpr size_t kAggSpillFanout = 16;
 
-/// Rows per chunk when draining a spill bucket.
-constexpr size_t kChunkRows = 1024;
-
 /// InitAccumulator() of each kBoxed slot, in slot order.
 std::vector<Value> BoxedInits(const std::vector<AggSlot>& aggs) {
   std::vector<Value> inits;

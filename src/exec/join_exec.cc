@@ -15,9 +15,6 @@ namespace {
 /// Buckets a Grace-partitioned join scatters each side into.
 constexpr size_t kJoinSpillFanout = 16;
 
-/// Rows per chunk a join side hands to the key table.
-constexpr size_t kChunkRows = 1024;
-
 /// End of a build-row chain.
 constexpr uint32_t kEnd = KeyTable::kNone;
 
@@ -48,7 +45,7 @@ struct HashBuild {
     rows = &build_rows;
     next.resize(build_rows.size());
     bool indexed = table.Charge(payload, admit);
-    InputReader reader(bound.right_keys, /*batched=*/false);
+    InputReader reader(bound.right_keys);
     KeyChunk chunk;
     size_t cancel_rows = 0;
     for (size_t start = 0; indexed && start < build_rows.size();
@@ -179,7 +176,7 @@ RowDataset BroadcastJoin(QueryContext& ctx, const PhysicalPlan& left,
                     static_cast<int64_t>(stream.TotalRows()));
   return stream.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
     auto out = std::make_shared<RowPartition>();
-    InputReader reader(bound.left_keys, /*batched=*/false);
+    InputReader reader(bound.left_keys);
     ProbeRows(ctx, build, reader, part.rows.data(), part.rows.size(),
               &out->rows, nullptr);
     return out;
@@ -280,7 +277,7 @@ RowDataset BroadcastHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
     // Keys evaluate as whole columns per batch; only rows that produce
     // output are boxed.
     auto out = std::make_shared<RowPartition>();
-    InputReader reader(bound.left_keys, /*batched=*/true);
+    InputReader reader(bound.left_keys);
     KeyChunk chunk;
     Row boxed;
     size_t cancel_rows = 0;
@@ -317,7 +314,7 @@ RowDataset ShuffleHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
     ctx.profile().Add(nullptr, ProfileCounter::kProbeRows,
                       static_cast<int64_t>(left_part.rows.size()));
     HashBuild build(ctx, bound, join_type_, RightWidth());
-    InputReader reader(bound.left_keys, /*batched=*/false);
+    InputReader reader(bound.left_keys);
 
     // One hash-join pass: probe `build` with `n` rows, then with the rows
     // `more` streams in (a Grace bucket's probe file), then emit the build
@@ -362,7 +359,7 @@ RowDataset ShuffleHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
     auto scatter = [&](const std::vector<Row>& rows,
                        const std::vector<BoundCompiled>& keys,
                        bool build_side) {
-      InputReader side_reader(keys, /*batched=*/false);
+      InputReader side_reader(keys);
       KeyChunk chunk;
       size_t cancel_rows = 0;
       for (size_t start = 0; start < rows.size(); start += kChunkRows) {

@@ -34,10 +34,6 @@ uint64_t HashString(std::string_view s) {
   return MixHash64(h ^ tail);
 }
 
-std::string_view Text(const Value& v) {
-  return v.is_null() ? std::string_view() : std::string_view(v.str());
-}
-
 template <typename T>
 void Free(std::vector<T>* v) {
   std::vector<T>().swap(*v);
@@ -53,21 +49,6 @@ Lane LaneFor(TypeId id) {
   if (id == TypeId::kDouble) return Lane::kDouble;
   if (id == TypeId::kString) return Lane::kString;
   return Lane::kBoxed;
-}
-
-Value BoxIntLike(int64_t v, TypeId id) {
-  switch (id) {
-    case TypeId::kInt32:
-      return Value(static_cast<int32_t>(v));
-    case TypeId::kDate:
-      return Value(DateValue{static_cast<int32_t>(v)});
-    case TypeId::kTimestamp:
-      return Value(TimestampValue{v});
-    case TypeId::kBoolean:
-      return Value(v != 0);
-    default:
-      return Value(v);
-  }
 }
 
 KeyTable::KeyTable(MemoryManager& memory, std::vector<DataTypePtr> types,
@@ -274,92 +255,31 @@ void KeyTable::Reset() {
   reservation_.Release();
 }
 
-InputReader::InputReader(const std::vector<BoundCompiled>& inputs,
-                         bool batched)
-    : inputs_(inputs),
-      row_evals_(inputs.size()),
-      vec_evals_(inputs.size()),
-      cols_(inputs.size()),
-      views_(inputs.size()) {
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const auto& compiled = inputs[i].compiled;
-    if (!compiled) continue;
-    if (batched) vec_evals_[i].emplace(compiled->NewVectorEvaluator());
-    if (!batched) row_evals_[i].emplace(compiled->NewEvaluator());
+InputReader::InputReader(const std::vector<BoundCompiled>& inputs)
+    : inputs_(inputs), cols_(inputs.size()), views_(inputs.size()) {
+  for (const BoundCompiled& input : inputs) {
+    evals_.push_back(input.compiled.NewVectorEvaluator());
   }
 }
 
 const KeyTable::Columns& InputReader::Read(const Row* rows, size_t n) {
-  for (size_t i = 0; i < cols_.size(); ++i) {
-    ColumnVector& col = Fresh(i, n);
-    auto& eval = row_evals_[i];
-    // One loop per lane, each a typed register read per row.
-    auto fill = [&](auto&& read) {
-      for (size_t r = 0; r < n; ++r) {
-        bool null = false;
-        read(rows[r], &null);
-        if (null) col.AppendNull();
-      }
-    };
-    // A compiled bare column is a typed load: read the row's value in
-    // place instead of running the one-instruction program.
-    const auto* ref = eval ? As<BoundReference>(inputs_[i].bound) : nullptr;
-    auto column = [&](const Row& row, bool* null) -> const Value& {
-      const Value& v = row.Get(ref->ordinal());
-      *null = v.is_null();
-      return v;
-    };
-    switch (eval ? LaneFor(col.type()->id()) : Lane::kBoxed) {
-      case Lane::kInt:
-        fill([&](const Row& row, bool* null) {
-          int64_t v = ref ? column(row, null).AsInt64()
-                          : eval->EvaluateInt64(row, null);
-          if (!*null) col.AppendInt64(v);
-        });
-        break;
-      case Lane::kDouble:
-        fill([&](const Row& row, bool* null) {
-          double v = ref ? column(row, null).AsDouble()
-                         : eval->EvaluateDouble(row, null);
-          if (!*null) col.AppendDouble(v);
-        });
-        break;
-      case Lane::kString:
-        fill([&](const Row& row, bool* null) {
-          std::string_view v = ref ? Text(column(row, null))
-                                   : eval->EvaluateString(row, null);
-          if (!*null) col.AppendString(std::string(v));
-        });
-        break;
-      case Lane::kBoxed:
-        fill([&](const Row& row, bool*) {
-          col.Append(eval ? eval->Evaluate(row) : inputs_[i].bound->Eval(row));
-        });
-        break;
-    }
+  rows_.clear();
+  for (size_t r = 0; r < n; ++r) rows_.push_back(&rows[r]);
+  for (size_t i = 0; i < evals_.size(); ++i) {
+    evals_[i].EvaluateColumn(rows_, &Fresh(i, n));
   }
   return views_;
 }
 
 const KeyTable::Columns& InputReader::Read(const RowBatch& batch) {
-  const size_t n = batch.ActiveRows();
-  bool interpreted = false;
-  for (size_t i = 0; i < cols_.size(); ++i) {
-    ColumnVector& col = Fresh(i, n);
-    if (vec_evals_[i]) vec_evals_[i]->EvaluateColumn(batch, &col);
-    interpreted = interpreted || !vec_evals_[i];
-  }
-  for (size_t k = 0; interpreted && k < n; ++k) {
-    Row row = batch.BoxRow(batch.ActiveIndex(k));
-    for (size_t i = 0; i < cols_.size(); ++i) {
-      if (!vec_evals_[i]) cols_[i]->Append(inputs_[i].bound->Eval(row));
-    }
+  for (size_t i = 0; i < evals_.size(); ++i) {
+    evals_[i].EvaluateColumn(batch, &Fresh(i, batch.ActiveRows()));
   }
   return views_;
 }
 
 ColumnVector& InputReader::Fresh(size_t i, size_t n) {
-  cols_[i].emplace(inputs_[i].bound->data_type());
+  cols_[i].emplace(inputs_[i].compiled.result_type());
   cols_[i]->Reserve(n);
   views_[i] = &*cols_[i];
   return *cols_[i];

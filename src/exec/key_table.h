@@ -24,9 +24,6 @@ namespace ssql {
 enum class Lane : uint8_t { kInt, kDouble, kString, kBoxed };
 Lane LaneFor(TypeId id);
 
-/// Boxes an int64 lane value back into its logical type.
-Value BoxIntLike(int64_t v, TypeId id);
-
 /// A chunk of key columns hashed for lookup: each row's full hash, whether
 /// it has a null key cell (only kept when nulls never match), and the
 /// columns' banks. The caller owns it, so many tasks can probe one table.
@@ -187,11 +184,10 @@ inline uint32_t KeyTable::Find(const KeyChunk& chunk, size_t r) const {
 
 /// Per-task evaluation of bound expressions (keys, aggregate arguments)
 /// into one ColumnVector each, over a chunk of rows or the live rows of a
-/// batch. Compiled programs read rows through typed register reads, without
-/// boxing; interpreted expressions (codegen off) evaluate boxed, row by row.
+/// batch: one program run per input.
 class InputReader {
  public:
-  InputReader(const std::vector<BoundCompiled>& inputs, bool batched);
+  explicit InputReader(const std::vector<BoundCompiled>& inputs);
 
   const KeyTable::Columns& Read(const Row* rows, size_t n);
   const KeyTable::Columns& Read(const RowBatch& batch);
@@ -201,9 +197,9 @@ class InputReader {
   ColumnVector& Fresh(size_t i, size_t n);
 
   const std::vector<BoundCompiled>& inputs_;
-  std::vector<std::optional<CompiledExpression::Evaluator>> row_evals_;
-  std::vector<std::optional<CompiledExpression::VectorEvaluator>> vec_evals_;
+  std::vector<CompiledExpression::VectorEvaluator> evals_;
   std::vector<std::optional<ColumnVector>> cols_;
+  std::vector<const Row*> rows_;
   KeyTable::Columns views_;
 };
 

@@ -6,62 +6,12 @@ namespace ssql {
 
 BoundCompiled BindAndCompile(const ExprPtr& expr, const AttributeVector& input,
                              bool codegen_enabled) {
-  BoundCompiled out;
-  out.bound = BindReferences(expr, input);
-  if (codegen_enabled) {
-    out.compiled = CompiledExpression::Compile(out.bound);
-  }
-  return out;
+  ExprPtr bound = BindReferences(expr, input);
+  return {bound, CompiledExpression::Compile(bound, codegen_enabled)};
 }
 
-namespace {
-
-/// Small LRU of partitioned local tables. The backing row vectors are
-/// immutable and shared by every plan over the same DataFrame, so the
-/// partitioning (which copies every boxed row) should happen once per
-/// dataset, not once per query — the engine-side analogue of Spark keeping
-/// parallelized data resident on the executors.
-class LocalPartitionCache {
- public:
-  static LocalPartitionCache& Global() {
-    static LocalPartitionCache* cache = new LocalPartitionCache();
-    return *cache;
-  }
-
-  std::shared_ptr<const RowDataset> Get(
-      const std::shared_ptr<const std::vector<Row>>& rows, size_t parts) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].rows.get() == rows.get() && entries_[i].parts == parts) {
-        Entry hit = entries_[i];
-        entries_.erase(entries_.begin() + static_cast<long>(i));
-        entries_.push_back(hit);  // move to MRU position
-        return hit.dataset;
-      }
-    }
-    auto dataset = std::make_shared<const RowDataset>(
-        RowDataset::FromRows(*rows, parts));
-    entries_.push_back({rows, parts, dataset});
-    if (entries_.size() > kCapacity) entries_.erase(entries_.begin());
-    return dataset;
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<const std::vector<Row>> rows;
-    size_t parts;
-    std::shared_ptr<const RowDataset> dataset;
-  };
-  static constexpr size_t kCapacity = 16;
-  std::mutex mu_;
-  std::vector<Entry> entries_;
-};
-
-}  // namespace
-
 RowDataset LocalTableScanExec::ExecuteImpl(QueryContext& ctx) const {
-  size_t parts = ctx.config().default_parallelism;
-  return *LocalPartitionCache::Global().Get(rows_, parts);
+  return rows_->Partitioned(ctx.config().default_parallelism);
 }
 
 DataSourceScanExec::DataSourceScanExec(std::shared_ptr<SourceRelation> source,
@@ -212,67 +162,65 @@ ProjectFilterExec::ProjectFilterExec(std::vector<NamedExprPtr> projections,
 
 AttributeVector ProjectFilterExec::Output() const { return output_; }
 
-RowDataset ProjectFilterExec::ExecuteImpl(QueryContext& ctx) const {
-  RowDataset input = child_->Execute(ctx);
-  AttributeVector child_out = child_->Output();
-  bool codegen = ctx.config().codegen_enabled;
-
-  // Bind once; compile once. Evaluators are created per partition task so
-  // the scratch register state is never shared across threads.
-  std::optional<BoundCompiled> cond;
-  if (condition_) cond = BindAndCompile(condition_, child_out, codegen);
-  std::vector<BoundCompiled> projs;
-  projs.reserve(projections_.size());
+ProjectFilterExec::Programs ProjectFilterExec::Compile(bool codegen) const {
+  const AttributeVector child_out = child_->Output();
+  Programs programs;
+  if (condition_) {
+    programs.condition =
+        BindAndCompile(condition_, child_out, codegen).compiled;
+  }
   for (const auto& p : projections_) {
     // Strip the top-level alias: only the value matters positionally.
     ExprPtr value = p;
     if (const auto* alias = As<Alias>(value)) value = alias->child();
-    projs.push_back(BindAndCompile(value, child_out, codegen));
+    programs.projections.push_back(
+        BindAndCompile(value, child_out, codegen).compiled);
   }
+  return programs;
+}
+
+RowDataset ProjectFilterExec::ExecuteImpl(QueryContext& ctx) const {
+  RowDataset input = child_->Execute(ctx);
+  const Programs programs = Compile(ctx.config().codegen_enabled);
 
   return input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
     auto out = std::make_shared<RowPartition>();
     out->rows.reserve(part.rows.size());
-    size_t cancel_check = 0;
-    std::optional<CompiledExpression::Evaluator> cond_eval;
-    if (cond && cond->compiled) cond_eval.emplace(cond->compiled->NewEvaluator());
-    std::vector<CompiledExpression::Evaluator> proj_evals;
-    for (auto& p : projs) {
-      if (p.compiled) proj_evals.push_back(p.compiled->NewEvaluator());
+    // Per-task evaluators: the lane banks are scratch, not shareable.
+    std::optional<CompiledExpression::VectorEvaluator> cond_eval;
+    if (programs.condition) {
+      cond_eval.emplace(programs.condition->NewVectorEvaluator());
     }
-    bool all_compiled = proj_evals.size() == projs.size();
-
-    for (const Row& row : part.rows) {
-      ctx.CheckCancelledEvery(&cancel_check);
-      if (cond) {
-        bool pass;
-        if (cond_eval) {
-          bool is_null = false;
-          pass = cond_eval->EvaluateBool(row, &is_null) && !is_null;
-        } else {
-          pass = EvalPredicate(*cond->bound, row);
-        }
-        if (!pass) continue;
+    std::vector<CompiledExpression::VectorEvaluator> proj_evals;
+    for (const auto& p : programs.projections) {
+      proj_evals.push_back(p.NewVectorEvaluator());
+    }
+    std::vector<const Row*> chunk;
+    std::vector<uint32_t> sel;
+    size_t cancel_rows = 0;
+    for (size_t start = 0; start < part.rows.size(); start += kChunkRows) {
+      const size_t n = std::min(kChunkRows, part.rows.size() - start);
+      ctx.CheckCancelledEveryRows(&cancel_rows, n);
+      chunk.clear();
+      for (size_t r = start; r < start + n; ++r) chunk.push_back(&part.rows[r]);
+      if (cond_eval) {
+        // Keep the survivors; the projections run at them only.
+        sel.clear();
+        cond_eval->EvaluateSelection(chunk, &sel);
+        for (size_t k = 0; k < sel.size(); ++k) chunk[k] = chunk[sel[k]];
+        chunk.resize(sel.size());
       }
       if (projections_.empty()) {
-        out->rows.push_back(row);
+        for (const Row* row : chunk) out->rows.push_back(*row);
         continue;
       }
-      Row result;
-      result.Reserve(projs.size());
-      if (all_compiled) {
-        for (auto& ev : proj_evals) result.Append(ev.Evaluate(row));
-      } else {
-        size_t ev_idx = 0;
-        for (auto& p : projs) {
-          if (p.compiled) {
-            result.Append(proj_evals[ev_idx++].Evaluate(row));
-          } else {
-            result.Append(p.bound->Eval(row));
-          }
-        }
+      // Box the output rows straight from each projection's result lanes.
+      const size_t base = out->rows.size();
+      out->rows.resize(base + chunk.size());
+      for (size_t k = base; k < out->rows.size(); ++k) {
+        out->rows[k].Reserve(proj_evals.size());
       }
-      out->rows.push_back(std::move(result));
+      for (auto& ev : proj_evals) ev.EvaluateAppend(chunk, &out->rows[base]);
     }
     return out;
   }, "project");
@@ -280,22 +228,7 @@ RowDataset ProjectFilterExec::ExecuteImpl(QueryContext& ctx) const {
 
 BatchDataset ProjectFilterExec::ExecuteBatchesImpl(QueryContext& ctx) const {
   BatchDataset input = child_->ExecuteBatches(ctx);
-  AttributeVector child_out = child_->Output();
-  bool codegen = ctx.config().codegen_enabled;
-
-  // Bind once; compile once — exactly the row path's programs, evaluated
-  // with the vector evaluator instead (one lane loop per instruction).
-  std::optional<BoundCompiled> cond;
-  if (condition_) cond = BindAndCompile(condition_, child_out, codegen);
-  std::vector<BoundCompiled> projs;
-  projs.reserve(projections_.size());
-  for (const auto& p : projections_) {
-    ExprPtr value = p;
-    if (const auto* alias = As<Alias>(value)) value = alias->child();
-    projs.push_back(BindAndCompile(value, child_out, codegen));
-  }
-  std::vector<DataTypePtr> out_types;
-  for (const auto& a : output_) out_types.push_back(a->data_type());
+  const Programs programs = Compile(ctx.config().codegen_enabled);
 
   return input.MapPartitions(ctx, [&](size_t, const BatchPartition& part) {
     auto out = std::make_shared<BatchPartition>();
@@ -303,35 +236,20 @@ BatchDataset ProjectFilterExec::ExecuteBatchesImpl(QueryContext& ctx) const {
     size_t cancel_rows = 0;
     // Per-task evaluators (lane banks are scratch, not shareable).
     std::optional<CompiledExpression::VectorEvaluator> cond_eval;
-    if (cond && cond->compiled) {
-      cond_eval.emplace(cond->compiled->NewVectorEvaluator());
+    if (programs.condition) {
+      cond_eval.emplace(programs.condition->NewVectorEvaluator());
     }
-    std::vector<std::optional<CompiledExpression::VectorEvaluator>> proj_evals(
-        projs.size());
-    for (size_t i = 0; i < projs.size(); ++i) {
-      if (projs[i].compiled) {
-        proj_evals[i].emplace(projs[i].compiled->NewVectorEvaluator());
-      }
+    std::vector<CompiledExpression::VectorEvaluator> proj_evals;
+    for (const auto& p : programs.projections) {
+      proj_evals.push_back(p.NewVectorEvaluator());
     }
 
     for (const RowBatchPtr& batch : part.batches) {
       ctx.CheckCancelledEveryRows(&cancel_rows, batch->ActiveRows());
       RowBatchPtr cur = batch;
-      if (cond) {
+      if (cond_eval) {
         std::vector<uint32_t> sel;
-        if (cond_eval) {
-          cond_eval->EvaluateSelection(*cur, &sel);
-        } else {
-          // Interpreted predicate: box each live row, keep survivors'
-          // physical indices (same WHERE semantics: true-and-not-null).
-          sel.reserve(cur->ActiveRows());
-          for (size_t k = 0; k < cur->ActiveRows(); ++k) {
-            size_t i = cur->ActiveIndex(k);
-            if (EvalPredicate(*cond->bound, cur->BoxRow(i))) {
-              sel.push_back(static_cast<uint32_t>(i));
-            }
-          }
-        }
+        cond_eval->EvaluateSelection(*cur, &sel);
         if (sel.empty()) continue;  // fully filtered: emit no batch
         cur = RowBatch::FilterView(cur, std::move(sel));
       }
@@ -343,17 +261,10 @@ BatchDataset ProjectFilterExec::ExecuteBatchesImpl(QueryContext& ctx) const {
       }
       // Projection: evaluate one dense output column per expression.
       std::vector<std::shared_ptr<ColumnVector>> cols;
-      cols.reserve(projs.size());
-      for (size_t i = 0; i < projs.size(); ++i) {
-        auto col = std::make_shared<ColumnVector>(out_types[i]);
-        col->Reserve(cur->ActiveRows());
-        if (proj_evals[i]) {
-          proj_evals[i]->EvaluateColumn(*cur, col.get());
-        } else {
-          for (size_t k = 0; k < cur->ActiveRows(); ++k) {
-            col->Append(projs[i].bound->Eval(cur->BoxRow(cur->ActiveIndex(k))));
-          }
-        }
+      cols.reserve(proj_evals.size());
+      for (size_t i = 0; i < proj_evals.size(); ++i) {
+        auto col = std::make_shared<ColumnVector>(output_[i]->data_type());
+        proj_evals[i].EvaluateColumn(*cur, col.get());
         cols.push_back(std::move(col));
       }
       out->batches.push_back(

@@ -2,6 +2,7 @@
 #define SSQL_EXEC_SCAN_EXEC_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,7 @@ namespace ssql {
 class LocalTableScanExec : public PhysicalPlan {
  public:
   LocalTableScanExec(AttributeVector output,
-                     std::shared_ptr<const std::vector<Row>> rows)
+                     std::shared_ptr<const LocalRows> rows)
       : output_(std::move(output)), rows_(std::move(rows)) {}
 
   std::string NodeName() const override { return "LocalTableScan"; }
@@ -25,12 +26,12 @@ class LocalTableScanExec : public PhysicalPlan {
   RowDataset ExecuteImpl(QueryContext& ctx) const override;
   std::string Describe() const override {
     return "LocalTableScan " + FormatAttributes(output_) +
-           " rows=" + std::to_string(rows_->size());
+           " rows=" + std::to_string(rows_->rows().size());
   }
 
  private:
   AttributeVector output_;
-  std::shared_ptr<const std::vector<Row>> rows_;
+  std::shared_ptr<const LocalRows> rows_;
 };
 
 /// Scan of an external data source with negotiated column pruning and
@@ -70,8 +71,8 @@ class DataSourceScanExec : public PhysicalPlan {
 
 /// Projection (optionally fused with a filter — Section 4.3.3's
 /// "pipelining projections or filters into one Spark map operation").
-/// Expressions are bound at construction; with codegen enabled each worker
-/// evaluates the compiled register programs instead of walking the trees.
+/// Each execution binds and compiles the condition and projections once;
+/// each worker runs the programs a chunk of rows (or a batch) at a time.
 class ProjectFilterExec : public PhysicalPlan {
  public:
   /// `condition` may be null (pure projection). `projections` may be empty
@@ -103,6 +104,14 @@ class ProjectFilterExec : public PhysicalPlan {
   BatchDataset ExecuteBatchesImpl(QueryContext& ctx) const override;
 
  private:
+  /// The condition (if any) and projection values, bound to the child's
+  /// output and compiled (codegen off: interpreter programs).
+  struct Programs {
+    std::optional<CompiledExpression> condition;
+    std::vector<CompiledExpression> projections;
+  };
+  Programs Compile(bool codegen) const;
+
   std::vector<NamedExprPtr> projections_;  // bound to child output
   ExprPtr condition_;                      // bound to child output; may be null
   PhysPtr child_;
@@ -141,11 +150,12 @@ class UnionExec : public PhysicalPlan {
   std::vector<PhysPtr> children_;
 };
 
-/// Binds `expr` against `input` and compiles it when enabled; shared by
-/// the executors. Returns the bound tree and optionally the program.
+/// Binds `expr` against `input` and compiles it, to a register program
+/// with codegen enabled or to one interpreter call without; shared by the
+/// executors. Returns the bound tree and the program.
 struct BoundCompiled {
   ExprPtr bound;
-  std::optional<CompiledExpression> compiled;
+  CompiledExpression compiled;
 };
 BoundCompiled BindAndCompile(const ExprPtr& expr, const AttributeVector& input,
                              bool codegen_enabled);

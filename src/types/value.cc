@@ -363,27 +363,38 @@ int Digits(const char* p, int n) {
 
 constexpr int64_t kMicrosPerDay = 86400LL * 1000000LL;
 
-/// "YYYY-MM-DD[ HH:MM[:SS]]": the date part must be a whole date; a time
-/// part that does not scan as at least HH:MM is ignored (midnight).
+/// "YYYY-MM-DD[ HH:MM[:SS[.f]]]" with a whole date, H < 24, M < 60,
+/// S < 60 and one to six fraction digits (kept to the microsecond); any
+/// other text fails.
 bool ParseTimestampText(std::string_view s, int64_t* micros) {
   const size_t space = s.find(' ');
   DateValue d;
   if (!ParseDate(s.substr(0, space), &d)) return false;
   *micros = static_cast<int64_t>(d.days) * kMicrosPerDay;
   if (space == std::string_view::npos) return true;
-  const std::string_view time = s.substr(space + 1);
-  int h = -1, m = -1, sec = -1;
-  if (time.size() == 8 && time[2] == ':' && time[5] == ':') {
-    h = Digits(time.data(), 2);
-    m = Digits(time.data() + 3, 2);
-    sec = Digits(time.data() + 6, 2);
+  const std::string_view t = s.substr(space + 1);
+  auto field = [&](size_t at, int limit) {
+    const int v = t.size() >= at + 2 ? Digits(t.data() + at, 2) : -1;
+    return v < limit ? v : -1;
+  };
+  const int h = field(0, 24);
+  const int m = t.size() > 2 && t[2] == ':' ? field(3, 60) : -1;
+  if (h < 0 || m < 0) return false;
+  int sec = 0;
+  int64_t frac = 0;
+  if (t.size() > 5) {
+    sec = t[5] == ':' ? field(6, 60) : -1;
+    if (sec < 0) return false;
+    if (t.size() > 8) {
+      const size_t digits = t.size() - 9;
+      if (t[8] != '.' || digits < 1 || digits > 6) return false;
+      const int f = Digits(t.data() + 9, static_cast<int>(digits));
+      if (f < 0) return false;
+      frac = f;
+      for (size_t k = digits; k < 6; ++k) frac *= 10;
+    }
   }
-  if (h < 0 || m < 0 || sec < 0) {
-    h = m = sec = 0;
-    const std::string buf(time);
-    if (std::sscanf(buf.c_str(), "%d:%d:%d", &h, &m, &sec) < 2) return true;
-  }
-  *micros += ((h * 3600LL) + (m * 60LL) + sec) * 1000000LL;
+  *micros += ((h * 3600LL) + (m * 60LL) + sec) * 1000000LL + frac;
   return true;
 }
 

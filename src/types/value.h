@@ -130,6 +130,23 @@ class Value {
 /// sorting with it leaves rows unsorted.
 int CompareNanLast(const Value& a, const Value& b);
 
+/// Boxes an int64 lane value (how column banks and register programs hold
+/// boolean, int32, int64, date and timestamp) back into its logical type.
+inline Value BoxIntLike(int64_t v, TypeId id) {
+  switch (id) {
+    case TypeId::kInt32:
+      return Value(static_cast<int32_t>(v));
+    case TypeId::kDate:
+      return Value(DateValue{static_cast<int32_t>(v)});
+    case TypeId::kTimestamp:
+      return Value(TimestampValue{v});
+    case TypeId::kBoolean:
+      return Value(v != 0);
+    default:
+      return Value(v);
+  }
+}
+
 /// Parses "YYYY-MM-DD" into days-since-epoch. The whole text must be the
 /// date: trailing text (a time of day, say) fails. Returns false on bad
 /// input.

@@ -292,5 +292,26 @@ TEST(AdvisoryFilterTest, EngineReChecksInexactSources) {
   for (const Row& r : rows) EXPECT_GE(r.GetInt32(0), 90);
 }
 
+TEST(LocalRowsTest, RowsDieWithTheirDataFrameAndContext) {
+  // A DataFrame's local rows, and their split into partitions, belong to
+  // its plan: once the DataFrame and its context are gone, so are they.
+  std::weak_ptr<const LocalRows> rows;
+  {
+    auto ctx = std::make_unique<SqlContext>();
+    std::vector<Row> data;
+    for (int32_t i = 0; i < 1000; ++i) data.push_back(Row({Value(i)}));
+    DataFrame df = ctx->CreateDataFrame(
+        StructType::Make({Field("x", DataType::Int32(), false)}),
+        std::move(data));
+    const auto* local = AsPlan<LocalRelation>(df.plan());
+    ASSERT_NE(local, nullptr);
+    rows = local->local_rows();
+    EXPECT_EQ(df.Where(df("x") < Lit(Value(int32_t{50}))).Collect().size(),
+              50u);
+    EXPECT_FALSE(rows.expired());
+  }
+  EXPECT_TRUE(rows.expired());
+}
+
 }  // namespace
 }  // namespace ssql

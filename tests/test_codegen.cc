@@ -1,10 +1,15 @@
-// Codegen tests (Section 4.3.4): the compiled register program must agree
-// with the tree interpreter on every expression, including via a
-// property-style sweep over randomly generated expression trees, and must
-// fall back to interpretation for nodes it cannot compile (mixed mode).
+// Codegen tests (Section 4.3.4): the register program must agree with the
+// tree interpreter (Expression::Eval, row by row) on every expression, over
+// each input the one evaluator takes — a chunk of rows, a RowBatch, and a
+// FilterView with a sparse selection — both compiled and with codegen off
+// (one interpreter call over the whole tree). A property sweep generates
+// random trees over bigints, doubles, strings, dates and fallback nodes
+// (UDF, decimal, CASE), with ~15% nulls everywhere.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
 
 #include "catalyst/codegen/compiled_expression.h"
@@ -15,26 +20,169 @@
 #include "catalyst/expr/predicates.h"
 #include "catalyst/expr/string_ops.h"
 #include "catalyst/expr/udf_expr.h"
+#include "columnar/row_batch.h"
 
 namespace ssql {
 namespace {
 
 ExprPtr I32(int32_t v) { return Literal::Make(Value(v), DataType::Int32()); }
+ExprPtr I64(int64_t v) { return Literal::Make(Value(v), DataType::Int64()); }
 ExprPtr F64(double v) { return Literal::Make(Value(v), DataType::Double()); }
 ExprPtr Str(const char* s) {
   return Literal::Make(Value(s), DataType::String());
 }
 
+/// Same value: both null, or the same type and value. Doubles must match
+/// bit for bit up to NaN payloads, so -0.0 is not 0.0.
+bool Same(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.type_id() != b.type_id()) return false;
+  if (a.type_id() == TypeId::kDouble) {
+    const double x = a.f64(), y = b.f64();
+    if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+    return x == y && std::signbit(x) == std::signbit(y);
+  }
+  return a.Equals(b);
+}
+
+/// `rows` as one RowBatch of `types` columns.
+RowBatchPtr ToBatch(const std::vector<Row>& rows,
+                    const std::vector<DataTypePtr>& types) {
+  std::vector<std::shared_ptr<ColumnVector>> cols;
+  for (size_t c = 0; c < types.size(); ++c) {
+    auto col = std::make_shared<ColumnVector>(types[c]);
+    for (const Row& row : rows) col->Append(row.Get(c));
+    cols.push_back(std::move(col));
+  }
+  return std::make_shared<const RowBatch>(std::move(cols));
+}
+
+std::vector<DataTypePtr> TypesOf(const std::vector<Row>& rows) {
+  std::vector<DataTypePtr> types;
+  for (size_t c = 0; c < rows[0].size(); ++c) {
+    DataTypePtr type = DataType::Int64();
+    for (const Row& row : rows) {
+      const Value& v = row.Get(c);
+      if (v.is_null()) continue;
+      switch (v.type_id()) {
+        case TypeId::kBoolean: type = DataType::Boolean(); break;
+        case TypeId::kInt32: type = DataType::Int32(); break;
+        case TypeId::kDouble: type = DataType::Double(); break;
+        case TypeId::kString: type = DataType::String(); break;
+        case TypeId::kDate: type = DataType::Date(); break;
+        case TypeId::kDecimal:
+          type = DecimalType::Make(v.decimal().precision(), v.decimal().scale());
+          break;
+        default: break;
+      }
+      break;
+    }
+    types.push_back(type);
+  }
+  return types;
+}
+
+/// Checks one program against the interpreter's `expected` (one value per
+/// row of `rows`) over every input the evaluator takes. Returns a failure
+/// description, or "" when all agree.
+std::string Disagreement(const ExprPtr& expr, const CompiledExpression& prog,
+                         const std::vector<Row>& rows,
+                         const std::vector<DataTypePtr>& types,
+                         const std::vector<Value>& expected) {
+  const bool predicate = expr->data_type()->id() == TypeId::kBoolean;
+  auto eval = prog.NewVectorEvaluator();
+  std::string failure;
+  auto check = [&](const char* input, size_t row, const Value& got) {
+    if (failure.empty() && !Same(expected[row], got)) {
+      failure = std::string(input) + " row " + std::to_string(row) + " (" +
+                rows[row].ToString() + "): interpreted=" +
+                expected[row].ToString() + " program=" + got.ToString();
+    }
+  };
+  auto check_selection = [&](const char* input,
+                             const std::vector<uint32_t>& got,
+                             const std::vector<uint32_t>& rows_in) {
+    std::vector<uint32_t> want;
+    for (uint32_t r : rows_in) {
+      if (!expected[r].is_null() && expected[r].bool_value()) want.push_back(r);
+    }
+    if (failure.empty() && got != want) {
+      failure = std::string(input) + ": selection differs (" +
+                std::to_string(got.size()) + " vs " +
+                std::to_string(want.size()) + " rows)";
+    }
+  };
+
+  // A sparse FilterView first (small), so the later runs grow the lanes.
+  RowBatchPtr batch = ToBatch(rows, types);
+  std::vector<uint32_t> sparse;
+  for (uint32_t r = 0; r < rows.size(); ++r) {
+    if (r % 5 == 1 || r % 7 == 3) sparse.push_back(r);
+  }
+  RowBatchPtr view = RowBatch::FilterView(batch, sparse);
+  ColumnVector view_out(prog.result_type());
+  eval.EvaluateColumn(*view, &view_out);
+  for (size_t k = 0; k < sparse.size(); ++k) {
+    check("filter view", sparse[k], view_out.GetValue(k));
+  }
+
+  // A chunk of rows: as a column, and boxed into output rows.
+  std::vector<const Row*> ptrs;
+  std::vector<uint32_t> all;
+  for (const Row& row : rows) {
+    all.push_back(static_cast<uint32_t>(ptrs.size()));
+    ptrs.push_back(&row);
+  }
+  ColumnVector rows_out(prog.result_type());
+  eval.EvaluateColumn(ptrs, &rows_out);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    check("row chunk", k, rows_out.GetValue(k));
+  }
+  std::vector<Row> boxed(rows.size());
+  eval.EvaluateAppend(ptrs, boxed.data());
+  for (size_t k = 0; k < rows.size(); ++k) {
+    check("boxed rows", k, boxed[k].Get(0));
+  }
+
+  // The whole batch.
+  ColumnVector batch_out(prog.result_type());
+  eval.EvaluateColumn(*batch, &batch_out);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    check("batch", k, batch_out.GetValue(k));
+  }
+
+  if (predicate) {
+    std::vector<uint32_t> sel;
+    eval.EvaluateSelection(*view, &sel);
+    check_selection("filter view", sel, sparse);
+    sel.clear();
+    eval.EvaluateSelection(ptrs, &sel);
+    check_selection("row chunk", sel, all);
+    sel.clear();
+    eval.EvaluateSelection(*batch, &sel);
+    check_selection("batch", sel, all);
+  }
+  return failure;
+}
+
+/// The interpreter's value of `expr` on each row; then checks the compiled
+/// program and the codegen-off program against it on every input.
+void ExpectAgreeOnRows(const ExprPtr& expr, const std::vector<Row>& rows) {
+  std::vector<Value> expected;
+  for (const Row& row : rows) expected.push_back(expr->Eval(row));
+  const std::vector<DataTypePtr> types = TypesOf(rows);
+  const CompiledExpression compiled = CompiledExpression::Compile(expr);
+  EXPECT_EQ(Disagreement(expr, compiled, rows, types, expected), "")
+      << "compiled " << expr->ToString();
+  const CompiledExpression interpreted =
+      CompiledExpression::Compile(expr, /*codegen=*/false);
+  EXPECT_DOUBLE_EQ(interpreted.compiled_fraction(), 0.0);
+  EXPECT_EQ(Disagreement(expr, interpreted, rows, types, expected), "")
+      << "codegen off " << expr->ToString();
+}
+
 void ExpectAgree(const ExprPtr& expr, const Row& row) {
-  auto compiled = CompiledExpression::Compile(expr);
-  ASSERT_TRUE(compiled.has_value());
-  auto evaluator = compiled->NewEvaluator();
-  Value interpreted = expr->Eval(row);
-  Value generated = evaluator.Evaluate(row);
-  EXPECT_TRUE(interpreted.Equals(generated) ||
-              (interpreted.is_null() && generated.is_null()))
-      << expr->ToString() << ": interpreted=" << interpreted.ToString()
-      << " compiled=" << generated.ToString();
+  ExpectAgreeOnRows(expr, {row});
 }
 
 TEST(CodegenTest, ArithmeticOnColumns) {
@@ -51,7 +199,7 @@ TEST(CodegenTest, ArithmeticOnColumns) {
 TEST(CodegenTest, FullyCompiledHasNoFallback) {
   ExprPtr x = BoundReference::Make(0, DataType::Int32(), false);
   auto compiled = CompiledExpression::Compile(Add::Make(Add::Make(x, x), x));
-  EXPECT_DOUBLE_EQ(compiled->compiled_fraction(), 1.0);
+  EXPECT_DOUBLE_EQ(compiled.compiled_fraction(), 1.0);
 }
 
 TEST(CodegenTest, NullColumns) {
@@ -75,7 +223,7 @@ TEST(CodegenTest, Comparisons) {
   ExprPtr b = BoundReference::Make(1, DataType::Double(), false);
   ExprPtr s = BoundReference::Make(2, DataType::String(), false);
   Row row({Value(int64_t{5}), Value(4.5), Value("hello")});
-  ExpectAgree(LessThan::Make(a, Literal::Make(Value(int64_t{6}), DataType::Int64())), row);
+  ExpectAgree(LessThan::Make(a, I64(6)), row);
   ExpectAgree(GreaterThanOrEqual::Make(b, F64(4.5)), row);
   ExpectAgree(EqualTo::Make(s, Str("hello")), row);
   ExpectAgree(NotEqualTo::Make(s, Str("world")), row);
@@ -87,28 +235,33 @@ TEST(CodegenTest, BooleanLogicThreeValued) {
   ExprPtr p = BoundReference::Make(0, DataType::Boolean(), true);
   ExprPtr q = BoundReference::Make(1, DataType::Boolean(), true);
   std::vector<Value> options = {Value(true), Value(false), Value::Null()};
+  std::vector<Row> rows;
   for (const Value& vp : options) {
-    for (const Value& vq : options) {
-      Row row({vp, vq});
-      ExpectAgree(And::Make(p, q), row);
-      ExpectAgree(Or::Make(p, q), row);
-      ExpectAgree(Not::Make(p), row);
-    }
+    for (const Value& vq : options) rows.push_back(Row({vp, vq}));
   }
+  ExpectAgreeOnRows(And::Make(p, q), rows);
+  ExpectAgreeOnRows(Or::Make(p, q), rows);
+  ExpectAgreeOnRows(Not::Make(p), rows);
 }
 
 TEST(CodegenTest, StringOperations) {
-  ExprPtr s = BoundReference::Make(0, DataType::String(), false);
-  Row row({Value("hello world")});
-  ExpectAgree(StartsWith::Make(s, Str("hello")), row);
-  ExpectAgree(EndsWith::Make(s, Str("world")), row);
-  ExpectAgree(StringContains::Make(s, Str("o w")), row);
-  ExpectAgree(Like::Make(s, Str("%wor%")), row);
-  ExpectAgree(Upper::Make(s), row);
-  ExpectAgree(Lower::Make(Upper::Make(s)), row);
-  ExpectAgree(StringLength::Make(s), row);
-  ExpectAgree(Substring::Make(s, I32(7), I32(5)), row);
-  ExpectAgree(Concat::Make({s, Str("!")}), row);
+  ExprPtr s = BoundReference::Make(0, DataType::String(), true);
+  std::vector<Row> rows = {Row({Value("hello world")}), Row({Value("")}),
+                           Row({Value::Null()}), Row({Value("wOrld")})};
+  ExpectAgreeOnRows(StartsWith::Make(s, Str("hello")), rows);
+  ExpectAgreeOnRows(EndsWith::Make(s, Str("world")), rows);
+  ExpectAgreeOnRows(StringContains::Make(s, Str("o w")), rows);
+  ExpectAgreeOnRows(Like::Make(s, Str("%wor%")), rows);
+  ExpectAgreeOnRows(Upper::Make(s), rows);
+  ExpectAgreeOnRows(Lower::Make(Upper::Make(s)), rows);
+  ExpectAgreeOnRows(StringLength::Make(s), rows);
+  ExpectAgreeOnRows(Concat::Make({s, Str("!")}), rows);
+  // Zero, negative and past-the-end positions.
+  for (int32_t pos : {7, 0, -3, -100, 11, 12, 100}) {
+    for (int32_t len : {5, 0, -1, 100}) {
+      ExpectAgreeOnRows(Substring::Make(s, I32(pos), I32(len)), rows);
+    }
+  }
 }
 
 TEST(CodegenTest, CastsCompile) {
@@ -131,10 +284,14 @@ TEST(CodegenTest, UdfFallsBackToInterpreter) {
       });
   ExprPtr expr = Add::Make(udf, I32(10));
   auto compiled = CompiledExpression::Compile(expr);
-  ASSERT_TRUE(compiled.has_value());
-  EXPECT_LT(compiled->compiled_fraction(), 1.0);
-  auto evaluator = compiled->NewEvaluator();
-  EXPECT_EQ(evaluator.Evaluate(Row({Value(int32_t{5})})).i32(), 16);
+  EXPECT_LT(compiled.compiled_fraction(), 1.0);
+  EXPECT_GT(compiled.compiled_fraction(), 0.0);
+  Row row({Value(int32_t{5})});
+  std::vector<const Row*> rows = {&row};
+  Row out;
+  compiled.NewVectorEvaluator().EvaluateAppend(rows, &out);
+  EXPECT_EQ(out.Get(0).i32(), 16);
+  ExpectAgree(expr, row);
 }
 
 TEST(CodegenTest, DecimalFallsBack) {
@@ -155,83 +312,265 @@ TEST(CodegenTest, DateComparisonsCompileAsInt) {
   ParseDate("2015-06-01", &v);
   ExpectAgree(expr, Row({Value(v)}));
   auto compiled = CompiledExpression::Compile(expr);
-  EXPECT_DOUBLE_EQ(compiled->compiled_fraction(), 1.0);
+  EXPECT_DOUBLE_EQ(compiled.compiled_fraction(), 1.0);
 }
 
 // ---------------------------------------------------------------------------
-// Property test: random expression trees agree under both backends.
+// Property test: random expression trees agree under every input and both
+// program kinds.
 // ---------------------------------------------------------------------------
 
+/// Rows of: a bigint, b bigint, x double, y double, s string, t string,
+/// d date, m decimal(7,2) — every cell null with probability ~15%.
 class RandomExprGen {
  public:
   explicit RandomExprGen(uint64_t seed) : rng_(seed) {}
 
-  /// Random numeric expression tree over two bigint columns. All nodes
-  /// share one type, matching the analyzer's post-coercion invariant.
-  ExprPtr NumericTree(int depth) {
+  // Every generator nests only trees of a smaller depth; depth 0 is a
+  // column or a literal.
+
+  /// A bigint tree and a bound on its magnitude; multiplications that
+  /// could overflow become additions, since signed overflow is undefined
+  /// in the interpreter and the kernels alike.
+  struct Int {
+    ExprPtr expr;
+    int64_t bound;
+  };
+  Int IntTree(int depth) {
     if (depth == 0 || Chance(0.3)) {
-      switch (rng_() % 3) {
+      switch (rng_() % (depth == 0 ? 4 : 5)) {
         case 0:
-          return BoundReference::Make(0, DataType::Int64(), true);
+          return {Col(0, DataType::Int64()), 50};
         case 1:
-          return BoundReference::Make(1, DataType::Int64(), true);
-        default:
-          return Literal::Make(
-              Value(static_cast<int64_t>(rng_() % 200) - 100),
-              DataType::Int64());
+          return {Col(1, DataType::Int64()), 500};
+        case 4:
+          // length(string): an int32 cast (for free) to bigint.
+          return {Cast::Make(StringLength::Make(StrTree(depth - 1)),
+                             DataType::Int64()),
+                  1 << 20};
+        default: {
+          const int64_t v = static_cast<int64_t>(rng_() % 21) - 10;
+          return {I64(v), 10};
+        }
       }
     }
-    ExprPtr l = NumericTree(depth - 1);
-    ExprPtr r = NumericTree(depth - 1);
-    switch (rng_() % 4) {
+    Int l = IntTree(depth - 1);
+    Int r = IntTree(depth - 1);
+    switch (rng_() % 8) {
+      case 0:
+        return {Subtract::Make(l.expr, r.expr), l.bound + r.bound};
+      case 1:
+        if (l.bound * r.bound < (int64_t{1} << 40)) {
+          return {Multiply::Make(l.expr, r.expr), l.bound * r.bound};
+        }
+        return {Add::Make(l.expr, r.expr), l.bound + r.bound};
+      case 2:
+        return {Divide::Make(l.expr, r.expr), l.bound};
+      case 3:
+        return {Remainder::Make(l.expr, r.expr), l.bound};
+      case 4:
+        return {UnaryMinus::Make(l.expr), l.bound};
+      case 5:
+        // Fallback: a UDF (interpreted) inside compiled arithmetic.
+        return {ScalarUDF::Make("inc", {l.expr}, DataType::Int64(), Inc),
+                l.bound + 1};
+      case 6:
+        // Fallback: CASE WHEN p THEN l ELSE r END.
+        return {CaseWhen::If(PredTree(depth - 1), l.expr, r.expr),
+                std::max(l.bound, r.bound)};
+      default:
+        return {Add::Make(l.expr, r.expr), l.bound + r.bound};
+    }
+  }
+
+  /// A double tree; literals include NaN, -0.0 and infinity, and division
+  /// by zero (or -0.0) is null.
+  ExprPtr DoubleTree(int depth) {
+    if (depth == 0 || Chance(0.3)) {
+      switch (rng_() % (depth == 0 ? 3 : 4)) {
+        case 0:
+          return Col(2, DataType::Double());
+        case 1:
+          return Col(3, DataType::Double());
+        case 3:
+          return Cast::Make(IntTree(depth - 1).expr, DataType::Double());
+        default:
+          return F64(RandomDouble());
+      }
+    }
+    ExprPtr l = DoubleTree(depth - 1);
+    ExprPtr r = DoubleTree(depth - 1);
+    switch (rng_() % 6) {
       case 0:
         return Add::Make(l, r);
       case 1:
         return Subtract::Make(l, r);
       case 2:
         return Multiply::Make(l, r);
-      default:
+      case 3:
+        return Divide::Make(l, r);
+      case 4:
         return UnaryMinus::Make(l);
+      default:
+        return Remainder::Make(l, r);  // fmod: a fallback on doubles
     }
   }
 
-  /// Random predicate over the same columns.
-  ExprPtr PredicateTree(int depth) {
+  ExprPtr StrTree(int depth) {
     if (depth == 0 || Chance(0.3)) {
-      ExprPtr l = NumericTree(1);
-      ExprPtr r = NumericTree(1);
-      switch (rng_() % 4) {
+      switch (rng_() % 3) {
         case 0:
-          return LessThan::Make(l, r);
+          return Col(4, DataType::String());
         case 1:
-          return EqualTo::Make(l, r);
-        case 2:
-          return GreaterThanOrEqual::Make(l, r);
+          return Col(5, DataType::String());
         default:
-          return IsNull::Make(l);
+          return Literal::Make(Value(RandomString()), DataType::String());
       }
     }
-    ExprPtr l = PredicateTree(depth - 1);
-    ExprPtr r = PredicateTree(depth - 1);
-    switch (rng_() % 3) {
+    switch (rng_() % 6) {
       case 0:
-        return And::Make(l, r);
+        return Upper::Make(StrTree(depth - 1));
       case 1:
-        return Or::Make(l, r);
-      default:
+        return Lower::Make(StrTree(depth - 1));
+      case 2:
+        return Concat::Make({StrTree(depth - 1), StrTree(depth - 1)});
+      case 3:
+        // Three-way concat is a fallback.
+        return Concat::Make(
+            {StrTree(depth - 1), StrTree(0), StrTree(depth - 1)});
+      case 4:
+        return CaseWhen::If(PredTree(depth - 1), StrTree(depth - 1),
+                            StrTree(0));
+      default: {
+        // Zero, negative and past-the-end positions and lengths.
+        static const int32_t kPos[] = {0, 1, 2, -1, -3, -50, 5, 9, 50};
+        static const int32_t kLen[] = {0, 1, 3, -2, 50};
+        ExprPtr pos = Chance(0.2) ? Cast::Make(Col(0, DataType::Int64()),
+                                               DataType::Int32())
+                                  : I32(kPos[rng_() % 9]);
+        return Substring::Make(StrTree(depth - 1), pos, I32(kLen[rng_() % 5]));
+      }
+    }
+  }
+
+  ExprPtr PredTree(int depth) {
+    if (depth == 0 || Chance(0.3)) {
+      const int sub = std::max(depth - 1, 0);
+      switch (rng_() % 7) {
+        case 0:
+          return Compare(IntTree(sub).expr, IntTree(sub).expr);
+        case 1:
+          return Compare(DoubleTree(sub), DoubleTree(sub));
+        case 2:
+          return Compare(StrTree(sub), StrTree(sub));
+        case 3: {
+          DateValue day{static_cast<int32_t>(16000 + rng_() % 40)};
+          ExprPtr date = Literal::Make(Value(day), DataType::Date());
+          return Chance(0.5) ? Compare(Col(6, DataType::Date()), date)
+                             : Compare(date, Col(6, DataType::Date()));
+        }
+        case 4: {
+          // Fallback: a decimal comparison.
+          ExprPtr m = Col(7, DecimalType::Make(7, 2));
+          ExprPtr lit = Literal::Make(
+              Value(Decimal(static_cast<int64_t>(rng_() % 2000) - 1000, 7, 2)),
+              DecimalType::Make(7, 2));
+          return Compare(Chance(0.5) ? Add::Make(m, lit) : m, lit);
+        }
+        case 5: {
+          ExprPtr s = StrTree(sub);
+          ExprPtr p = StrTree(0);
+          switch (rng_() % 4) {
+            case 0:
+              return StartsWith::Make(s, p);
+            case 1:
+              return EndsWith::Make(s, p);
+            case 2:
+              return StringContains::Make(s, p);
+            default:
+              return Like::Make(s, p);
+          }
+        }
+        default: {
+          ExprPtr any = Chance(0.5) ? IntTree(sub).expr : StrTree(sub);
+          return Chance(0.5) ? IsNull::Make(any) : IsNotNull::Make(any);
+        }
+      }
+    }
+    ExprPtr l = PredTree(depth - 1);
+    switch (rng_() % 4) {
+      case 0:
+        return And::Make(l, PredTree(depth - 1));
+      case 1:
+        return Or::Make(l, PredTree(depth - 1));
+      case 2:
         return Not::Make(l);
+      default:
+        return ScalarUDF::Make("id", {l}, DataType::Boolean(),
+                               [](const std::vector<Value>& args) {
+                                 return args[0];
+                               });
     }
   }
 
   Row RandomRow() {
-    Value a = Chance(0.15) ? Value::Null()
-                           : Value(static_cast<int64_t>(rng_() % 100) - 50);
-    Value b = Chance(0.15) ? Value::Null()
-                           : Value(static_cast<int64_t>(rng_() % 1000) - 500);
-    return Row({a, b});
+    auto maybe = [&](Value v) { return Chance(0.15) ? Value::Null() : v; };
+    return Row({maybe(Value(static_cast<int64_t>(rng_() % 101) - 50)),
+                maybe(Value(static_cast<int64_t>(rng_() % 1001) - 500)),
+                maybe(Value(RandomDouble())), maybe(Value(RandomDouble())),
+                maybe(Value(RandomString())), maybe(Value(RandomString())),
+                maybe(Value(DateValue{static_cast<int32_t>(16000 + rng_() % 40)})),
+                maybe(Value(Decimal(static_cast<int64_t>(rng_() % 2000) - 1000,
+                                    7, 2)))});
+  }
+
+  std::vector<Row> RandomRows(size_t n) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < n; ++i) rows.push_back(RandomRow());
+    return rows;
   }
 
  private:
+  static Value Inc(const std::vector<Value>& args) {
+    return args[0].is_null() ? Value::Null() : Value(args[0].i64() + 1);
+  }
+
+  ExprPtr Col(int ordinal, DataTypePtr type) {
+    return BoundReference::Make(ordinal, std::move(type), true);
+  }
+
+  ExprPtr Compare(ExprPtr l, ExprPtr r) {
+    switch (rng_() % 6) {
+      case 0:
+        return EqualTo::Make(l, r);
+      case 1:
+        return NotEqualTo::Make(l, r);
+      case 2:
+        return LessThan::Make(l, r);
+      case 3:
+        return LessThanOrEqual::Make(l, r);
+      case 4:
+        return GreaterThan::Make(l, r);
+      default:
+        return GreaterThanOrEqual::Make(l, r);
+    }
+  }
+
+  double RandomDouble() {
+    static const double kSpecial[] = {
+        std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0,
+        std::numeric_limits<double>::infinity(), 1.5, -2.25};
+    if (Chance(0.3)) return kSpecial[rng_() % 6];
+    return static_cast<double>(static_cast<int64_t>(rng_() % 2001) - 1000) / 8;
+  }
+
+  std::string RandomString() {
+    static const char kAlphabet[] = "abAB%_ z";
+    std::string s(rng_() % 7, ' ');
+    for (char& c : s) c = kAlphabet[rng_() % 8];
+    return s;
+  }
+
   bool Chance(double p) {
     return std::uniform_real_distribution<>(0, 1)(rng_) < p;
   }
@@ -243,41 +582,23 @@ class CodegenPropertyTest : public ::testing::TestWithParam<int> {};
 TEST_P(CodegenPropertyTest, RandomNumericTreesAgree) {
   RandomExprGen gen(GetParam() * 7919 + 13);
   for (int t = 0; t < 20; ++t) {
-    ExprPtr expr = gen.NumericTree(4);
-    auto compiled = CompiledExpression::Compile(expr);
-    ASSERT_TRUE(compiled.has_value());
-    auto evaluator = compiled->NewEvaluator();
-    for (int r = 0; r < 10; ++r) {
-      Row row = gen.RandomRow();
-      Value interpreted = expr->Eval(row);
-      Value generated = evaluator.Evaluate(row);
-      ASSERT_TRUE(interpreted.Equals(generated) ||
-                  (interpreted.is_null() && generated.is_null()))
-          << expr->ToString() << " on " << row.ToString();
-    }
+    const std::vector<Row> rows = gen.RandomRows(40);
+    ExpectAgreeOnRows(gen.IntTree(4).expr, rows);
+    ExpectAgreeOnRows(gen.DoubleTree(3), rows);
   }
 }
 
 TEST_P(CodegenPropertyTest, RandomPredicatesAgree) {
   RandomExprGen gen(GetParam() * 104729 + 7);
   for (int t = 0; t < 20; ++t) {
-    ExprPtr expr = gen.PredicateTree(3);
-    auto compiled = CompiledExpression::Compile(expr);
-    ASSERT_TRUE(compiled.has_value());
-    auto evaluator = compiled->NewEvaluator();
-    for (int r = 0; r < 10; ++r) {
-      Row row = gen.RandomRow();
-      Value interpreted = expr->Eval(row);
-      bool is_null = false;
-      bool generated = evaluator.EvaluateBool(row, &is_null);
-      if (interpreted.is_null()) {
-        ASSERT_TRUE(is_null) << expr->ToString() << " on " << row.ToString();
-      } else {
-        ASSERT_FALSE(is_null) << expr->ToString() << " on " << row.ToString();
-        ASSERT_EQ(interpreted.bool_value(), generated)
-            << expr->ToString() << " on " << row.ToString();
-      }
-    }
+    ExpectAgreeOnRows(gen.PredTree(3), gen.RandomRows(40));
+  }
+}
+
+TEST_P(CodegenPropertyTest, RandomStringTreesAgree) {
+  RandomExprGen gen(GetParam() * 15485863 + 3);
+  for (int t = 0; t < 20; ++t) {
+    ExpectAgreeOnRows(gen.StrTree(3), gen.RandomRows(40));
   }
 }
 

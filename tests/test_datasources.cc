@@ -669,6 +669,49 @@ TEST(CsvTypedScanTest, DateTimeCellsInferAsTimestampAndKeepTheirTime) {
   std::filesystem::remove(path);
 }
 
+TEST(CsvTypedScanTest, JunkTimeOfDayIsNotATimestamp) {
+  const std::string path =
+      ::testing::TempDir() + "/junk-ts-" + std::to_string(::getpid()) + ".csv";
+  WriteText(path,
+            "t\n"
+            "2020-01-05 junk\n"
+            "2020-01-06 10:30\n");
+  SqlContext ctx;
+  // Inference: a junk time part makes the column a string.
+  DataFrame inferred = ctx.ReadCsv(path);
+  EXPECT_EQ(inferred.schema()->field(0).type->id(), TypeId::kString);
+  // An explicit timestamp schema: the junk cell is null, and malformed
+  // under the strict modes.
+  for (const char* mode : {"PERMISSIVE", "DROPMALFORMED"}) {
+    ctx.Sql(std::string("CREATE TEMPORARY TABLE junk_ts USING csv OPTIONS "
+                        "(path '") +
+            path + "', schema 't timestamp', mode '" + mode + "')");
+    auto rows = ctx.Sql("SELECT t FROM junk_ts").Collect();
+    if (std::string(mode) == "PERMISSIVE") {
+      ASSERT_EQ(rows.size(), 2u);
+      EXPECT_TRUE(rows[0].Get(0).is_null());
+      EXPECT_EQ(rows[1].Get(0).type_id(), TypeId::kTimestamp);
+    } else {
+      ASSERT_EQ(rows.size(), 1u) << mode;
+      EXPECT_EQ(rows[0].Get(0).type_id(), TypeId::kTimestamp);
+    }
+  }
+  // Through SQL: the cast is null, a whole time keeps its fraction.
+  auto cast = ctx.Sql(
+                     "SELECT CAST('2020-01-05 junk' AS timestamp), "
+                     "CAST('2020-01-05 99:99' AS timestamp), "
+                     "CAST('2020-01-05 00:00:00.25' AS timestamp), "
+                     "CAST('2020-01-05' AS timestamp)")
+                  .Collect();
+  ASSERT_EQ(cast.size(), 1u);
+  EXPECT_TRUE(cast[0].Get(0).is_null());
+  EXPECT_TRUE(cast[0].Get(1).is_null());
+  EXPECT_EQ(cast[0].Get(2).timestamp().micros -
+                cast[0].Get(3).timestamp().micros,
+            250000);
+  std::filesystem::remove(path);
+}
+
 /// The per-line CSV reader the engine used before typed scans: getline,
 /// a std::string per cell, Cast::Convert per cell, and the parse-mode
 /// logic, with the one intended change applied (a line loses one trailing

@@ -108,7 +108,7 @@ std::vector<Row> RandomKeyedRows(std::mt19937_64* rng, size_t n, int key_space,
 
 PhysPtr ScanOf(const AttributeVector& attrs, std::vector<Row> rows) {
   return std::make_shared<LocalTableScanExec>(
-      attrs, std::make_shared<const std::vector<Row>>(std::move(rows)));
+      attrs, std::make_shared<const LocalRows>(std::move(rows)));
 }
 
 /// The same rows behind a columnar scan: a Scan of a CachedTableSource,

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "catalyst/expr/aggregates.h"
 #include "catalyst/expr/arithmetic.h"
 #include "catalyst/expr/attribute.h"
@@ -216,7 +218,7 @@ TEST(CastTest, DateTextMustBeWholeDate) {
   Value d = Cast::Make(Str(" 2020-1-5 "), DataType::Date())->Eval(kEmpty);
   ASSERT_EQ(d.type_id(), TypeId::kDate);
   EXPECT_EQ(FormatDate(d.date()), "2020-01-05");
-  // A timestamp's date part must be whole too; its time part stays lenient.
+  // A timestamp's date part must be whole too.
   EXPECT_TRUE(Cast::Make(Str("2020-01-05x 10:30:00"), DataType::Timestamp())
                   ->Eval(kEmpty)
                   .is_null());
@@ -226,6 +228,41 @@ TEST(CastTest, DateTextMustBeWholeDate) {
       Cast::Make(Str("2020-01-05"), DataType::Timestamp())->Eval(kEmpty);
   EXPECT_EQ(ts.timestamp().micros - midnight.timestamp().micros,
             (10 * 3600LL + 30 * 60LL) * 1000000LL);
+}
+
+TEST(CastTest, TimestampTimeOfDayMustBeWholeTime) {
+  int64_t midnight = 0;
+  double unused = 0;
+  ASSERT_TRUE(ParseTextAs("2020-01-05", *DataType::Timestamp(), &midnight,
+                          &unused));
+  auto micros_after_midnight = [&](const char* text) -> std::optional<int64_t> {
+    int64_t micros = 0;
+    if (!ParseTextAs(text, *DataType::Timestamp(), &micros, &unused)) {
+      return std::nullopt;
+    }
+    return micros - midnight;
+  };
+  EXPECT_EQ(micros_after_midnight("2020-01-05 10:30"),
+            (10 * 3600LL + 30 * 60LL) * 1000000LL);
+  EXPECT_EQ(micros_after_midnight("2020-01-05 23:59:59"),
+            (23 * 3600LL + 59 * 60LL + 59) * 1000000LL);
+  // The fraction is kept to the microsecond.
+  EXPECT_EQ(micros_after_midnight("2020-01-05 10:30:00.75"),
+            (10 * 3600LL + 30 * 60LL) * 1000000LL + 750000);
+  EXPECT_EQ(micros_after_midnight("2020-01-05 00:00:01.000001"), 1000001);
+  // Junk, out-of-range fields and partial times fail instead of rolling
+  // over or reading as midnight.
+  for (const char* bad :
+       {"2020-01-05 junk", "2020-01-05 99:99", "2020-01-05 24:00",
+        "2020-01-05 10:60", "2020-01-05 10:30:60", "2020-01-05 10",
+        "2020-01-05 10:", "2020-01-05 10:30:", "2020-01-05 10:30x",
+        "2020-01-05 10:30:00.", "2020-01-05 10:30:00.1234567",
+        "2020-01-05 10:30:00.5x", "2020-01-05 1:5"}) {
+    EXPECT_EQ(micros_after_midnight(bad), std::nullopt) << bad;
+    EXPECT_TRUE(
+        Cast::Make(Str(bad), DataType::Timestamp())->Eval(kEmpty).is_null())
+        << bad;
+  }
 }
 
 TEST(CastTest, OutOfRangeStringToIntIsNullNumbersStillWrap) {

@@ -337,9 +337,9 @@ TEST(CancellationTest, IntervalJoinProbeLoopPollsPerRow) {
     points.push_back(Row({Value(static_cast<double>(i % 100))}));
   }
   auto left = std::make_shared<LocalTableScanExec>(
-      ia, std::make_shared<const std::vector<Row>>(std::move(intervals)));
+      ia, std::make_shared<const LocalRows>(std::move(intervals)));
   auto right = std::make_shared<LocalTableScanExec>(
-      pa, std::make_shared<const std::vector<Row>>(std::move(points)));
+      pa, std::make_shared<const LocalRows>(std::move(points)));
 
   std::atomic<int> probed{0};
   ExprPtr point = ScalarUDF::Make(

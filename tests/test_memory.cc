@@ -379,7 +379,7 @@ TEST(BroadcastOverBudgetTest, DirectBroadcastJoinFailsWithClearError) {
   }
   auto scan = [&](const AttributeVector& attrs) {
     return std::make_shared<LocalTableScanExec>(
-        attrs, std::make_shared<const std::vector<Row>>(rows));
+        attrs, std::make_shared<const LocalRows>(rows));
   };
   BroadcastHashJoinExec join(scan(la), scan(ra), {la[0]}, {ra[0]},
                              JoinType::kInner, nullptr);
@@ -419,7 +419,7 @@ TEST(GraceJoinTest, AllJoinTypesAgreeWithInMemoryPath) {
                         AttributeReference::Make("rv", DataType::Int32(), false)};
   auto scan = [](const AttributeVector& attrs, const std::vector<Row>& rows) {
     return std::make_shared<LocalTableScanExec>(
-        attrs, std::make_shared<const std::vector<Row>>(rows));
+        attrs, std::make_shared<const LocalRows>(rows));
   };
 
   std::string scratch = UniqueScratchDir("grace");
