@@ -53,7 +53,7 @@ Fixture& F() {
   return *fixture;
 }
 
-enum class Algo { kBroadcast, kShuffleHash, kSortMerge, kNestedLoop };
+enum class Algo { kBroadcast, kShuffleHash, kNestedLoop };
 
 void RunJoin(benchmark::State& state, Algo algo) {
   size_t build_rows = static_cast<size_t>(state.range(0));
@@ -73,10 +73,6 @@ void RunJoin(benchmark::State& state, Algo algo) {
     case Algo::kShuffleHash:
       join = std::make_shared<ShuffleHashJoinExec>(left, right, lk, rk,
                                                    JoinType::kInner, nullptr);
-      break;
-    case Algo::kSortMerge:
-      join = std::make_shared<SortMergeJoinExec>(left, right, lk, rk,
-                                                 JoinType::kInner, nullptr);
       break;
     case Algo::kNestedLoop:
       join = std::make_shared<NestedLoopJoinExec>(
@@ -99,9 +95,6 @@ void BM_Join_Broadcast(benchmark::State& state) {
 void BM_Join_ShuffleHash(benchmark::State& state) {
   RunJoin(state, Algo::kShuffleHash);
 }
-void BM_Join_SortMerge(benchmark::State& state) {
-  RunJoin(state, Algo::kSortMerge);
-}
 void BM_Join_NestedLoop(benchmark::State& state) {
   RunJoin(state, Algo::kNestedLoop);
 }
@@ -114,12 +107,6 @@ BENCHMARK(BM_Join_Broadcast)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 BENCHMARK(BM_Join_ShuffleHash)
-    ->Arg(1000)
-    ->Arg(20000)
-    ->Arg(200000)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-BENCHMARK(BM_Join_SortMerge)
     ->Arg(1000)
     ->Arg(20000)
     ->Arg(200000)

@@ -73,7 +73,7 @@ done
 # re-registration and the copy-on-write staleness swap are its TSan
 # surface, and the HLL/histogram buffers its ASan surface.
 cmake -B build-tsan -S . -DSSQL_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_observability --target test_exec --target test_columnar --target test_datasources >/dev/null
+cmake --build build-tsan -j --target test_concurrency --target test_system_tables --target test_fault_tolerance --target test_statistics --target test_chaos --target test_vectorized --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_observability --target test_exec --target test_columnar --target test_datasources --target test_memory >/dev/null
 ./build-tsan/tests/test_concurrency
 ./build-tsan/tests/test_system_tables
 ./build-tsan/tests/test_fault_tolerance
@@ -106,6 +106,10 @@ cmake --build build-tsan -j --target test_concurrency --target test_system_table
 # finishing query folds its totals into the shared registry and the engine
 # ticker thread scans heartbeats and samples the registry.
 ./build-tsan/tests/test_observability
+# Memory suite under TSan: parallel sort, aggregation and Grace join tasks
+# grow and release reservations against one query budget and the engine
+# pool, and write and delete spill files concurrently.
+./build-tsan/tests/test_memory
 
 # Chaos harness: seeded rounds of concurrent queries with random fault
 # injection at every I/O boundary — speculation, the watchdog and corrupt

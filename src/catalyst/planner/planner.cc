@@ -333,13 +333,6 @@ PhysPtr PhysicalPlanner::PlanJoin(const Join& join) const {
            " > broadcast threshold " + std::to_string(broadcast_threshold) +
            " bytes");
     }
-    if (config_.prefer_sort_merge_join &&
-        join.join_type() == JoinType::kInner) {
-      Note("SortMergeJoin: prefer_sort_merge_join is set");
-      return std::make_shared<SortMergeJoinExec>(
-          left, right, std::move(left_keys), std::move(right_keys),
-          join.join_type(), residual_cond);
-    }
   } else {
     Note("join selection disabled: every equi-join becomes a "
          "ShuffleHashJoin");

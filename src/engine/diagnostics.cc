@@ -51,7 +51,6 @@ std::string RenderEngineConfig(const EngineConfig& config) {
       << "join_selection_enabled=" << config.join_selection_enabled << "\n"
       << "operator_fusion_enabled=" << config.operator_fusion_enabled << "\n"
       << "range_join_enabled=" << config.range_join_enabled << "\n"
-      << "prefer_sort_merge_join=" << config.prefer_sort_merge_join << "\n"
       << "cbo_filter_selectivity=" << config.cbo_filter_selectivity << "\n"
       << "task_max_retries=" << config.task_max_retries << "\n"
       << "task_retry_backoff_ms=" << config.task_retry_backoff_ms << "\n"

@@ -60,9 +60,6 @@ struct EngineConfig {
   bool operator_fusion_enabled = true;
   /// Enable the interval-tree range join rule (Section 7.2).
   bool range_join_enabled = true;
-  /// Use sort-merge join instead of shuffle hash join for large inner
-  /// equi-joins (exercised by the join-selection ablation bench).
-  bool prefer_sort_merge_join = false;
   /// The paper's future-work item ("we thus intend to implement richer
   /// cost-based optimization"): when true, size estimates account for
   /// filter selectivity — pushed-down filters and Filter operators shrink

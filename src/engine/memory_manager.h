@@ -98,12 +98,6 @@ class MemoryManager {
     query_id_ = query_id;
   }
 
-  /// True when this budget or any ancestor pool has a limit, i.e. when a
-  /// grant can be denied and an operator must be ready to spill.
-  bool limited() const {
-    return limit_.load(std::memory_order_relaxed) >= 0 ||
-           (parent_ != nullptr && parent_->limited());
-  }
   bool spill_enabled() const { return spill_enabled_; }
   int64_t limit_bytes() const { return limit_.load(std::memory_order_relaxed); }
   int64_t reserved_bytes() const {

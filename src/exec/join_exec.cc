@@ -411,83 +411,6 @@ RowDataset ShuffleHashJoinExec::ExecuteImpl(QueryContext& ctx) const {
   }, "join.probe");
 }
 
-RowDataset SortMergeJoinExec::ExecuteImpl(QueryContext& ctx) const {
-  const BoundJoin bound = Bind(ctx);
-  RowDataset left_shuffled = ShuffleByKeys(ctx, *left_, bound.left_keys);
-  RowDataset right_shuffled = ShuffleByKeys(ctx, *right_, bound.right_keys);
-
-  // Rows keyed by their boxed join key, in CompareNanLast order: NaN
-  // equals NaN, as in the hash joins' key equality, and the order is
-  // strict weak.
-  struct Keyed {
-    std::vector<Value> key;
-    const Row* row;
-  };
-  auto key_less = [](const Keyed& a, const Keyed& b) {
-    for (size_t i = 0; i < a.key.size(); ++i) {
-      const int c = CompareNanLast(a.key[i], b.key[i]);
-      if (c != 0) return c < 0;
-    }
-    return false;
-  };
-  // Null keys never match: an inner join drops them.
-  auto sorted = [&](const RowPartition& part,
-                    const std::vector<BoundCompiled>& keys) {
-    std::vector<Keyed> out;
-    out.reserve(part.rows.size());
-    for (const Row& row : part.rows) {
-      Keyed k{{}, &row};
-      bool null = false;
-      for (const BoundCompiled& e : keys) {
-        k.key.push_back(e.bound->Eval(row));
-        null = null || k.key.back().is_null();
-      }
-      if (!null) out.push_back(std::move(k));
-    }
-    std::sort(out.begin(), out.end(), key_less);
-    return out;
-  };
-
-  return left_shuffled.MapPartitions(ctx, [&](size_t p, const RowPartition&
-                                                            left_part) {
-    const RowPartition& right_part = *right_shuffled.partition(p);
-    auto out = std::make_shared<RowPartition>();
-    ctx.profile().Add(nullptr, ProfileCounter::kBuildRows,
-                      static_cast<int64_t>(right_part.rows.size()));
-    ctx.profile().Add(nullptr, ProfileCounter::kProbeRows,
-                      static_cast<int64_t>(left_part.rows.size()));
-    const std::vector<Keyed> ls = sorted(left_part, bound.left_keys);
-    const std::vector<Keyed> rs = sorted(right_part, bound.right_keys);
-    auto l = ls.begin(), r = rs.begin();
-    size_t cancel_check = 0;
-    while (l != ls.end() && r != rs.end()) {
-      ctx.CheckCancelledEvery(&cancel_check);
-      if (key_less(*l, *r)) {
-        ++l;
-      } else if (key_less(*r, *l)) {
-        ++r;
-      } else {
-        // Equal-key runs on both sides.
-        auto l_end = l, r_end = r;
-        while (l_end != ls.end() && !key_less(*l, *l_end)) ++l_end;
-        while (r_end != rs.end() && !key_less(*r, *r_end)) ++r_end;
-        for (auto a = l; a != l_end; ++a) {
-          for (auto b = r; b != r_end; ++b) {
-            Row joined = Row::Concat(*a->row, *b->row);
-            if (bound.residual && !EvalPredicate(*bound.residual, joined)) {
-              continue;
-            }
-            out->rows.push_back(std::move(joined));
-          }
-        }
-        l = l_end;
-        r = r_end;
-      }
-    }
-    return out;
-  }, "join.merge");
-}
-
 NestedLoopJoinExec::NestedLoopJoinExec(PhysPtr left, PhysPtr right,
                                        JoinType join_type, ExprPtr condition)
     : left_(std::move(left)),

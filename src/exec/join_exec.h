@@ -73,16 +73,6 @@ class ShuffleHashJoinExec : public JoinExecBase {
   RowDataset ExecuteImpl(QueryContext& ctx) const override;
 };
 
-/// Sort-merge join: both sides shuffled by key, sorted per partition, and
-/// merged. Inner joins only; the planner falls back to shuffle hash for
-/// other types.
-class SortMergeJoinExec : public JoinExecBase {
- public:
-  using JoinExecBase::JoinExecBase;
-  std::string NodeName() const override { return "SortMergeJoin"; }
-  RowDataset ExecuteImpl(QueryContext& ctx) const override;
-};
-
 /// Nested loop join for non-equi conditions and cross joins. The right
 /// side is collected and every streamed row is tested against it.
 class NestedLoopJoinExec : public PhysicalPlan {

@@ -1,82 +1,89 @@
 #include "exec/sort_limit_exec.h"
 
 #include <algorithm>
-#include <optional>
+#include <iterator>
 
+#include "exec/scan_exec.h"
 #include "util/spill_file.h"
 
 namespace ssql {
+namespace {
 
-RowDataset SortExec::ExecuteImpl(QueryContext& ctx) const {
-  RowDataset input = child_->Execute(ctx);
-  AttributeVector child_out = child_->Output();
+/// The order of keyed rows: an input row with its sort keys, evaluated
+/// once, appended after its columns. CompareNanLast per key (nulls first
+/// and NaN after every number under ASC), reversed under DESC.
+struct KeyOrder {
+  std::vector<bool> ascending;
 
-  struct BoundOrder {
-    ExprPtr expr;
-    bool ascending;
-  };
-  std::vector<BoundOrder> bound;
-  bound.reserve(orders_.size());
-  for (const auto& o : orders_) {
-    bound.push_back({BindReferences(o->child(), child_out), o->ascending()});
-  }
-
-  auto less = [&bound](const Row& a, const Row& b) {
-    for (const auto& o : bound) {
-      int c = CompareNanLast(o.expr->Eval(a), o.expr->Eval(b));
-      if (c != 0) return o.ascending ? c < 0 : c > 0;
+  int Compare(const Row& a, const Row& b) const {
+    const size_t a_keys = a.size() - ascending.size();
+    const size_t b_keys = b.size() - ascending.size();
+    for (size_t i = 0; i < ascending.size(); ++i) {
+      const int c = CompareNanLast(a.Get(a_keys + i), b.Get(b_keys + i));
+      if (c != 0) return ascending[i] ? c : -c;
     }
-    return false;
-  };
+    return 0;
+  }
+};
 
-  // Local sort per partition in parallel, then merge on the driver. The
-  // comparator polls cancellation so a timed-out query aborts even inside
-  // a large sort (std::stable_sort has no other exit point).
+/// Merges sorted sources of keyed rows: `next(s, &row)` yields source s's
+/// next row, false once it is exhausted, and `emit` takes the rows in
+/// order. Ties go to the lowest source index, so merging stable-sorted
+/// runs given in input order is itself stable. One routine serves a
+/// partition's spilled runs and the driver's merge of the partitions.
+template <typename Next, typename Emit>
+void MergeSorted(QueryContext& ctx, const KeyOrder& order, size_t num_sources,
+                 Next next, Emit emit) {
+  std::vector<Row> heads(num_sources);
+  std::vector<size_t> heap;  // sources holding a head; the next out on top
+  for (size_t s = 0; s < num_sources; ++s) {
+    if (next(s, &heads[s])) heap.push_back(s);
+  }
+  // std heaps put the greatest on top, so "greater" means "goes out first".
+  auto later = [&](size_t a, size_t b) {
+    const int c = order.Compare(heads[a], heads[b]);
+    return c > 0 || (c == 0 && a > b);
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
   size_t cancel_check = 0;
-  auto checked_less = [&](const Row& a, const Row& b) {
+  while (!heap.empty()) {
     ctx.CheckCancelledEvery(&cancel_check);
-    return less(a, b);
-  };
-
-  RowDataset locally_sorted =
-      ctx.memory().limited()
-          ? input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-              return ExternalSortPartition(ctx, part, less);
-            }, "sort")
-          : input.MapPartitions(ctx, [&](size_t, const RowPartition& part) {
-              auto out = std::make_shared<RowPartition>();
-              out->rows = part.rows;
-              size_t task_check = 0;
-              auto task_less = [&](const Row& a, const Row& b) {
-                ctx.CheckCancelledEvery(&task_check);
-                return less(a, b);
-              };
-              std::stable_sort(out->rows.begin(), out->rows.end(), task_less);
-              return out;
-            }, "sort");
-
-  std::vector<Row> merged = locally_sorted.Collect();
-  std::stable_sort(merged.begin(), merged.end(), checked_less);
-  return RowDataset::SinglePartition(std::move(merged));
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const size_t s = heap.back();
+    emit(std::move(heads[s]));
+    if (next(s, &heads[s])) {
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+    }
+  }
 }
 
-std::shared_ptr<RowPartition> SortExec::ExternalSortPartition(
-    QueryContext& ctx, const RowPartition& part,
-    const std::function<bool(const Row&, const Row&)>& less) const {
-  size_t task_check = 0;
-  auto task_less = [&](const Row& a, const Row& b) {
-    ctx.CheckCancelledEvery(&task_check);
-    return less(a, b);
+/// Sorts one partition into keyed rows. Each row is copied with its keys
+/// appended into a buffer charged to the query's memory budget; when a
+/// grant is denied the buffer is stable-sorted and spilled as a run, keys
+/// included, and the runs and the in-memory tail are merged at the end.
+RowPartitionPtr SortPartition(QueryContext& ctx, const RowPartition& part,
+                              const std::vector<BoundCompiled>& keys,
+                              const KeyOrder& order) {
+  std::vector<CompiledExpression::VectorEvaluator> evals;
+  for (const BoundCompiled& key : keys) {
+    evals.push_back(key.compiled.NewVectorEvaluator());
+  }
+  // The comparator polls cancellation so a timed-out query aborts even
+  // inside a large sort (std::stable_sort has no other exit point).
+  size_t cancel_check = 0;
+  auto less = [&](const Row& a, const Row& b) {
+    ctx.CheckCancelledEvery(&cancel_check);
+    return order.Compare(a, b) < 0;
   };
 
-  // Phase 1: accumulate rows into a budgeted buffer; when a grant is denied
-  // the buffer becomes a stable-sorted run on disk and the buffer restarts.
   MemoryReservation reservation = ctx.memory().CreateReservation();
   std::vector<SpillFile> runs;
   std::vector<Row> buffer;
   int64_t used = 0;
   auto spill_run = [&] {
-    std::stable_sort(buffer.begin(), buffer.end(), task_less);
+    std::stable_sort(buffer.begin(), buffer.end(), less);
     SpillFile run = ctx.MakeSpillFile("sort");
     int64_t wrote = 0;
     for (const Row& r : buffer) wrote += run.Append(r);
@@ -87,65 +94,106 @@ std::shared_ptr<RowPartition> SortExec::ExternalSortPartition(
     used = 0;
     reservation.Release();
   };
-  for (const Row& row : part.rows) {
-    ctx.CheckCancelledEvery(&task_check);
-    int64_t row_bytes = EstimateRowBytes(row);
-    if (!reservation.EnsureReserved(used + row_bytes)) {
-      if (!ctx.memory().spill_enabled()) {
-        throw ExecutionError(ctx.memory().OverBudgetMessage("sort"));
-      }
-      if (!buffer.empty()) spill_run();
-      // A single row is the irreducible working set; admit it even when the
-      // budget (shared with concurrent partitions) is still exhausted.
-      if (!reservation.EnsureReserved(row_bytes)) {
-        reservation.ForceGrow(row_bytes);
-      }
+  std::vector<const Row*> chunk;
+  std::vector<Row> keyed;
+  for (size_t start = 0; start < part.rows.size(); start += kChunkRows) {
+    const size_t n = std::min(kChunkRows, part.rows.size() - start);
+    chunk.clear();
+    keyed.clear();
+    keyed.resize(n);
+    for (size_t r = 0; r < n; ++r) {
+      const Row& row = part.rows[start + r];
+      chunk.push_back(&row);
+      keyed[r].Reserve(row.size() + evals.size());
+      keyed[r].values().assign(row.values().begin(), row.values().end());
     }
-    used += row_bytes;
-    buffer.push_back(row);
+    for (auto& eval : evals) eval.EvaluateAppend(chunk, keyed.data());
+    for (Row& row : keyed) {
+      ctx.CheckCancelledEvery(&cancel_check);
+      const int64_t row_bytes = EstimateRowBytes(row);
+      if (!reservation.EnsureReserved(used + row_bytes)) {
+        if (!ctx.memory().spill_enabled()) {
+          throw ExecutionError(ctx.memory().OverBudgetMessage("sort"));
+        }
+        if (!buffer.empty()) spill_run();
+        // A single row is the irreducible working set; admit it even when
+        // the budget (shared with concurrent partitions) is still exhausted.
+        if (!reservation.EnsureReserved(row_bytes)) {
+          reservation.ForceGrow(row_bytes);
+        }
+      }
+      used += row_bytes;
+      buffer.push_back(std::move(row));
+    }
   }
-  std::stable_sort(buffer.begin(), buffer.end(), task_less);
+  std::stable_sort(buffer.begin(), buffer.end(), less);
 
   auto out = std::make_shared<RowPartition>();
   if (runs.empty()) {
     out->rows = std::move(buffer);
     return out;
   }
-
-  // Phase 2: k-way merge of the run files plus the in-memory tail run.
-  // Sources are ordered oldest-run-first with the tail last, and ties keep
-  // the lowest source index, so the merge is stable overall.
-  for (auto& run : runs) run.FinishWrites();
+  // The runs oldest first, then the in-memory tail.
   std::vector<SpillFile::Reader> readers;
   readers.reserve(runs.size());
-  for (auto& run : runs) readers.emplace_back(run);
-  size_t tail_pos = 0;
-  std::vector<std::optional<Row>> heads(readers.size() + 1);
-  auto advance = [&](size_t src) {
-    heads[src].reset();
-    if (src < readers.size()) {
-      Row row;
-      if (readers[src].Next(&row)) heads[src] = std::move(row);
-    } else if (tail_pos < buffer.size()) {
-      heads[src] = std::move(buffer[tail_pos++]);
-    }
-  };
-  for (size_t s = 0; s < heads.size(); ++s) advance(s);
+  for (const SpillFile& run : runs) readers.emplace_back(run);
+  size_t tail = 0;
   out->rows.reserve(part.rows.size());
-  while (true) {
-    ctx.CheckCancelledEvery(&task_check);
-    int best = -1;
-    for (size_t s = 0; s < heads.size(); ++s) {
-      if (!heads[s]) continue;
-      if (best < 0 || task_less(*heads[s], *heads[best])) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    out->rows.push_back(std::move(*heads[best]));
-    advance(static_cast<size_t>(best));
-  }
+  MergeSorted(
+      ctx, order, readers.size() + 1,
+      [&](size_t s, Row* row) {
+        if (s < readers.size()) return readers[s].Next(row);
+        if (tail == buffer.size()) return false;
+        *row = std::move(buffer[tail++]);
+        return true;
+      },
+      [&](Row&& row) { out->rows.push_back(std::move(row)); });
   return out;  // `runs` goes out of scope here, deleting the spill files
+}
+
+}  // namespace
+
+RowDataset SortExec::ExecuteImpl(QueryContext& ctx) const {
+  RowDataset input = child_->Execute(ctx);
+  const AttributeVector child_out = child_->Output();
+  std::vector<BoundCompiled> keys;
+  KeyOrder order;
+  for (const auto& o : orders_) {
+    keys.push_back(BindAndCompile(o->child(), child_out,
+                                  ctx.config().codegen_enabled));
+    order.ascending.push_back(o->ascending());
+  }
+
+  RowDataset sorted = input.MapPartitions(
+      ctx,
+      [&](size_t, const RowPartition& part) {
+        return SortPartition(ctx, part, keys, order);
+      },
+      "sort");
+
+  // Merge the sorted partitions on the driver, dropping the keys.
+  size_t total = 0;
+  for (const RowPartitionPtr& part : sorted.partitions()) {
+    total += part->rows.size();
+  }
+  std::vector<Row> merged;
+  merged.reserve(total);
+  std::vector<size_t> pos(sorted.num_partitions(), 0);
+  MergeSorted(
+      ctx, order, sorted.num_partitions(),
+      [&](size_t p, Row* row) {
+        std::vector<Row>& rows = sorted.partition(p)->rows;
+        if (pos[p] == rows.size()) return false;
+        *row = std::move(rows[pos[p]++]);
+        return true;
+      },
+      [&](Row&& keyed) {
+        auto& values = keyed.values();
+        merged.emplace_back(std::vector<Value>(
+            std::make_move_iterator(values.begin()),
+            std::make_move_iterator(values.end() - keys.size())));
+      });
+  return RowDataset::SinglePartition(std::move(merged));
 }
 
 std::string SortExec::Describe() const {

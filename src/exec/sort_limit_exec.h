@@ -1,7 +1,6 @@
 #ifndef SSQL_EXEC_SORT_LIMIT_EXEC_H_
 #define SSQL_EXEC_SORT_LIMIT_EXEC_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -10,8 +9,11 @@
 
 namespace ssql {
 
-/// Global sort: local sort per partition, then a driver-side k-way gather
-/// into one ordered partition.
+/// Global sort: each partition is sorted under the query's memory budget
+/// (spilling sorted runs and merging them back when a grant is denied),
+/// then the driver merges the sorted partitions into one ordered
+/// partition. Sort keys are evaluated once per row, and every merge keeps
+/// ties in input order, so the sort is stable.
 class SortExec : public PhysicalPlan {
  public:
   SortExec(std::vector<std::shared_ptr<const SortOrder>> orders, PhysPtr child)
@@ -24,13 +26,6 @@ class SortExec : public PhysicalPlan {
   std::string Describe() const override;
 
  private:
-  /// Memory-bounded local sort for one partition: budgeted buffer, stable-
-  /// sorted runs spilled to disk when a grant is denied, then a stable
-  /// k-way merge of the run files plus the in-memory tail.
-  std::shared_ptr<RowPartition> ExternalSortPartition(
-      QueryContext& ctx, const RowPartition& part,
-      const std::function<bool(const Row&, const Row&)>& less) const;
-
   std::vector<std::shared_ptr<const SortOrder>> orders_;
   PhysPtr child_;
 };

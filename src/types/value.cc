@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -223,6 +224,24 @@ int CompareNanLast(const Value& a, const Value& b) {
   return a.Compare(b);
 }
 
+namespace {
+
+/// Hashes a double as Equals compares it: an integral value like the
+/// integer it equals (so -0.0 like 0), and every NaN alike, whatever its
+/// sign and payload bits. The range check keeps the cast defined.
+uint64_t HashDouble(double d) {
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+  if (d >= -0x1p63 && d < 0x1p63) {
+    const auto as_int = static_cast<int64_t>(d);
+    if (static_cast<double>(as_int) == d) {
+      return HashBytes(&as_int, sizeof(as_int));
+    }
+  }
+  return HashBytes(&d, sizeof(d));
+}
+
+}  // namespace
+
 uint64_t Value::Hash() const {
   switch (type_id()) {
     case TypeId::kNull:
@@ -238,19 +257,10 @@ uint64_t Value::Hash() const {
       int64_t v = AsInt64();
       return HashBytes(&v, sizeof(v));
     }
-    case TypeId::kDouble: {
-      double d = f64();
-      // Hash integral doubles like their integer counterparts.
-      int64_t as_int = static_cast<int64_t>(d);
-      if (static_cast<double>(as_int) == d) return HashBytes(&as_int, sizeof(as_int));
-      return HashBytes(&d, sizeof(d));
-    }
-    case TypeId::kDecimal: {
-      double d = decimal().ToDouble();
-      int64_t as_int = static_cast<int64_t>(d);
-      if (static_cast<double>(as_int) == d) return HashBytes(&as_int, sizeof(as_int));
-      return HashBytes(&d, sizeof(d));
-    }
+    case TypeId::kDouble:
+      return HashDouble(f64());
+    case TypeId::kDecimal:
+      return HashDouble(decimal().ToDouble());
     case TypeId::kString:
       return HashBytes(str().data(), str().size());
     case TypeId::kArray: {

@@ -124,10 +124,10 @@ class Value {
   Variant v_;
 };
 
-/// The sort order of ORDER BY and the sort-merge join: Value::Compare,
-/// except that NaN sorts after every other value and equals NaN. Compare
-/// makes NaN equal to every number, which is not a strict weak order, so
-/// sorting with it leaves rows unsorted.
+/// The sort order of ORDER BY: Value::Compare, except that NaN sorts after
+/// every other value and equals NaN. Compare makes NaN equal to every
+/// number, which is not a strict weak order, so sorting with it leaves rows
+/// unsorted.
 int CompareNanLast(const Value& a, const Value& b);
 
 /// Boxes an int64 lane value (how column banks and register programs hold

@@ -159,10 +159,6 @@ TEST_P(JoinAlgorithmTest, AllAlgorithmsMatchReferenceOnInnerJoin) {
                                 lk, rk, JoinType::kInner, nullptr);
     EXPECT_EQ(Canonical(shuffle.Execute(ctx).Collect()), expected);
 
-    SortMergeJoinExec merge(ScanOf(la, left_rows), ScanOf(ra, right_rows), lk,
-                            rk, JoinType::kInner, nullptr);
-    EXPECT_EQ(Canonical(merge.Execute(ctx).Collect()), expected);
-
     ExprPtr cond = EqualTo::Make(la[0], ra[0]);
     NestedLoopJoinExec nested(ScanOf(la, left_rows), ScanOf(ra, right_rows),
                               JoinType::kInner, cond);
@@ -251,7 +247,8 @@ std::vector<JoinKeyShape> JoinKeyShapes() {
        pick({DateValue{-1}, DateValue{0}, DateValue{18000}, DateValue{18001},
              DateValue{20000}})},
       {"double", {DataType::Double()},
-       pick({std::nan(""), 0.0, -0.0, 1.5, -2.25, 1e300, 3.0})},
+       pick({std::nan(""), -std::nan(""), 0.0, -0.0, 1.5, -2.25, 1e300,
+             3.0})},
       {"string", {DataType::String()},
        pick({"", "a", "ab", nul_a, nul_b, long_key,
              "a key longer than eight bytes"})},
@@ -413,9 +410,6 @@ TEST_P(JoinKeySweepTest, EveryAlgorithmMatchesBruteForce) {
     check(shuffle, type, false, unlimited, "shuffle hash");
     check(shuffle, type, false, limited, "shuffle hash (Grace)");
   }
-  SortMergeJoinExec merge(ScanOf(la, left), ScanOf(ra, right), lk, rk,
-                          JoinType::kInner, residual);
-  check(merge, JoinType::kInner, false, unlimited, "sort-merge");
   std::filesystem::remove_all(scratch);
 }
 
@@ -428,6 +422,42 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) > 0 ? "_nulls" : "_no_nulls") +
              (std::get<2>(info.param) ? "_residual" : "");
     });
+
+TEST(JoinExecTest, SignedNansShuffleToOnePartition) {
+  // +NaN and -NaN are one key to joins and grouping, so the shuffle must
+  // send both to one reducer at every partition count, not only at those
+  // where their raw bits' hashes happen to agree.
+  std::vector<Row> left;
+  for (int i = 0; i < 64; ++i) {
+    const double nan = (i / 8) % 2 == 0 ? std::nan("") : -std::nan("");
+    left.push_back(Row({Value(nan), Value(int32_t(i))}));
+  }
+  std::vector<Row> right = {Row({Value(std::nan("")), Value(int32_t{0})}),
+                            Row({Value(-std::nan("")), Value(int32_t{1})})};
+  auto schema = [](const char* key, const char* payload) {
+    return StructType::Make({Field(key, DataType::Double(), true),
+                             Field(payload, DataType::Int32(), false)});
+  };
+  for (const size_t parallelism : {3, 5, 6, 7}) {
+    SCOPED_TRACE("default_parallelism " + std::to_string(parallelism));
+    EngineConfig config = TestConfig();
+    config.default_parallelism = parallelism;
+    config.broadcast_threshold_bytes = 1;  // nothing broadcasts
+    SqlContext ctx(config);
+    ctx.CreateDataFrame(schema("k", "v"), left).RegisterTempTable("l");
+    ctx.CreateDataFrame(schema("rk", "w"), right).RegisterTempTable("r");
+    DataFrame join = ctx.Sql("SELECT v, w FROM l JOIN r ON k = rk");
+    EXPECT_NE(ctx.PlanPhysical(ctx.Optimize(join.plan()))
+                  ->TreeString()
+                  .find("ShuffleHashJoin"),
+              std::string::npos);
+    EXPECT_EQ(join.Collect().size(), 128u);
+    std::vector<Row> groups =
+        ctx.Sql("SELECT k, count(*) FROM l GROUP BY k").Collect();
+    ASSERT_EQ(groups.size(), 1u);
+    EXPECT_EQ(groups[0].GetInt64(1), 64);
+  }
+}
 
 TEST(JoinExecTest, MismatchedKeyTypesAreRejected) {
   // Analysis casts both sides of an equi-join key to one type; a plan that
@@ -527,20 +557,6 @@ TEST_F(JoinSelectionTest, JoinSelectionDisabledForcesShuffle) {
   ctx_.UpdateConfig([&](EngineConfig& c) { c.join_selection_enabled = true; });
 }
 
-TEST_F(JoinSelectionTest, PreferSortMergeConfig) {
-  EngineConfig config = TestConfig();
-  config.broadcast_threshold_bytes = 16;
-  config.prefer_sort_merge_join = true;
-  SqlContext smj(config);
-  auto schema = StructType::Make({Field("id", DataType::Int32(), false)});
-  std::vector<Row> rows = {Row({Value(int32_t{1})})};
-  smj.CreateDataFrame(schema, rows).RegisterTempTable("a");
-  smj.CreateDataFrame(schema, rows).RegisterTempTable("b");
-  DataFrame df = smj.Sql("SELECT a.id FROM a JOIN b ON a.id = b.id");
-  std::string plan = smj.PlanPhysical(smj.Optimize(df.plan()))->TreeString();
-  EXPECT_NE(plan.find("SortMergeJoin"), std::string::npos) << plan;
-}
-
 TEST_F(JoinSelectionTest, NonEquiJoinUsesNestedLoop) {
   std::string plan =
       PhysicalPlanFor("SELECT big.v FROM big JOIN small ON big.id < small.id");
@@ -553,10 +569,6 @@ TEST_F(JoinSelectionTest, ResultsIdenticalAcrossStrategies) {
       "WHERE big.v < 100";
   auto baseline = Canonical(ctx_.Sql(sql).Collect());
   ctx_.UpdateConfig([&](EngineConfig& c) { c.join_selection_enabled = false; });
-  EXPECT_EQ(Canonical(ctx_.Sql(sql).Collect()), baseline);
-  ctx_.UpdateConfig([&](EngineConfig& c) { c.join_selection_enabled = true; });
-  ctx_.UpdateConfig([&](EngineConfig& c) { c.prefer_sort_merge_join = true; });
-  ctx_.UpdateConfig([&](EngineConfig& c) { c.broadcast_threshold_bytes = 1; });
   EXPECT_EQ(Canonical(ctx_.Sql(sql).Collect()), baseline);
 }
 
@@ -723,6 +735,125 @@ TEST(SortNanTest, OrderByPlacesNanAfterEveryNumber) {
     EXPECT_EQ(seen_nans, nans);
     EXPECT_EQ(seen_nulls, nulls);
   }
+}
+
+/// ORDER BY against a stable oracle: every clause, under every setting,
+/// must return exactly the rows std::stable_sort gives over the input in
+/// partition order, ties included.
+TEST(SortAgreementTest, OrderByMatchesStableSortRowForRow) {
+  // Columns: id (unique, input position), g (heavy ties), v, d (NaN, -NaN,
+  // +-0.0), s; every key column is sometimes null.
+  std::mt19937_64 rng(23);
+  const std::vector<Value> doubles = {
+      Value(std::nan("")), Value(-std::nan("")), Value(0.0), Value(-0.0),
+      Value(1.5),          Value(-2.25),         Value::Null()};
+  const std::vector<std::string> strings = {"", "a", "abc", "abcdef", "b",
+                                            "xbcd", "zz"};
+  std::vector<Row> rows;
+  for (int i = 0; i < 3000; ++i) {
+    auto maybe_null = [&](Value v) {
+      return rng() % 10 == 0 ? Value::Null() : std::move(v);
+    };
+    rows.push_back(Row({Value(int32_t(i)),
+                        maybe_null(Value(static_cast<int32_t>(rng() % 4))),
+                        maybe_null(Value(static_cast<int32_t>(rng() % 50))),
+                        doubles[rng() % doubles.size()],
+                        maybe_null(Value(strings[rng() % strings.size()]))}));
+  }
+  auto schema = StructType::Make({Field("id", DataType::Int32(), false),
+                                  Field("g", DataType::Int32(), true),
+                                  Field("v", DataType::Int32(), true),
+                                  Field("d", DataType::Double(), true),
+                                  Field("s", DataType::String(), true)});
+
+  // Each case: its ORDER BY clause, and the oracle's keys and directions.
+  struct Case {
+    std::string order_by;
+    std::function<std::vector<Value>(const Row&)> keys;
+    std::vector<bool> ascending;
+  };
+  const std::vector<Case> cases = {
+      {"g", [](const Row& r) { return std::vector<Value>{r.Get(1)}; },
+       {true}},
+      {"g ASC, d DESC",
+       [](const Row& r) { return std::vector<Value>{r.Get(1), r.Get(3)}; },
+       {true, false}},
+      {"-v, s DESC",
+       [](const Row& r) {
+         Value neg = r.IsNullAt(2) ? Value::Null() : Value(-r.GetInt32(2));
+         return std::vector<Value>{neg, r.Get(4)};
+       },
+       {true, false}},
+      {"substr(s, 2, 3), g DESC",
+       [](const Row& r) {
+         Value sub = Value::Null();
+         if (!r.IsNullAt(4)) {
+           const std::string& str = r.GetString(4);
+           sub = Value(str.size() > 1 ? str.substr(1, 3) : std::string());
+         }
+         return std::vector<Value>{sub, r.Get(1)};
+       },
+       {true, false}},
+      {"d, s",
+       [](const Row& r) { return std::vector<Value>{r.Get(3), r.Get(4)}; },
+       {true, true}},
+  };
+
+  const std::string scratch =
+      ::testing::TempDir() + "/ssql-sort-agree-" + std::to_string(::getpid());
+  for (const bool codegen : {true, false}) {
+    for (const int64_t budget : {int64_t{-1}, int64_t{64 * 1024}}) {
+      EngineConfig config = TestConfig();
+      config.default_parallelism = 4;
+      config.codegen_enabled = codegen;
+      config.query_memory_limit_bytes = budget;
+      config.spill_dir = scratch;
+      SqlContext ctx(config);
+      ctx.CreateDataFrame(schema, rows).RegisterTempTable("t");
+      for (const Case& c : cases) {
+        SCOPED_TRACE("ORDER BY " + c.order_by +
+                     (codegen ? ", codegen" : ", interpreted") +
+                     (budget < 0 ? ", unlimited" : ", 64 KiB"));
+        std::vector<std::pair<std::vector<Value>, const Row*>> oracle;
+        for (const Row& r : rows) oracle.emplace_back(c.keys(r), &r);
+        std::stable_sort(oracle.begin(), oracle.end(),
+                         [&](const auto& a, const auto& b) {
+                           for (size_t k = 0; k < c.ascending.size(); ++k) {
+                             const int cmp = CompareNanLast(a.first[k],
+                                                            b.first[k]);
+                             if (cmp != 0) {
+                               return c.ascending[k] ? cmp < 0 : cmp > 0;
+                             }
+                           }
+                           return false;
+                         });
+        const std::vector<Row> got =
+            ctx.Sql("SELECT * FROM t ORDER BY " + c.order_by).Collect();
+        ASSERT_EQ(got.size(), oracle.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].ToString(), oracle[i].second->ToString()) << i;
+        }
+        const QueryProfile& profile = ctx.last_profile();
+        if (budget < 0) {
+          // An unlimited sort still charges its buffer.
+          EXPECT_EQ(profile.Total(ProfileCounter::kSpillBytes), 0);
+          int64_t sort_peak = 0;
+          std::function<void(const ProfileSpan*)> walk =
+              [&](const ProfileSpan* span) {
+                if (span->kind == SpanKind::kOperator && span->name == "Sort") {
+                  sort_peak += span->Counter(ProfileCounter::kPeakReservedBytes);
+                }
+                for (const ProfileSpan* child : span->children) walk(child);
+              };
+          walk(profile.root());
+          EXPECT_GT(sort_peak, 0);
+        } else {
+          EXPECT_GT(profile.Total(ProfileCounter::kSpillBytes), 0);
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(scratch);
 }
 
 TEST_F(ExecOpsTest, SampleIsDeterministicBySeed) {

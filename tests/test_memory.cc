@@ -53,7 +53,6 @@ TEST(MemoryManagerTest, ReservationAccounting) {
   QueryProfile profile;
   MemoryManager mgr;
   mgr.Configure(1000, /*spill_enabled=*/true, &profile);
-  EXPECT_TRUE(mgr.limited());
   EXPECT_EQ(mgr.limit_bytes(), 1000);
 
   MemoryReservation a = mgr.CreateReservation();
@@ -96,19 +95,24 @@ TEST(MemoryManagerTest, UnlimitedGrantsEverything) {
   QueryProfile profile;
   MemoryManager mgr;
   mgr.Configure(-1, true, &profile);
-  EXPECT_FALSE(mgr.limited());
   MemoryReservation r = mgr.CreateReservation();
   EXPECT_TRUE(r.TryGrow(int64_t{1} << 50));
 }
 
 TEST(MemoryManagerTest, LimitedWhenAnyAncestorPoolIsLimited) {
+  // A query without a budget of its own is still limited by the engine
+  // pool: every grant is carved from the pool too.
   MemoryManager pool;
   pool.Configure(256 * 1024, true, nullptr);
   MemoryManager query;
   query.Configure(-1, true, nullptr, &pool);
-  EXPECT_TRUE(query.limited());
+  MemoryReservation r = query.CreateReservation();
+  EXPECT_FALSE(r.TryGrow(512 * 1024));
+  EXPECT_TRUE(r.TryGrow(256 * 1024));
+  EXPECT_EQ(pool.reserved_bytes(), 256 * 1024);
+  r.Release();
   pool.Configure(-1, true, nullptr);
-  EXPECT_FALSE(query.limited());
+  EXPECT_TRUE(r.TryGrow(512 * 1024));
 }
 
 TEST(MemoryManagerTest, ReservationReleasesOnDestruction) {
@@ -324,11 +328,11 @@ TEST_F(SpillQueryTest, BudgetCapsPlannerBroadcastThreshold) {
 
 TEST(EnginePoolTest, OrderBySpillsAgainstThePoolAlone) {
   // Only the engine-wide pool is limited: the query's own budget is
-  // unlimited, yet the sort must still see a limited manager, take its
-  // external path and spill rather than hold ~1 MiB unaccounted. One
-  // partition makes the spill independent of task overlap: its buffer must
-  // hold all 12,000 rows, and even their Row headers alone (24 bytes each,
-  // before any value) exceed the 256 KiB pool.
+  // unlimited, yet the sort's grants are carved from the pool, so it must
+  // spill rather than hold ~1 MiB unaccounted. One partition makes the
+  // spill independent of task overlap: its buffer must hold all 12,000
+  // rows, and even their Row headers alone (24 bytes each, before any
+  // value) exceed the 256 KiB pool.
   std::string scratch = UniqueScratchDir("pool");
   std::filesystem::remove_all(scratch);
   EngineConfig config;
