@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 check: full build + test suite, then the fault-tolerance,
-# memory/spill, observability, vectorized/columnar, expression-kernel and
-# data source tests again under AddressSanitizer/UBSan (retry,
+# memory/spill, observability, vectorized/columnar, expression-kernel,
+# value-type and data source tests again under AddressSanitizer/UBSan (retry,
 # cancellation, reservation accounting, spill-file cleanup, concurrent
 # span/counter updates, selection-vector indexing into raw column banks,
 # lane kernels over boxed rows, and encoded chunks read from disk exercise
@@ -18,7 +18,7 @@ cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
 cmake -B build-sanitize -S . -DSSQL_SANITIZE=address >/dev/null
-cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_exec --target test_datasources --target test_codegen >/dev/null
+cmake --build build-sanitize -j --target test_fault_tolerance --target test_memory --target test_observability --target test_system_tables --target test_statistics --target test_chaos --target test_vectorized --target test_columnar --target test_property_end_to_end --target test_flight_recorder --target test_aggregate --target test_exec --target test_datasources --target test_codegen --target test_value_types --target test_expressions >/dev/null
 ./build-sanitize/tests/test_fault_tolerance
 ./build-sanitize/tests/test_memory
 ./build-sanitize/tests/test_observability
@@ -37,6 +37,12 @@ cmake --build build-sanitize -j --target test_fault_tolerance --target test_memo
 # boxed rows, string lanes point into scratch and fallback lanes, and
 # register banks resize between runs over inputs of different sizes.
 ./build-sanitize/tests/test_codegen
+# The value order under UBSan: Value::Compare, Decimal::Compare's scale
+# alignment (a signed overflow in int64 before it moved to 128 bits),
+# HashDouble's range-checked cast and the interpreter's predicates. A
+# UBSan report fails these two runs instead of only printing.
+UBSAN_OPTIONS=halt_on_error=1 ./build-sanitize/tests/test_value_types
+UBSAN_OPTIONS=halt_on_error=1 ./build-sanitize/tests/test_expressions
 # The data source suite under ASan: the chunk reader indexes dictionary
 # codes, runs and string views into encoded payloads read from disk, the
 # colf byte-mutation smoke test feeds it corrupt files, and the CSV scan

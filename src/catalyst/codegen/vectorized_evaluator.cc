@@ -345,7 +345,7 @@ void CompiledExpression::VectorEvaluator::Run(const RowBatch* batch,
         uint8_t* dn = lanes_null(in.dst);
         for (size_t k = 0; k < n; ++k) {
           dn[k] = na[k] | nb[k];
-          d[k] = a[k] < b[k] ? -1 : (a[k] > b[k] ? 1 : 0);
+          d[k] = CompareDoubles(a[k], b[k]);
         }
         break;
       }

@@ -1,5 +1,7 @@
 #include "catalyst/expr/cast.h"
 
+#include <cmath>
+
 #include "types/schema.h"
 
 namespace ssql {
@@ -71,6 +73,13 @@ Value Cast::Convert(const Value& value, const DataType& to) {
       const auto& dt = static_cast<const DecimalType&>(to);
       if (from == TypeId::kDecimal) {
         return Value(value.decimal().Rescale(dt.precision(), dt.scale()));
+      }
+      // An integer whose digits fit converts exactly, not through a double.
+      if ((from == TypeId::kInt32 || from == TypeId::kInt64) &&
+          std::abs(value.AsDouble()) <
+              std::pow(10.0, Decimal::kMaxLongDigits - dt.scale())) {
+        return Value(Decimal(value.AsInt64(), dt.precision(), 0)
+                         .Rescale(dt.precision(), dt.scale()));
       }
       return Value(Decimal::FromDouble(value.AsDouble(), dt.precision(),
                                        dt.scale()));

@@ -173,10 +173,14 @@ const AttributeReference* AsAttr(const ExprPtr& e) {
   return dynamic_cast<const AttributeReference*>(e.get());
 }
 
+/// A finite number: a NaN or infinite bound (a column's max is NaN once it
+/// holds one) leaves nothing to interpolate, so it counts as no statistics.
 bool IsNumericValue(const Value& v) {
   if (v.is_null()) return false;
   TypeId id = v.type_id();
-  return id == TypeId::kInt32 || id == TypeId::kInt64 || id == TypeId::kDouble;
+  return (id == TypeId::kInt32 || id == TypeId::kInt64 ||
+          id == TypeId::kDouble) &&
+         std::isfinite(v.AsDouble());
 }
 
 /// Fraction of `[min, max]` lying below `bound`, by linear interpolation —

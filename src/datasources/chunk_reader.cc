@@ -18,49 +18,13 @@ bool IsNumeric(TypeId t) {
          t == TypeId::kDecimal;
 }
 
-/// Whether a Value::Compare result `c` satisfies comparison `op`.
-bool Holds(Op op, int c) {
-  switch (op) {
-    case Op::kEq:
-      return c == 0;
-    case Op::kLt:
-      return c < 0;
-    case Op::kLe:
-      return c <= 0;
-    case Op::kGt:
-      return c > 0;
-    case Op::kGe:
-      return c >= 0;
-    default:
-      return false;
-  }
-}
-
-/// pass[s] = the slot is non-null and `x[s] op y`, in Value::Compare's
-/// terms: "equal" means neither is less, so NaN equals every double.
-template <typename T>
-void CompareLane(Op op, const T* x, const T& y, const uint8_t* nulls, size_t n,
-                 uint8_t* pass) {
-  switch (op) {
-    case Op::kEq:
-      for (size_t s = 0; s < n; ++s) {
-        pass[s] = (nulls[s] == 0) & !(x[s] < y) & !(y < x[s]);
-      }
-      break;
-    case Op::kLt:
-      for (size_t s = 0; s < n; ++s) pass[s] = (nulls[s] == 0) & (x[s] < y);
-      break;
-    case Op::kLe:
-      for (size_t s = 0; s < n; ++s) pass[s] = (nulls[s] == 0) & !(y < x[s]);
-      break;
-    case Op::kGt:
-      for (size_t s = 0; s < n; ++s) pass[s] = (nulls[s] == 0) & (y < x[s]);
-      break;
-    case Op::kGe:
-      for (size_t s = 0; s < n; ++s) pass[s] = (nulls[s] == 0) & !(x[s] < y);
-      break;
-    default:
-      break;
+/// pass[s] = the slot is non-null and comparison `op` holds for cmp(s), the
+/// slot's three-way compare (-1, 0 or 1) with the literal.
+template <typename Cmp>
+void CompareSlots(Op op, const uint8_t* nulls, size_t n, uint8_t* pass,
+                  Cmp cmp) {
+  for (size_t s = 0; s < n; ++s) {
+    pass[s] = (nulls[s] == 0) & FilterSpec::Holds(op, cmp(s));
   }
 }
 
@@ -110,10 +74,16 @@ ChunkFilter::ChunkFilter(FilterSpec spec, const DataTypePtr& column_type)
     } else if (lit.is_null()) {
       op.constant = 1;  // Value::Compare orders null before everything
     } else if (IsNumeric(c) && IsNumeric(l)) {
-      if (c == TypeId::kDouble || c == TypeId::kDecimal ||
-          l == TypeId::kDouble || l == TypeId::kDecimal) {
+      // Value::Compare's numeric cases: as doubles against a double,
+      // exactly between decimals and integers.
+      if (c == TypeId::kDouble || l == TypeId::kDouble) {
         op.kind = Operand::Kind::kDouble;
         op.d = lit.AsDouble();
+      } else if (c == TypeId::kDecimal || l == TypeId::kDecimal) {
+        op.kind = Operand::Kind::kDecimal;
+        op.dec = l == TypeId::kDecimal
+                     ? lit.decimal()
+                     : Decimal(lit.AsInt64(), Decimal::kMaxLongDigits, 0);
       } else {
         op.kind = Operand::Kind::kInt;
         op.i = lit.AsInt64();
@@ -164,8 +134,13 @@ void ChunkFilter::EvalSlots(const ChunkValues& values, uint8_t* pass) const {
   }
   // A comparison has one operand; IN is an OR of equalities.
   const Op op = spec_.op == Op::kIn ? Op::kEq : spec_.op;
+  const int64_t* ints = values.ints.data();
+  // An int-like lane holds a decimal column's unscaled values; an integer
+  // is a decimal of scale 0.
+  const bool is_decimal = type_->id() == TypeId::kDecimal;
+  const int precision = is_decimal ? AsDecimal(*type_).precision() : 0;
+  const int scale = is_decimal ? AsDecimal(*type_).scale() : 0;
   std::vector<uint8_t> scratch;
-  std::vector<double> as_double;  // an int lane compared as doubles
   for (size_t k = 0; k < operands_.size(); ++k) {
     const Operand& operand = operands_[k];
     uint8_t* out = pass;
@@ -173,39 +148,40 @@ void ChunkFilter::EvalSlots(const ChunkValues& values, uint8_t* pass) const {
       scratch.resize(n);
       out = scratch.data();
     }
+    const int64_t i = operand.i;
+    const double d = operand.d;
+    const std::string_view str = operand.s;
     switch (operand.kind) {
-      case Operand::Kind::kConstant: {
-        const uint8_t holds = Holds(op, operand.constant) ? 1 : 0;
-        for (size_t s = 0; s < n; ++s) out[s] = (nulls[s] == 0) & holds;
+      case Operand::Kind::kConstant:
+        CompareSlots(op, nulls, n, out,
+                     [&](size_t) { return operand.constant; });
         break;
-      }
       case Operand::Kind::kInt:
-        CompareLane(op, values.ints.data(), operand.i, nulls, n, out);
+        CompareSlots(op, nulls, n, out,
+                     [&](size_t s) { return (ints[s] > i) - (ints[s] < i); });
         break;
       case Operand::Kind::kDouble:
         if (type_->id() == TypeId::kDouble) {
-          CompareLane(op, values.doubles.data(), operand.d, nulls, n, out);
-          break;
+          const double* x = values.doubles.data();
+          CompareSlots(op, nulls, n, out,
+                       [&](size_t s) { return CompareDoubles(x[s], d); });
+        } else {
+          CompareSlots(op, nulls, n, out, [&](size_t s) {
+            const Decimal x(ints[s], precision, scale);
+            return CompareDoubles(x.ToDouble(), d);
+          });
         }
-        if (as_double.empty() && n > 0) {
-          as_double.resize(n);
-          if (type_->id() == TypeId::kDecimal) {
-            const auto& dt = AsDecimal(*type_);
-            for (size_t s = 0; s < n; ++s) {
-              as_double[s] =
-                  Decimal(values.ints[s], dt.precision(), dt.scale()).ToDouble();
-            }
-          } else {
-            for (size_t s = 0; s < n; ++s) {
-              as_double[s] = static_cast<double>(values.ints[s]);
-            }
-          }
-        }
-        CompareLane(op, as_double.data(), operand.d, nulls, n, out);
+        break;
+      case Operand::Kind::kDecimal:
+        CompareSlots(op, nulls, n, out, [&](size_t s) {
+          return Decimal(ints[s], precision, scale).Compare(operand.dec);
+        });
         break;
       case Operand::Kind::kString:
-        CompareLane(op, values.strings.data(), std::string_view(operand.s),
-                    nulls, n, out);
+        CompareSlots(op, nulls, n, out, [&](size_t s) {
+          const int c = values.strings[s].compare(str);
+          return (c > 0) - (c < 0);
+        });
         break;
     }
     if (k > 0) {

@@ -20,10 +20,12 @@ namespace ssql {
 /// chunk's typed lane, and the chunk's rows are then mapped through the
 /// result. A kBoxed chunk runs FilterSpec::Matches on its own Values.
 ///
-/// Results equal FilterSpec::Matches exactly, Value::Compare's quirks
-/// included: an int column against a double or decimal literal compares as
-/// doubles, a decimal column compares through AsDouble, NaN compares equal
-/// to every number, and a numeric column against a non-numeric literal
+/// Results equal FilterSpec::Matches exactly: each slot is compared
+/// three-way with the literal in Value::Compare's order. Against a double,
+/// a number compares under CompareDoubles (NaN equals NaN and follows every
+/// number, -0.0 equals 0.0); a decimal column's unscaled lane compares
+/// exactly with a decimal or integer literal, as does an int column with a
+/// decimal literal; and a numeric column against a non-numeric literal
 /// compares equal. A literal that Value::Compare cannot compare with the
 /// column's type at all (a string literal on a date column, say) is
 /// rejected here with ExecutionError.
@@ -39,10 +41,11 @@ class ChunkFilter {
  private:
   /// A literal as the column's lane sees it.
   struct Operand {
-    enum class Kind { kInt, kDouble, kString, kConstant };
+    enum class Kind { kInt, kDouble, kDecimal, kString, kConstant };
     Kind kind = Kind::kConstant;
     int64_t i = 0;
     double d = 0;
+    Decimal dec;
     std::string s;
     int constant = 0;  // the fixed Value::Compare result of kConstant
   };

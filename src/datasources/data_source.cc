@@ -9,26 +9,11 @@
 namespace ssql {
 
 bool FilterSpec::Matches(const Value& v) const {
-  switch (op) {
-    case Op::kIsNull:
-      return v.is_null();
-    case Op::kIsNotNull:
-      return !v.is_null();
-    default:
-      break;
+  if (op == Op::kIsNull || op == Op::kIsNotNull) {
+    return v.is_null() == (op == Op::kIsNull);
   }
   if (v.is_null()) return false;
   switch (op) {
-    case Op::kEq:
-      return v.Compare(values[0]) == 0;
-    case Op::kLt:
-      return v.Compare(values[0]) < 0;
-    case Op::kLe:
-      return v.Compare(values[0]) <= 0;
-    case Op::kGt:
-      return v.Compare(values[0]) > 0;
-    case Op::kGe:
-      return v.Compare(values[0]) >= 0;
     case Op::kIn:
       for (const auto& candidate : values) {
         if (v.Compare(candidate) == 0) return true;
@@ -42,7 +27,7 @@ bool FilterSpec::Matches(const Value& v) const {
     case Op::kContains:
       return v.str().find(values[0].str()) != std::string::npos;
     default:
-      return false;
+      return Holds(op, v.Compare(values[0]));
   }
 }
 
@@ -319,22 +304,17 @@ bool ColumnChunkMayMatch(const EncodedColumn& col, const FilterSpec& filter) {
   if (!col.min || !col.max) return false;  // all null: comparisons never match
   switch (filter.op) {
     case FilterSpec::Op::kEq:
-      return filter.values[0].Compare(*col.min) >= 0 &&
-             filter.values[0].Compare(*col.max) <= 0;
-    case FilterSpec::Op::kLt:
-      return col.min->Compare(filter.values[0]) < 0;
-    case FilterSpec::Op::kLe:
-      return col.min->Compare(filter.values[0]) <= 0;
-    case FilterSpec::Op::kGt:
-      return col.max->Compare(filter.values[0]) > 0;
-    case FilterSpec::Op::kGe:
-      return col.max->Compare(filter.values[0]) >= 0;
-    case FilterSpec::Op::kIn: {
+    case FilterSpec::Op::kIn:
       for (const auto& v : filter.values) {
         if (v.Compare(*col.min) >= 0 && v.Compare(*col.max) <= 0) return true;
       }
       return false;
-    }
+    case FilterSpec::Op::kLt:
+    case FilterSpec::Op::kLe:
+      return FilterSpec::Holds(filter.op, col.min->Compare(filter.values[0]));
+    case FilterSpec::Op::kGt:
+    case FilterSpec::Op::kGe:
+      return FilterSpec::Holds(filter.op, col.max->Compare(filter.values[0]));
     case FilterSpec::Op::kStartsWith: {
       // Prefix comparison against the string zone map.
       const std::string& p = filter.values[0].str();

@@ -44,6 +44,14 @@ struct FilterSpec {
   /// Evaluates this filter against a single value of `column`.
   bool Matches(const Value& v) const;
 
+  /// Whether comparison `op` (kEq to kGe) holds for a three-way compare
+  /// result `c`. The tests on `op` are loop-invariant in a lane loop, so the
+  /// compiler unswitches it into one loop per op.
+  static bool Holds(Op op, int c) {
+    return op == Op::kEq ? c == 0 : op == Op::kLt ? c < 0
+         : op == Op::kLe ? c <= 0 : op == Op::kGt ? c > 0 : c >= 0;
+  }
+
   std::string ToString() const;
 };
 

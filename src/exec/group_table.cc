@@ -208,7 +208,9 @@ void GroupTable::FoldColumns(size_t j, const ColumnVector* const* args,
       break;
     case AccKind::kMinMaxF64:
       each([&](Acc& a, size_t r) {
-        if (a.n == 0 || (min ? dbls[r] < a.d : dbls[r] > a.d)) a.d = dbls[r];
+        if (a.n == 0 || CompareDoubles(dbls[r], a.d) == (min ? -1 : 1)) {
+          a.d = dbls[r];
+        }
         a.n = 1;
       });
       break;
@@ -243,7 +245,7 @@ void GroupTable::FoldValues(size_t j, const Row* rows, size_t col,
         a.i = i;
       }
       if (slot.kind == AccKind::kMinMaxF64 &&
-          (a.n == 0 || (slot.is_min ? d < a.d : d > a.d))) {
+          (a.n == 0 || CompareDoubles(d, a.d) == (slot.is_min ? -1 : 1))) {
         a.d = d;
       }
       a.n = 1;

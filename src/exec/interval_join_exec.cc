@@ -7,7 +7,9 @@ namespace ssql {
 IntervalTree::IntervalTree(std::vector<Interval> intervals) {
   nodes_.reserve(intervals.size());
   std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) { return a.start < b.start; });
+            [](const Interval& a, const Interval& b) {
+              return a.start.Compare(b.start) < 0;
+            });
   root_ = Build(intervals, 0, static_cast<int>(intervals.size()));
 }
 
@@ -22,26 +24,29 @@ int IntervalTree::Build(std::vector<Interval>& sorted, int lo, int hi) {
   int right = Build(sorted, mid + 1, hi);
   nodes_[idx].left = left;
   nodes_[idx].right = right;
-  double max_end = nodes_[idx].interval.end;
-  if (left >= 0) max_end = std::max(max_end, nodes_[left].max_end);
-  if (right >= 0) max_end = std::max(max_end, nodes_[right].max_end);
-  nodes_[idx].max_end = max_end;
+  Value& max_end = nodes_[idx].max_end;
+  for (int child : {left, right}) {
+    if (child >= 0 && nodes_[child].max_end.Compare(max_end) > 0) {
+      max_end = nodes_[child].max_end;
+    }
+  }
   return idx;
 }
 
-void IntervalTree::Query(double p, std::vector<size_t>* out) const {
+void IntervalTree::Query(const Value& p, std::vector<size_t>* out) const {
   QueryNode(root_, p, out);
 }
 
-void IntervalTree::QueryNode(int node, double p, std::vector<size_t>* out) const {
+void IntervalTree::QueryNode(int node, const Value& p,
+                             std::vector<size_t>* out) const {
   if (node < 0) return;
   const Node& n = nodes_[node];
   // No interval below this node ends after p.
-  if (n.max_end <= p) return;
+  if (n.max_end.Compare(p) <= 0) return;
   // Left subtree may always contain smaller starts.
   QueryNode(n.left, p, out);
-  if (n.interval.start < p) {
-    if (p < n.interval.end) out->push_back(n.interval.payload);
+  if (n.interval.start.Compare(p) < 0) {
+    if (p.Compare(n.interval.end) < 0) out->push_back(n.interval.payload);
     // Right subtree has starts >= this start; only useful while start < p.
     QueryNode(n.right, p, out);
   }
@@ -92,7 +97,7 @@ RowDataset IntervalJoinExec::ExecuteImpl(QueryContext& ctx) const {
     Value s = bound_start->Eval(build[i]);
     Value e = bound_end->Eval(build[i]);
     if (s.is_null() || e.is_null()) continue;
-    intervals.push_back({s.AsDouble(), e.AsDouble(), i});
+    intervals.push_back({std::move(s), std::move(e), i});
   }
   IntervalTree tree(std::move(intervals));
   ctx.profile().Add(nullptr, ProfileCounter::kBuildRows,
@@ -109,7 +114,7 @@ RowDataset IntervalJoinExec::ExecuteImpl(QueryContext& ctx) const {
       Value p = bound_point->Eval(row);
       if (p.is_null()) continue;
       matches.clear();
-      tree.Query(p.AsDouble(), &matches);
+      tree.Query(p, &matches);
       for (size_t idx : matches) {
         Row joined = interval_on_left ? Row::Concat(build[idx], row)
                                       : Row::Concat(row, build[idx]);

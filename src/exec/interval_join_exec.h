@@ -44,14 +44,16 @@ class IntervalJoinExec : public PhysicalPlan {
   ExprPtr residual_;  // references the joined output; may be null
 };
 
-/// A static interval tree over [start, end) pairs keyed by double; built
-/// once from the collected build side, queried per probe row. Exposed for
-/// unit tests and the range-join ablation bench.
+/// A static interval tree over [start, end) pairs of Values, ordered by
+/// Value::Compare (so a NaN bound follows every number, and decimals and
+/// dates compare exactly); built once from the collected build side,
+/// queried per probe row. Exposed for unit tests and the range-join
+/// ablation bench.
 class IntervalTree {
  public:
   struct Interval {
-    double start;
-    double end;
+    Value start;
+    Value end;
     size_t payload;
   };
 
@@ -59,19 +61,19 @@ class IntervalTree {
   explicit IntervalTree(std::vector<Interval> intervals);
 
   /// Appends the payloads of all intervals with start < p && p < end.
-  void Query(double p, std::vector<size_t>* out) const;
+  void Query(const Value& p, std::vector<size_t>* out) const;
 
   size_t size() const { return nodes_.size(); }
 
  private:
   struct Node {
     Interval interval;
-    double max_end;
+    Value max_end;
     int left = -1;
     int right = -1;
   };
   int Build(std::vector<Interval>& sorted, int lo, int hi);
-  void QueryNode(int node, double p, std::vector<size_t>* out) const;
+  void QueryNode(int node, const Value& p, std::vector<size_t>* out) const;
 
   std::vector<Node> nodes_;
   int root_ = -1;

@@ -48,10 +48,10 @@ struct KeyChunk {
 /// Keys are stored typed, one lane per key column plus a null flag, with
 /// strings in an arena the table owns. The index is open addressing over
 /// (hash tag, id) pairs; each key's full hash is kept for rehashing and
-/// spilling. Hashing and equality follow Value::Equals for doubles: -0.0
-/// equals 0.0 and NaN equals NaN. A null key cell either equals another
-/// null (grouping) or never matches (equi-join: such rows are neither
-/// inserted nor found).
+/// spilling. Hashing and equality follow Value::Equals (for doubles,
+/// CompareDoubles: -0.0 equals 0.0 and NaN equals NaN). A null key cell
+/// either equals another null (grouping) or never matches (equi-join: such
+/// rows are neither inserted nor found).
 ///
 /// All table memory (index, lanes, arena, plus the owner's per-key bytes)
 /// is charged to the table's reservation as it grows; an insert whose grant
@@ -150,11 +150,9 @@ inline bool KeyTable::KeyEquals(uint32_t id, const KeyChunk& chunk,
       case Lane::kInt:
         same = same && key.ints[id] == in.ints[r];
         break;
-      case Lane::kDouble: {
-        double a = key.doubles[id], b = in.doubles[r];
-        same = same && (a == b || (std::isnan(a) && std::isnan(b)));
+      case Lane::kDouble:
+        same = same && CompareDoubles(key.doubles[id], in.doubles[r]) == 0;
         break;
-      }
       case Lane::kString:
         same = same && key.strings[id] == std::string_view(in.strings[r]);
         break;

@@ -10,7 +10,7 @@ namespace ssql {
 namespace {
 
 /// The order of keyed rows: an input row with its sort keys, evaluated
-/// once, appended after its columns. CompareNanLast per key (nulls first
+/// once, appended after its columns. Value::Compare per key (nulls first
 /// and NaN after every number under ASC), reversed under DESC.
 struct KeyOrder {
   std::vector<bool> ascending;
@@ -19,7 +19,7 @@ struct KeyOrder {
     const size_t a_keys = a.size() - ascending.size();
     const size_t b_keys = b.size() - ascending.size();
     for (size_t i = 0; i < ascending.size(); ++i) {
-      const int c = CompareNanLast(a.Get(a_keys + i), b.Get(b_keys + i));
+      const int c = a.Get(a_keys + i).Compare(b.Get(b_keys + i));
       if (c != 0) return ascending[i] ? c : -c;
     }
     return 0;

@@ -54,7 +54,12 @@ Decimal Decimal::FromDouble(double value, int precision, int scale) {
 }
 
 double Decimal::ToDouble() const {
-  return static_cast<double>(unscaled_) / static_cast<double>(Pow10(scale_));
+  // Trailing zeros go first, so equal decimals give one double at any scale
+  // (Value::Hash hashes a decimal by it).
+  int64_t v = unscaled_;
+  int s = scale_;
+  for (; s > 0 && v % 10 == 0; --s) v /= 10;
+  return static_cast<double>(v) / static_cast<double>(Pow10(s));
 }
 
 int64_t Decimal::ToInt64() const { return unscaled_ / Pow10(scale_); }
@@ -112,12 +117,15 @@ Decimal Decimal::Divide(const Decimal& other) const {
 }
 
 int Decimal::Compare(const Decimal& other) const {
-  int s = std::max(scale_, other.scale_);
-  int64_t a = unscaled_ * Pow10(s - scale_);
-  int64_t b = other.unscaled_ * Pow10(s - other.scale_);
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
+  // Align scales in 128 bits by scaling up the side of smaller scale. Past
+  // 2^64 it has passed the other side (below 2^63) for good, so the scaling
+  // stops there and never overflows.
+  constexpr __int128 kSettled = static_cast<__int128>(1) << 64;
+  __int128 a = unscaled_, b = other.unscaled_;
+  __int128& v = scale_ < other.scale_ ? a : b;
+  int k = std::abs(scale_ - other.scale_);
+  while (k-- > 0 && v < kSettled && v > -kSettled) v *= 10;
+  return static_cast<int>(a > b) - static_cast<int>(a < b);
 }
 
 }  // namespace ssql

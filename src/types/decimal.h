@@ -43,7 +43,8 @@ class Decimal {
   Decimal Multiply(const Decimal& other) const;
   Decimal Divide(const Decimal& other) const;
 
-  /// Three-way comparison after aligning scales.
+  /// Exact three-way comparison after aligning scales in 128 bits, which no
+  /// pair of decimals overflows.
   int Compare(const Decimal& other) const;
 
   bool operator==(const Decimal& other) const { return Compare(other) == 0; }

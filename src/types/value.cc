@@ -179,13 +179,16 @@ int Value::Compare(const Value& other) const {
   bool b_num = b == TypeId::kInt32 || b == TypeId::kInt64 ||
                b == TypeId::kDouble || b == TypeId::kDecimal;
   if (a_num && b_num) {
-    if (a == TypeId::kDouble || b == TypeId::kDouble || a == TypeId::kDecimal ||
-        b == TypeId::kDecimal) {
-      double x = AsDouble();
-      double y = other.AsDouble();
-      if (x < y) return -1;
-      if (x > y) return 1;
-      return 0;
+    if (a == TypeId::kDouble || b == TypeId::kDouble) {
+      return CompareDoubles(AsDouble(), other.AsDouble());
+    }
+    if (a == TypeId::kDecimal || b == TypeId::kDecimal) {
+      auto exact = [](const Value& v) {
+        return v.type_id() == TypeId::kDecimal
+                   ? v.decimal()
+                   : Decimal(v.AsInt64(), Decimal::kMaxLongDigits, 0);
+      };
+      return exact(*this).Compare(exact(other));
     }
     int64_t x = AsInt64();
     int64_t y = other.AsInt64();
@@ -215,13 +218,6 @@ int Value::Compare(const Value& other) const {
     default:
       return 0;  // complex types are not ordered
   }
-}
-
-int CompareNanLast(const Value& a, const Value& b) {
-  const bool a_nan = a.type_id() == TypeId::kDouble && std::isnan(a.f64());
-  const bool b_nan = b.type_id() == TypeId::kDouble && std::isnan(b.f64());
-  if (a_nan || b_nan) return static_cast<int>(a_nan) - static_cast<int>(b_nan);
-  return a.Compare(b);
 }
 
 namespace {

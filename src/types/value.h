@@ -1,6 +1,7 @@
 #ifndef SSQL_TYPES_VALUE_H_
 #define SSQL_TYPES_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -104,8 +105,11 @@ class Value {
   /// SQL three-valued logic lives in the expression layer).
   bool Equals(const Value& other) const;
 
-  /// Three-way comparison; numeric alternatives compare after widening.
-  /// Nulls sort first. Only defined for comparable types.
+  /// Three-way comparison, a total order on each comparable type: the one
+  /// order behind predicates, zone maps, ORDER BY, min/max and DISTINCT.
+  /// Nulls sort first. Against a double, a number compares as a double under
+  /// CompareDoubles; decimals and integers compare exactly (Decimal::Compare,
+  /// an integer as scale 0). Only defined for comparable types.
   int Compare(const Value& other) const;
 
   /// Stable hash for shuffles/hash joins; numerically-equal values of
@@ -124,11 +128,15 @@ class Value {
   Variant v_;
 };
 
-/// The sort order of ORDER BY: Value::Compare, except that NaN sorts after
-/// every other value and equals NaN. Compare makes NaN equal to every
-/// number, which is not a strict weak order, so sorting with it leaves rows
-/// unsorted.
-int CompareNanLast(const Value& a, const Value& b);
+/// The engine's one order of doubles, Spark's: NaN equals NaN (whatever
+/// its sign and payload) and sorts after every other number, and -0.0
+/// equals 0.0. Value::Compare and every typed kernel take their sign here.
+inline int CompareDoubles(double a, double b) {
+  // Branch-free: a NaN is neither less nor greater than anything, so with
+  // a NaN the first two terms are 0 and the last two decide.
+  return static_cast<int>(a > b) - static_cast<int>(a < b) +
+         static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+}
 
 /// Boxes an int64 lane value (how column banks and register programs hold
 /// boolean, int32, int64, date and timestamp) back into its logical type.

@@ -23,6 +23,7 @@
 
 #include "api/sql_context.h"
 #include "engine/exec_context.h"
+#include "exec/key_table.h"
 
 namespace ssql {
 namespace {
@@ -440,6 +441,99 @@ TEST(AggregateMemoryTest, UnlimitedIntKeyGroupByReportsItsWorkingSet) {
   ctx->Sql("SELECT i, sum(v), count(*) FROM t GROUP BY i").Collect();
   EXPECT_GT(ctx->last_profile().Total(ProfileCounter::kPeakReservedBytes), 0);
   EXPECT_EQ(ctx->last_profile().Total(ProfileCounter::kSpillBytes), 0);
+}
+
+// ---- the one value order -------------------------------------------------
+
+/// Spark's order of doubles as ranks: null first, NaN (either sign) equals
+/// NaN and follows +inf, -0.0 equals 0.0.
+int DoubleRank(const Value& v) {
+  if (v.is_null()) return 0;
+  const double d = v.f64();
+  const double inf = std::numeric_limits<double>::infinity();
+  if (std::isnan(d)) return 6;
+  return d == -inf ? 1 : d == -2.25 ? 2 : d == 0.0 ? 3 : d == 1.5 ? 4 : 5;
+}
+
+std::vector<Value> DoubleGrid() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  return {Value::Null(), Value(-inf), Value(-2.25), Value(-0.0), Value(0.0),
+          Value(1.5),    Value(inf),  Value(nan),   Value(-nan)};
+}
+
+TEST(ValueOrderTest, GroupTableMinMaxMatchesTheRankTable) {
+  // Group g holds one pair of the grid; the pair's two rows sit far apart,
+  // so over 3 partitions most pairs meet only when partials merge.
+  const std::vector<Value> grid = DoubleGrid();
+  std::vector<Row> first, second;
+  for (size_t a = 0; a < grid.size(); ++a) {
+    for (size_t b = 0; b < grid.size(); ++b) {
+      const auto g = static_cast<int32_t>(a * grid.size() + b);
+      first.push_back(Row({Value(g), grid[a]}));
+      second.push_back(Row({Value(g), grid[b]}));
+    }
+  }
+  std::vector<Row> rows = first;
+  rows.insert(rows.end(), second.begin(), second.end());
+  auto schema = StructType::Make({Field("g", DataType::Int32(), false),
+                                  Field("d", DataType::Double(), true)});
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "cached, batched" : "row path");
+    const Setting setting =
+        MakeSetting(batched, 1024, true, Budget::kUnlimited);
+    SqlContext ctx(setting.Config());
+    DataFrame df = ctx.CreateDataFrame(schema, rows);
+    df.RegisterTempTable("t");
+    if (batched) df.Cache();
+    const auto got =
+        ctx.Sql("SELECT g, min(d), max(d) FROM t GROUP BY g").Collect();
+    ASSERT_EQ(got.size(), grid.size() * grid.size());
+    for (const Row& r : got) {
+      const Value& a = grid[r.GetInt32(0) / grid.size()];
+      const Value& b = grid[r.GetInt32(0) % grid.size()];
+      SCOPED_TRACE(a.ToString() + ", " + b.ToString());
+      // Nulls are skipped: null only when both are.
+      const int ra = DoubleRank(a), rb = DoubleRank(b);
+      const int lo = ra == 0 ? rb : rb == 0 ? ra : std::min(ra, rb);
+      EXPECT_EQ(DoubleRank(r.Get(1)), lo);
+      EXPECT_EQ(DoubleRank(r.Get(2)), std::max(ra, rb));
+    }
+  }
+}
+
+TEST(ValueOrderTest, KeyTableEqualityIsValueEquals) {
+  // The double lane and the boxed (decimal) lane resolve two keys to one id
+  // exactly when Value::Equals says they are equal.
+  const int64_t m = 999999999999999999;
+  const std::vector<std::pair<DataTypePtr, std::vector<Value>>> cases = {
+      {DataType::Double(), DoubleGrid()},
+      {DecimalType::Make(18, 0),
+       {Value::Null(), Value(Decimal(-m, 18, 0)), Value(Decimal(0, 18, 0)),
+        Value(Decimal(123456789012345678, 18, 0)),
+        Value(Decimal(123456789012345679, 18, 0)),
+        Value(Decimal(123456789012345681, 18, 0)), Value(Decimal(m, 18, 0)),
+        Value(Decimal(0, 18, 0)), Value(Decimal(123456789012345679, 18, 0))}}};
+  for (const auto& [type, values] : cases) {
+    SCOPED_TRACE(type->ToString());
+    ColumnVector col(type);
+    for (const Value& v : values) col.Append(v);
+    MemoryManager memory;
+    KeyTable table(memory, {type}, /*nulls_match=*/true);
+    const ColumnVector* cols[] = {&col};
+    KeyChunk chunk;
+    table.Hash(cols, col.size(), &chunk);
+    std::vector<uint32_t> ids(col.size());
+    ASSERT_EQ(table.Resolve(chunk, 0, col.size(), ids.data(),
+                            [](int64_t) { return true; }),
+              col.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      for (size_t j = 0; j < values.size(); ++j) {
+        EXPECT_EQ(ids[i] == ids[j], values[i].Equals(values[j]))
+            << values[i].ToString() << " vs " << values[j].ToString();
+      }
+    }
+  }
 }
 
 }  // namespace

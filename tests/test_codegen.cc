@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <random>
 
@@ -604,6 +605,48 @@ TEST_P(CodegenPropertyTest, RandomStringTreesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodegenPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// The comparison kernel kCmpF64 against Spark's order of doubles, written
+// out as ranks: NaN (either sign) equals NaN and follows +inf, -0.0 equals
+// 0.0. Every pair of the grid, every comparison operator, compiled.
+TEST(ValueOrderTest, CmpF64MatchesTheRankTable) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, int>> grid = {
+      {-inf, 1}, {-2.25, 2}, {-0.0, 3}, {0.0, 3}, {1.5, 4},
+      {inf, 5},  {nan, 6},   {-nan, 6}};
+  std::vector<Row> rows;
+  std::vector<int> sign;  // of rank(a) - rank(b)
+  for (const auto& [a, ra] : grid) {
+    for (const auto& [b, rb] : grid) {
+      rows.push_back(Row({Value(a), Value(b)}));
+      sign.push_back((ra > rb) - (ra < rb));
+    }
+  }
+  RowBatchPtr batch = ToBatch(rows, {DataType::Double(), DataType::Double()});
+  ExprPtr a = BoundReference::Make(0, DataType::Double(), false);
+  ExprPtr b = BoundReference::Make(1, DataType::Double(), false);
+  const std::vector<std::pair<ExprPtr, std::function<bool(int)>>> ops = {
+      {EqualTo::Make(a, b), [](int c) { return c == 0; }},
+      {NotEqualTo::Make(a, b), [](int c) { return c != 0; }},
+      {LessThan::Make(a, b), [](int c) { return c < 0; }},
+      {LessThanOrEqual::Make(a, b), [](int c) { return c <= 0; }},
+      {GreaterThan::Make(a, b), [](int c) { return c > 0; }},
+      {GreaterThanOrEqual::Make(a, b), [](int c) { return c >= 0; }}};
+  for (const auto& [expr, holds] : ops) {
+    SCOPED_TRACE(expr->ToString());
+    const auto compiled = CompiledExpression::Compile(expr);
+    ASSERT_EQ(compiled.compiled_fraction(), 1.0);
+    ColumnVector out(compiled.result_type());
+    compiled.NewVectorEvaluator().EvaluateColumn(*batch, &out);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      SCOPED_TRACE(rows[r].ToString());
+      ASSERT_FALSE(out.IsNull(r));
+      EXPECT_EQ(out.GetValue(r).bool_value(), holds(sign[r]));
+      EXPECT_EQ(expr->Eval(rows[r]).bool_value(), holds(sign[r]));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ssql

@@ -1,9 +1,10 @@
 // Columnar storage tests (Section 3.6): encodings round-trip exactly
 // (property-swept), compression actually shrinks compressible data,
 // corrupt chunks raise IoError, the chunk reader's filter kernels agree
-// with FilterSpec::Matches over every op, type and encoding, and the
-// in-memory cache serves pruned scans with an order-of-magnitude smaller
-// footprint than boxed rows.
+// with FilterSpec::Matches over every op, type and encoding and, with the
+// zone maps, with Spark's value order, and the in-memory cache serves
+// pruned scans with an order-of-magnitude smaller footprint than boxed
+// rows.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <random>
 
 #include "columnar/column_vector.h"
@@ -405,6 +407,8 @@ struct TypeCase {
 
 std::vector<TypeCase> TypeCases() {
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t x = 123456789012345678;
   const std::string nul("a\0b", 3);
   return {
       {"int32",
@@ -439,9 +443,10 @@ std::vector<TypeCase> TypeCases() {
       {"double",
        DataType::Double(),
        {Value(nan), Value(-0.0), Value(0.0), Value(1.5), Value(-2.25),
-        Value(1e300)},
+        Value(1e300), Value(-nan), Value(-inf)},
        {Value(0.0), Value(-0.0), Value(nan), Value(1.5), Value(int32_t{1}),
-        Value(int64_t{-2}), Value(Decimal(150, 5, 2)), Value("s")}},
+        Value(int64_t{-2}), Value(Decimal(150, 5, 2)), Value("s"),
+        Value(-nan), Value(inf)}},
       {"string",
        DataType::String(),
        {Value(""), Value(nul), Value("a"), Value("ab"), Value("b")},
@@ -450,6 +455,14 @@ std::vector<TypeCase> TypeCases() {
        DataType::Boolean(),
        {Value(true), Value(false)},
        {Value(true), Value(false)}},
+      // 18 digits: neighbours a double cannot tell apart.
+      {"decimal18",
+       DecimalType::Make(18, 0),
+       {Value(Decimal(x, 18, 0)), Value(Decimal(x + 1, 18, 0)),
+        Value(Decimal(x + 3, 18, 0)), Value(Decimal(-x, 18, 0))},
+       {Value(Decimal(x + 1, 18, 0)), Value(int64_t{x + 2}),
+        Value(Decimal(x * 10 + 5, 18, 1)), Value(Decimal(1, 18, 18)),
+        Value(static_cast<double>(x)), Value(nan)}},
   };
 }
 
@@ -545,7 +558,7 @@ TEST_P(KernelOracleTest, SelectionEqualsMatchesOverDecodeColumn) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, KernelOracleTest,
-    ::testing::Combine(::testing::Range<size_t>(0, 8),
+    ::testing::Combine(::testing::Range<size_t>(0, 9),
                        ::testing::Values(ColumnEncoding::kPlain,
                                          ColumnEncoding::kRunLength,
                                          ColumnEncoding::kDictionary,
@@ -563,6 +576,136 @@ TEST(ChunkFilterTest, IncomparableLiteralIsRejectedAtBind) {
   EXPECT_THROW(ChunkFilter(spec, DataType::Date()), ExecutionError);
   FilterSpec prefix{"c", FilterSpec::Op::kStartsWith, {Value("1")}};
   EXPECT_THROW(ChunkFilter(prefix, DataType::Int32()), ExecutionError);
+}
+
+// ---------------------------------------------------------------------------
+// The one value order in the chunk kernels and zone maps, against an
+// oracle written from Spark's rules rather than Value::Compare: doubles by
+// rank (NaN equals NaN and follows +inf, -0.0 equals 0.0), decimals and
+// integers exactly in 128 bits.
+// ---------------------------------------------------------------------------
+
+/// An ordered grid: each value with its exact key (equal keys, equal
+/// values). Nulls are added by the test.
+struct OrderGrid {
+  DataTypePtr type;
+  std::vector<std::pair<Value, __int128>> column;    // values of the column
+  std::vector<std::pair<Value, __int128>> literals;  // of any numeric type
+};
+
+std::vector<OrderGrid> OrderGrids() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<Value, __int128>> doubles = {
+      {Value(-inf), 1}, {Value(-2.25), 2}, {Value(-0.0), 3}, {Value(0.0), 3},
+      {Value(1.5), 4},  {Value(inf), 5},   {Value(nan), 6},  {Value(-nan), 6}};
+  std::vector<std::pair<Value, __int128>> double_literals = doubles;
+  double_literals.push_back({Value(int32_t{0}), 3});
+  double_literals.push_back({Value(Decimal(150, 5, 2)), 4});  // as a double
+  // Decimals keyed by their value times 10^18.
+  const __int128 e18 = static_cast<__int128>(1000000000000000000);
+  const int64_t m = 999999999999999999;  // 10^18 - 1
+  const int64_t x = 123456789012345678;
+  const std::vector<std::pair<Value, __int128>> decimals = {
+      {Value(Decimal(-m, 18, 0)), -m * e18},
+      {Value(Decimal(0, 18, 0)), 0},
+      {Value(Decimal(1, 18, 0)), e18},
+      {Value(Decimal(x, 18, 0)), x * e18},
+      {Value(Decimal(x + 1, 18, 0)), (x + 1) * e18},
+      {Value(Decimal(x + 3, 18, 0)), (x + 3) * e18},
+      {Value(Decimal(m, 18, 0)), m * e18}};
+  std::vector<std::pair<Value, __int128>> decimal_literals = decimals;
+  for (const auto& [v, key] : std::vector<std::pair<Value, __int128>>{
+           {Value(Decimal(-m, 18, 18)), -m},
+           {Value(Decimal(1, 18, 18)), 1},
+           {Value(Decimal(m, 18, 18)), m},
+           {Value(Decimal(100, 18, 2)), e18},
+           {Value(int64_t{x + 1}), (x + 1) * e18},
+           {Value(int64_t{x + 2}), (x + 2) * e18},
+           {Value(std::numeric_limits<int64_t>::max()),
+            std::numeric_limits<int64_t>::max() * e18},
+           {Value(1.5), 15 * e18 / 10},  // compares as doubles
+           {Value(nan), static_cast<__int128>(1) << 126}}) {  // after all
+    decimal_literals.push_back({v, key});
+  }
+  return {{DataType::Double(), doubles, double_literals},
+          {DecimalType::Make(18, 0), decimals, decimal_literals}};
+}
+
+TEST(ValueOrderTest, ChunkFiltersAndZoneMapsMatchTheOracle) {
+  using Op = FilterSpec::Op;
+  auto holds = [](Op op, __int128 a, __int128 b) {
+    switch (op) {
+      case Op::kEq:
+        return a == b;
+      case Op::kLt:
+        return a < b;
+      case Op::kLe:
+        return a <= b;
+      case Op::kGt:
+        return a > b;
+      default:
+        return a >= b;
+    }
+  };
+  for (const OrderGrid& grid : OrderGrids()) {
+    SCOPED_TRACE(grid.type->ToString());
+    // Every value in runs of 1-3, a null among them.
+    std::vector<Value> values;
+    std::vector<std::optional<__int128>> keys;
+    for (size_t i = 0; i < grid.column.size(); ++i) {
+      for (size_t k = 0; k <= i % 3; ++k) {
+        values.push_back(grid.column[i].first);
+        keys.push_back(grid.column[i].second);
+      }
+      if (i == 2) {
+        values.push_back(Value::Null());
+        keys.push_back(std::nullopt);
+      }
+    }
+    const ColumnVector col = MakeColumn(grid.type, values);
+    std::vector<uint32_t> all(col.size());
+    std::iota(all.begin(), all.end(), 0u);
+    for (ColumnEncoding encoding :
+         {ColumnEncoding::kPlain, ColumnEncoding::kRunLength,
+          ColumnEncoding::kDictionary}) {
+      const EncodedColumn encoded = EncodeColumnAs(col, encoding);
+      ASSERT_EQ(encoded.encoding, encoding);
+      const ChunkValues slots = ReadChunkValues(encoded);
+      for (Op op : {Op::kEq, Op::kLt, Op::kLe, Op::kGt, Op::kGe}) {
+        for (const auto& [lit, lit_key] : grid.literals) {
+          const FilterSpec spec{"c", op, {lit}};
+          SCOPED_TRACE(std::string(EncodingName(encoding)) + " " +
+                       spec.ToString());
+          std::vector<uint32_t> want;
+          for (uint32_t r = 0; r < keys.size(); ++r) {
+            if (keys[r] && holds(op, *keys[r], lit_key)) want.push_back(r);
+          }
+          std::vector<uint32_t> sel = all;
+          ChunkFilter(spec, grid.type).Refine(slots, &sel);
+          EXPECT_EQ(sel, want);
+        }
+      }
+    }
+    // Zone maps: a chunk of any two values holds the least and greatest
+    // of them, and may match whenever one of its rows does.
+    for (const auto& [a, a_key] : grid.column) {
+      for (const auto& [b, b_key] : grid.column) {
+        const EncodedColumn chunk = EncodeColumn(MakeColumn(grid.type, {a, b}));
+        SCOPED_TRACE(a.ToString() + ", " + b.ToString());
+        EXPECT_EQ(chunk.min->Compare(a_key <= b_key ? a : b), 0);
+        EXPECT_EQ(chunk.max->Compare(a_key >= b_key ? a : b), 0);
+        for (Op op : {Op::kEq, Op::kLt, Op::kLe, Op::kGt, Op::kGe}) {
+          for (const auto& [lit, lit_key] : grid.literals) {
+            if (holds(op, a_key, lit_key) || holds(op, b_key, lit_key)) {
+              EXPECT_TRUE(ColumnChunkMayMatch(chunk, {"c", op, {lit}}))
+                  << FilterSpec{"c", op, {lit}}.ToString();
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -618,9 +761,13 @@ TEST(ScanAgreementTest, CacheAndColfScansReturnTheMatchesRows) {
       {{"timestamp", Op::kEq, {Value(TimestampValue{1000})}}},
       {{"string", Op::kIsNull, {}}},
       {{"int64", Op::kGt, {Value(int64_t{1} << 50)}}},  // zone maps skip all
+      {{"double", Op::kLt, {Value(1.0)}}},
+      {{"double", Op::kGt, {Value(int32_t{1})}}},
+      {{"double", Op::kEq, {Value(0.0)}}},
+      {{"decimal18", Op::kGt, {Value(Decimal(123456789012345678, 18, 0))}}},
   };
   const std::vector<std::vector<int>> projections = {
-      {0, 1, 2, 3, 4, 5, 6, 7}, {6, 0}, {}};
+      {0, 1, 2, 3, 4, 5, 6, 7, 8}, {6, 0}, {}};
 
   for (size_t batch_size : {size_t{1}, size_t{1024}}) {
     EngineConfig config;

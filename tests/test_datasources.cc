@@ -1,17 +1,23 @@
 // Data source API tests (Section 4.4.1): filter translation, CSV with and
 // without schema, colf round-trips / zone-map skipping / pruning, kvdb
-// pushdown, and end-to-end CREATE TEMPORARY TABLE ... USING.
+// pushdown, end-to-end CREATE TEMPORARY TABLE ... USING, and local rows,
+// the cache and colf agreeing with Spark's value order.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <random>
 
 #include "api/sql_context.h"
@@ -1287,6 +1293,235 @@ TEST(CsvFuzzTest, MutatedFilesScanOrThrowTypedError) {
   EXPECT_EQ(scanned + refused, 4 * kRounds);
   EXPECT_GT(scanned, 0);
   EXPECT_GT(refused, 0);
+  std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// Source agreement with an absolute oracle: the same rows as local rows, a
+// cached copy and a colf file whose small row groups let the zone maps
+// prune, each queried in SQL and checked against answers computed here from
+// Spark's rules (NaN equals NaN and follows every number, -0.0 equals 0.0,
+// decimals compare exactly), not from Value::Compare.
+// ---------------------------------------------------------------------------
+
+/// Spark's order of doubles.
+int SparkCompare(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+  }
+  return (a > b) - (a < b);
+}
+
+/// A double's class under Spark's equality: every NaN alike, -0.0 as 0.
+std::string SparkKey(double d) {
+  if (std::isnan(d)) return "NaN";
+  return d == 0.0 ? "0" : Value(d).ToString();
+}
+
+bool Holds(const std::string& op, int c) {
+  if (op == "=") return c == 0;
+  if (op == "<>") return c != 0;
+  if (op == "<") return c < 0;
+  if (op == "<=") return c <= 0;
+  if (op == ">") return c > 0;
+  return c >= 0;
+}
+
+TEST(SourceAgreementTest, LocalCacheAndColfGiveSparksAnswers) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> doubles = {nan, -nan, 0.0, -0.0, 1.5, -2.25,
+                                       inf, -inf};
+  const int64_t x = 123456789012345678;
+  const std::vector<int64_t> decimals = {x,          x + 1, x + 2, x + 3,
+                                         -999999999999999999, 0,
+                                         999999999999999999};
+  auto schema = StructType::Make({Field("id", DataType::Int64(), false),
+                                  Field("d", DataType::Double(), true),
+                                  Field("m", DecimalType::Make(18, 0), true)});
+  constexpr int kRows = 240;
+  constexpr int kGroup = 16;  // colf row group
+  std::mt19937_64 rng(25);
+  std::vector<Row> rows;
+  std::vector<std::optional<double>> ds;
+  std::vector<std::optional<int64_t>> ms;
+  for (int i = 0; i < kRows; ++i) {
+    // NaN leads every third row group and the first cached partition, so
+    // a zone map that let NaN be least or greatest would prune wrongly.
+    std::optional<double> d = doubles[rng() % doubles.size()];
+    if (rng() % 8 == 0) d.reset();
+    if (i % (3 * kGroup) == 0) d = i % 2 == 0 ? nan : -nan;
+    std::optional<int64_t> m = decimals[rng() % decimals.size()];
+    if (rng() % 9 == 0) m.reset();
+    rows.push_back(Row({Value(int64_t{i}), d ? Value(*d) : Value::Null(),
+                        m ? Value(Decimal(*m, 18, 0)) : Value::Null()}));
+    ds.push_back(d);
+    ms.push_back(m);
+  }
+  const std::string path = ::testing::TempDir() + "/agree-order-" +
+                           std::to_string(::getpid()) + ".colf";
+  WriteColfFile(path, schema, rows, kGroup);
+
+  EngineConfig config;
+  config.num_threads = 2;
+  config.default_parallelism = 3;
+  SqlContext ctx(config);
+  ctx.CreateDataFrame(schema, rows).RegisterTempTable("local");
+  DataFrame cached = ctx.CreateDataFrame(schema, rows);
+  cached.Cache();
+  cached.RegisterTempTable("cached");
+  ctx.Read("colf", {{"path", path}}).RegisterTempTable("colf");
+
+  // The literal set: SQL text and value.
+  const std::vector<std::pair<std::string, double>> literals = {
+      {"CAST('NaN' AS double)", nan}, {"-CAST('NaN' AS double)", -nan},
+      {"CAST('0.0' AS double)", 0.0}, {"CAST('-0.0' AS double)", -0.0},
+      {"1.5", 1.5},                   {"-2.25", -2.25},
+      {"CAST('inf' AS double)", inf}, {"CAST('-inf' AS double)", -inf},
+      {"1", 1.0}};
+  // Rows passing a predicate on d, as "count|sum(id)".
+  auto expect_d = [&](const std::function<bool(double)>& pass) {
+    int64_t n = 0, sum = 0;
+    for (int i = 0; i < kRows; ++i) {
+      if (ds[i] && pass(*ds[i])) n += 1, sum += i;
+    }
+    return std::to_string(n) + "|" + (n > 0 ? std::to_string(sum) : "null");
+  };
+  auto expect_m = [&](const std::function<bool(int64_t)>& pass) {
+    int64_t n = 0, sum = 0;
+    for (int i = 0; i < kRows; ++i) {
+      if (ms[i] && pass(*ms[i])) n += 1, sum += i;
+    }
+    return std::to_string(n) + "|" + (n > 0 ? std::to_string(sum) : "null");
+  };
+  std::vector<std::pair<std::string, std::string>> filters;  // WHERE, want
+  for (const std::string op : {"=", "<>", "<", "<=", ">", ">="}) {
+    for (const auto& [sql, v] : literals) {
+      filters.push_back({"d " + op + " " + sql, expect_d([&, v = v](double d) {
+                           return Holds(op, SparkCompare(d, v));
+                         })});
+      filters.push_back(
+          {"NOT (d " + op + " " + sql + ")", expect_d([&, v = v](double d) {
+             return !Holds(op, SparkCompare(d, v));
+           })});
+    }
+    for (int64_t lit : {x, x + 1, x + 3, int64_t{0}}) {
+      filters.push_back({"m " + op + " " + std::to_string(lit),
+                         expect_m([&](int64_t m) {
+                           return Holds(op, (m > lit) - (m < lit));
+                         })});
+    }
+  }
+  filters.push_back({"d IN (CAST('NaN' AS double), CAST('-0.0' AS double))",
+                     expect_d([](double d) {
+                       return std::isnan(d) || d == 0.0;
+                     })});
+  filters.push_back(
+      {"d BETWEEN CAST('0.0' AS double) AND CAST('NaN' AS double)",
+       expect_d([](double d) { return std::isnan(d) || d >= 0.0; })});
+  filters.push_back({"d BETWEEN -2.25 AND 1.5", expect_d([](double d) {
+                       return d >= -2.25 && d <= 1.5;
+                     })});
+  const std::string x1 = std::to_string(x + 1);
+  const std::string x2 = std::to_string(x + 2);
+  const std::string m_x1_x2 =
+      expect_m([&](int64_t m) { return m == x + 1 || m == x + 2; });
+  filters.push_back({"m IN (" + x1 + ", " + x2 + ")", m_x1_x2});
+  filters.push_back({"m BETWEEN " + x1 + " AND " + x2, m_x1_x2});
+  {
+    int64_t n = 0, sum = 0;
+    for (int i = 0; i < kRows; ++i) {
+      if (!ds[i]) n += 1, sum += i;
+    }
+    const std::string want = std::to_string(n) + "|" + std::to_string(sum);
+    filters.push_back({"d IS NULL", n > 0 ? want : "0|null"});
+  }
+
+  // Aggregates, grouping, DISTINCT, ORDER BY and the two joins.
+  std::map<std::string, int64_t> d_groups, m_groups;
+  std::optional<double> d_min, d_max;
+  std::optional<int64_t> m_min, m_max;
+  for (int i = 0; i < kRows; ++i) {
+    if (ds[i]) {
+      d_groups[SparkKey(*ds[i])] += 1;
+      if (!d_min || SparkCompare(*ds[i], *d_min) < 0) d_min = ds[i];
+      if (!d_max || SparkCompare(*ds[i], *d_max) > 0) d_max = ds[i];
+    }
+    if (ms[i]) {
+      m_groups[std::to_string(*ms[i])] += 1;
+      m_min = std::min(m_min.value_or(*ms[i]), *ms[i]);
+      m_max = std::max(m_max.value_or(*ms[i]), *ms[i]);
+    }
+  }
+  int64_t d_pairs = 0, m_pairs = 0;
+  for (const auto& [k, n] : d_groups) d_pairs += n * n;
+  for (const auto& [k, n] : m_groups) m_pairs += n * n;
+
+  for (const std::string table : {"local", "cached", "colf"}) {
+    SCOPED_TRACE(table);
+    auto text = [](const Value& v) {
+      return v.type_id() == TypeId::kDouble ? SparkKey(v.f64()) : v.ToString();
+    };
+    auto one = [&](const std::string& sql) {
+      const std::vector<Row> got = ctx.Sql(sql).Collect();
+      EXPECT_EQ(got.size(), 1u) << sql;
+      std::string out;
+      for (size_t c = 0; !got.empty() && c < got[0].size(); ++c) {
+        out += (c > 0 ? "|" : "") + text(got[0].Get(c));
+      }
+      return out;
+    };
+    const std::string from = " FROM " + table;
+    for (const auto& [where, want] : filters) {
+      EXPECT_EQ(one("SELECT count(*), sum(id)" + from + " WHERE " + where),
+                want)
+          << where;
+    }
+    EXPECT_EQ(one("SELECT min(d), max(d), count(DISTINCT d)" + from),
+              SparkKey(*d_min) + "|" + SparkKey(*d_max) + "|" +
+                  std::to_string(d_groups.size()));
+    EXPECT_EQ(one("SELECT min(m), max(m), count(DISTINCT m)" + from),
+              std::to_string(*m_min) + "|" + std::to_string(*m_max) + "|" +
+                  std::to_string(m_groups.size()));
+    for (const auto& [col, groups] : {std::pair{"d", d_groups},
+                                      std::pair{"m", m_groups}}) {
+      const std::string where = from + " WHERE " + col + " IS NOT NULL";
+      std::map<std::string, int64_t> got;
+      for (const Row& r : ctx.Sql(std::string("SELECT ") + col + ", count(*)" +
+                                  where + " GROUP BY " + col)
+                              .Collect()) {
+        got[text(r.Get(0))] += r.GetInt64(1);
+      }
+      EXPECT_EQ(got, groups) << "GROUP BY " << col;
+      EXPECT_EQ(ctx.Sql("SELECT DISTINCT " + std::string(col) + where)
+                    .Collect()
+                    .size(),
+                groups.size())
+          << "DISTINCT " << col;
+    }
+    // ORDER BY: nulls first, then Spark's order.
+    const std::vector<Row> sorted =
+        ctx.Sql("SELECT d" + from + " ORDER BY d").Collect();
+    ASSERT_EQ(sorted.size(), static_cast<size_t>(kRows));
+    for (size_t i = 1; i < sorted.size(); ++i) {
+      const Value& a = sorted[i - 1].Get(0);
+      const Value& b = sorted[i].Get(0);
+      EXPECT_TRUE(a.is_null() ||
+                  (!b.is_null() && SparkCompare(a.f64(), b.f64()) <= 0))
+          << "ORDER BY d at " << i << ": " << a.ToString() << " before "
+          << b.ToString();
+    }
+    for (const auto& [col, pairs] : {std::pair{std::string("d"), d_pairs},
+                                     std::pair{std::string("m"), m_pairs}}) {
+      const std::string join =
+          "SELECT count(*)" + from + " a JOIN " + table + " b ON a." + col;
+      EXPECT_EQ(one(join + " = b." + col), std::to_string(pairs))
+          << "hash join on " << col;
+      EXPECT_EQ(one(join + " <= b." + col + " AND a." + col + " >= b." + col),
+                std::to_string(pairs))
+          << "nested-loop join on " << col;
+    }
+  }
   std::filesystem::remove(path);
 }
 

@@ -679,9 +679,9 @@ TEST_F(ExecOpsTest, SortIsStableAndHandlesNulls) {
 }
 
 TEST(SortNanTest, OrderByPlacesNanAfterEveryNumber) {
-  // Value::Compare makes NaN equal to every number; sorting with it is not
-  // a strict weak order and used to leave the numbers out of order.
-  // ORDER BY sorts NaN after every number (first under DESC), nulls first.
+  // An order in which NaN equals every number is not a strict weak order
+  // and used to leave the numbers out of order. ORDER BY sorts NaN after
+  // every number (first under DESC), nulls first.
   SqlContext ctx(TestConfig());
   std::mt19937_64 rng(11);
   std::vector<Row> rows;
@@ -819,8 +819,7 @@ TEST(SortAgreementTest, OrderByMatchesStableSortRowForRow) {
         std::stable_sort(oracle.begin(), oracle.end(),
                          [&](const auto& a, const auto& b) {
                            for (size_t k = 0; k < c.ascending.size(); ++k) {
-                             const int cmp = CompareNanLast(a.first[k],
-                                                            b.first[k]);
+                             const int cmp = a.first[k].Compare(b.first[k]);
                              if (cmp != 0) {
                                return c.ascending[k] ? cmp < 0 : cmp > 0;
                              }

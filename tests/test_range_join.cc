@@ -1,10 +1,12 @@
 // Section 7.2 tests: the interval tree, the planner's range-join
 // detection, and end-to-end equivalence between the interval join and the
-// naive nested-loop plan on the paper's genomics query.
+// naive nested-loop plan on the paper's genomics query and on NaN, date and
+// 18-digit decimal bounds.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 
 #include "api/sql_context.h"
@@ -55,7 +57,9 @@ TEST(IntervalTreeTest, MatchesBruteForceOnRandomData) {
     tree.Query(p, &got);
     std::vector<size_t> expected;
     for (const auto& iv : intervals) {
-      if (iv.start < p && p < iv.end) expected.push_back(iv.payload);
+      if (iv.start.f64() < p && p < iv.end.f64()) {
+        expected.push_back(iv.payload);
+      }
     }
     std::sort(got.begin(), got.end());
     std::sort(expected.begin(), expected.end());
@@ -146,6 +150,58 @@ TEST_F(RangeJoinTest, PointProbeFormAlsoDetected) {
                   .Count();
   ctx_->UpdateConfig([&](EngineConfig& c) { c.range_join_enabled = true; });
   EXPECT_EQ(fast, slow);
+}
+
+TEST(RangeJoinOrderTest, IntervalJoinFollowsTheValueOrder) {
+  // NaN follows every number (so an interval ending at NaN is open on the
+  // right), and dates and 18-digit decimals compare exactly.
+  SqlContext ctx;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t x = 123456789012345678;
+  struct Case {
+    DataTypePtr type;
+    std::vector<std::pair<Value, Value>> intervals;
+    std::vector<Value> points;
+    int64_t matches;
+  };
+  const std::vector<Case> cases = {
+      {DataType::Double(),
+       {{Value(0.0), Value(nan)},
+        {Value(1.0), Value(2.0)},
+        {Value(nan), Value(nan)},
+        {Value(-inf), Value(0.5)}},
+       {Value(0.5), Value(1.5), Value(nan), Value(3.0), Value(-1.0)},
+       5},
+      {DataType::Date(),
+       {{Value(DateValue{16436}), Value(DateValue{16438})}},
+       {Value(DateValue{16437}), Value(DateValue{16438})},
+       1},
+      {DecimalType::Make(18, 0),
+       {{Value(Decimal(x, 18, 0)), Value(Decimal(x + 2, 18, 0))}},
+       {Value(Decimal(x + 1, 18, 0)), Value(Decimal(x + 2, 18, 0))},
+       1}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.type->ToString());
+    std::vector<Row> iv_rows, pt_rows;
+    for (const auto& [s, e] : c.intervals) iv_rows.push_back(Row({s, e}));
+    for (const Value& p : c.points) pt_rows.push_back(Row({p}));
+    ctx.CreateDataFrame(StructType::Make({Field("s", c.type, false),
+                                          Field("e", c.type, false)}),
+                        iv_rows)
+        .RegisterTempTable("iv");
+    ctx.CreateDataFrame(StructType::Make({Field("p", c.type, false)}), pt_rows)
+        .RegisterTempTable("pt");
+    const std::string q =
+        "SELECT count(*) FROM iv JOIN pt ON iv.s < pt.p AND pt.p < iv.e";
+    const std::string plan =
+        ctx.PlanPhysical(ctx.Optimize(ctx.Sql(q).plan()))->TreeString();
+    EXPECT_NE(plan.find("IntervalJoin"), std::string::npos) << plan;
+    EXPECT_EQ(ctx.Sql(q).Collect()[0].GetInt64(0), c.matches);
+    ctx.UpdateConfig([](EngineConfig& e) { e.range_join_enabled = false; });
+    EXPECT_EQ(ctx.Sql(q).Collect()[0].GetInt64(0), c.matches);
+    ctx.UpdateConfig([](EngineConfig& e) { e.range_join_enabled = true; });
+  }
 }
 
 }  // namespace

@@ -383,6 +383,49 @@ TEST(CardinalityTest, FilterSelectivityFromNdv) {
   EXPECT_EQ(scan->est_source, "analyzed-stats");
 }
 
+TEST(CardinalityTest, NanColumnStatsFallBackToTheDefaultSelectivity) {
+  // 999 numbers after one NaN: under the one value order min is the least
+  // number and max is NaN. Interpolating over a NaN max is NaN for every
+  // bound, so the range estimate must take the fallback selectivity.
+  EngineConfig config;
+  config.cbo_filter_selectivity = true;
+  SqlContext ctx(config);
+  const std::string path = ScratchDir("nonfinite") + "/d.csv";
+  {
+    std::ofstream out(path);
+    out << "d\nNaN\n";
+    for (int i = 0; i < 999; ++i) out << i << "\n";
+  }
+  ctx.RegisterTable("t", ctx.ReadCsv(path, {{"schema", "d double"}}));
+  ctx.Sql("ANALYZE TABLE t COMPUTE STATISTICS FOR ALL COLUMNS").Collect();
+  auto stats = ctx.Sql("SELECT min, max FROM system.column_stats "
+                       "WHERE table_name = 't'")
+                   .Collect();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].GetString(0), "0");
+  EXPECT_EQ(stats[0].GetString(1), "nan");
+
+  const std::string plan =
+      ctx.Sql("EXPLAIN EXTENDED SELECT * FROM t a JOIN t b ON a.d = b.d "
+              "WHERE b.d < 100")
+          .Collect()[0]
+          .GetString(0);
+  // The filtered side is the build side: a finite row estimate.
+  const size_t build = plan.find("build side");
+  ASSERT_NE(build, std::string::npos) << plan;
+  const std::string rows = plan.substr(plan.find('~', build) + 1);
+  EXPECT_GT(std::stod(rows), 0.0) << plan;
+  EXPECT_LT(std::stod(rows), 1000.0) << plan;
+  ctx.Sql("SELECT * FROM t WHERE d < 100").Collect();
+  for (const ProfileSpan* s : OperatorSpans(ctx.last_profile())) {
+    if (s->name.find("Scan") == std::string::npos) continue;
+    // The default selectivity (a third of 1000 rows), not a NaN turned
+    // into a row count.
+    EXPECT_GT(s->est_rows, 0) << s->name;
+    EXPECT_LT(s->est_rows, 1000) << s->name;
+  }
+}
+
 TEST(CardinalityTest, SpillingJoinAggReportsEstimatesOnEveryOperator) {
   std::string dir = ScratchDir("spill");
   // The join's build side (d, 20000 distinct keys) dwarfs the 16 KiB

@@ -1,6 +1,9 @@
-// Unit tests for the type system: Value, Decimal, DataType, Schema, dates.
+// Unit tests for the type system: Value, Decimal, DataType, Schema, dates,
+// and the one value order against hand-written rank tables.
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "types/data_type.h"
 #include "types/decimal.h"
@@ -44,6 +47,84 @@ TEST(ValueTest, CrossWidthNumericEqualityAndCompare) {
 TEST(ValueTest, CrossWidthNumericHashingAgrees) {
   EXPECT_EQ(Value(int32_t{100}).Hash(), Value(int64_t{100}).Hash());
   EXPECT_EQ(Value(100.0).Hash(), Value(int64_t{100}).Hash());
+}
+
+// ---------------------------------------------------------------------------
+// The one value order, against hand-written rank tables (Spark's rules):
+// null first; NaN equals NaN and follows +inf; -0.0 equals 0.0; decimals and
+// integers compare exactly.
+// ---------------------------------------------------------------------------
+
+struct Ranked {
+  Value v;
+  int rank;
+};
+
+int Sign(int x) { return (x > 0) - (x < 0); }
+
+std::vector<Ranked> DoubleGrid() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  return {{Value::Null(), 0}, {Value(-inf), 1},         {Value(-2.25), 2},
+          {Value(-0.0), 3},   {Value(0.0), 3},          {Value(1.5), 4},
+          {Value(inf), 5},    {Value(nan), 6},          {Value(-nan), 6}};
+}
+
+std::vector<Ranked> DecimalGrid() {
+  const int64_t m = 999999999999999999;  // 10^18 - 1
+  return {{Value::Null(), 0},
+          {Value(Decimal(-m, 18, 0)), 1},
+          {Value(int64_t{-m}), 1},
+          {Value(Decimal(-m, 18, 18)), 2},
+          {Value(Decimal(0, 18, 18)), 3},
+          {Value(Decimal(0, 18, 0)), 3},
+          {Value(int64_t{0}), 3},
+          {Value(Decimal(1, 18, 18)), 4},
+          {Value(Decimal(m, 18, 18)), 5},
+          {Value(Decimal(100000000000000000, 18, 17)), 6},
+          {Value(int32_t{1}), 6},
+          {Value(Decimal(123456789012345678, 18, 0)), 7},
+          {Value(Decimal(123456789012345679, 18, 0)), 8},
+          {Value(int64_t{123456789012345679}), 8},
+          {Value(Decimal(m, 18, 0)), 9},
+          {Value(std::numeric_limits<int64_t>::max()), 10}};
+}
+
+TEST(ValueOrderTest, CompareMatchesTheRankTables) {
+  for (const auto& grid : {DoubleGrid(), DecimalGrid()}) {
+    for (const Ranked& a : grid) {
+      for (const Ranked& b : grid) {
+        SCOPED_TRACE(a.v.ToString() + " vs " + b.v.ToString());
+        EXPECT_EQ(Sign(a.v.Compare(b.v)), Sign(a.rank - b.rank));
+        EXPECT_EQ(a.v.Equals(b.v), a.rank == b.rank);
+      }
+    }
+  }
+  // A decimal against a double compares as doubles (Spark's cast).
+  EXPECT_EQ(Value(Decimal(150, 5, 2)).Compare(Value(1.5)), 0);
+  EXPECT_LT(Value(Decimal(150, 5, 2)).Compare(
+                Value(std::numeric_limits<double>::quiet_NaN())),
+            0);
+}
+
+TEST(ValueOrderTest, EqualValuesHashAlike) {
+  // A decimal hashes by its double, so an integer and a decimal hash alike
+  // only within 2^53; the analyzer coerces join and grouping keys to one
+  // type first, so the grids check pairs of one type.
+  for (const auto& grid : {DoubleGrid(), DecimalGrid()}) {
+    for (const Ranked& a : grid) {
+      for (const Ranked& b : grid) {
+        if (a.v.type_id() != b.v.type_id() || !a.v.Equals(b.v)) continue;
+        SCOPED_TRACE(a.v.ToString() + " vs " + b.v.ToString());
+        EXPECT_EQ(a.v.Hash(), b.v.Hash());
+      }
+    }
+  }
+  // Equal decimals at other scales, digits past a double's precision.
+  EXPECT_EQ(Value(Decimal(12345678901234567, 18, 0)).Hash(),
+            Value(Decimal(123456789012345670, 18, 1)).Hash());
+  EXPECT_EQ(Value(Decimal(0, 18, 0)).Hash(), Value(int64_t{0}).Hash());
+  EXPECT_EQ(Value(Decimal(150, 5, 2)).Hash(), Value(1.5).Hash());
 }
 
 TEST(ValueTest, NullSortsFirst) {
@@ -131,6 +212,34 @@ TEST(DecimalTest, CompareAcrossScales) {
   EXPECT_TRUE(a == b);
   Decimal c(16, 2, 1);  // 1.6
   EXPECT_LT(a.Compare(c), 0);
+
+  // Extremes: aligning 10^18 - 1 at scale 0 with scale 18 multiplies it by
+  // 10^18, past int64.
+  const int64_t m = 999999999999999999;
+  EXPECT_GT(Decimal(m, 18, 0).Compare(Decimal(m, 18, 18)), 0);
+  EXPECT_LT(Decimal(m, 18, 18).Compare(Decimal(m, 18, 0)), 0);
+  EXPECT_LT(Decimal(-m, 18, 0).Compare(Decimal(m, 18, 18)), 0);
+  EXPECT_LT(Decimal(-m, 18, 0).Compare(Decimal(-m, 18, 18)), 0);
+  EXPECT_GT(Decimal(-m, 18, 18).Compare(Decimal(-m, 18, 0)), 0);
+  EXPECT_EQ(Decimal(-m, 18, 18).Compare(Decimal(-m, 18, 18)), 0);
+  // 10^17 at scale 0 against every decimal(18,2) (|v| < 10^16).
+  EXPECT_GT(Decimal(100000000000000000, 18, 0).Compare(Decimal(m, 18, 2)), 0);
+  EXPECT_LT(Decimal(-100000000000000000, 18, 0).Compare(Decimal(-m, 18, 2)), 0);
+  // Values a double cannot tell apart.
+  EXPECT_LT(Decimal(123456789012345678, 18, 0)
+                .Compare(Decimal(123456789012345679, 18, 0)),
+            0);
+  // An int64 against a decimal of scale 18 compares exactly (as scale 0).
+  const int64_t big = std::numeric_limits<int64_t>::max();
+  const int64_t small = std::numeric_limits<int64_t>::min();
+  EXPECT_GT(Value(big).Compare(Value(Decimal(m, 18, 18))), 0);
+  EXPECT_LT(Value(small).Compare(Value(Decimal(-m, 18, 18))), 0);
+  EXPECT_LT(Value(int64_t{0}).Compare(Value(Decimal(1, 18, 18))), 0);
+  EXPECT_GT(Value(int64_t{0}).Compare(Value(Decimal(-1, 18, 18))), 0);
+  const Decimal one(1000000000000000000, 18, 18);
+  EXPECT_EQ(Value(int64_t{1}).Compare(Value(one)), 0);
+  EXPECT_GT(Value(Decimal(m, 18, 18)).Compare(Value(int64_t{0})), 0);
+  EXPECT_EQ(Value(int32_t{-7}).Compare(Value(Decimal(-700, 5, 2))), 0);
 }
 
 TEST(DecimalTest, RescaleRounds) {
